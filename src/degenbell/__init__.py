@@ -7,7 +7,7 @@ Q[lambda, L, x, y] (with L a formal stand-in for log(1+lambda)/lambda),
 and validates the infinite-series identities numerically.
 """
 
-from .poly import L, LAM, MPoly, Rational, X, Y
+from .poly import L, LAM, MPoly, X, Y
 from .classical import (
     StirlingTable,
     bell_polynomial,
@@ -55,7 +55,6 @@ __all__ = [
     "LAM",
     "MPoly",
     "NumericCheck",
-    "Rational",
     "Series",
     "StirlingTable",
     "SuiteResult",

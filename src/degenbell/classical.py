@@ -3,17 +3,19 @@ numbers, Bell polynomials, and the lambda-step falling factorial."""
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import math
 
 from .poly import LAM, MPoly, Scalar
 
 # Triangular caches, grown on demand.  Row n holds entries for k = 0..n.
-# Construction is single-writer (append only); reads are safe to share.
+# Rows are appended whole, under _GROW_LOCK, and never changed after; a
+# reader that finds its row present takes no lock.
 _S1_ROWS: list[list[int]] = [[1]]
 _S2_ROWS: list[list[int]] = [[1]]
+_GROW_LOCK = threading.Lock()
 
 
 def binomial(n: int, k: int) -> int:
@@ -25,25 +27,15 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _extend_first(n: int) -> None:
-    while len(_S1_ROWS) <= n:
-        m = len(_S1_ROWS)
-        prev = _S1_ROWS[-1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            # (x)_m = (x - (m-1)) (x)_{m-1}
-            row[k] = prev[k - 1] - (m - 1) * (prev[k] if k < m else 0)
-        _S1_ROWS.append(row)
-
-
-def _extend_second(n: int) -> None:
-    while len(_S2_ROWS) <= n:
-        m = len(_S2_ROWS)
-        prev = _S2_ROWS[-1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = prev[k - 1] + k * (prev[k] if k < m else 0)
-        _S2_ROWS.append(row)
+def _grow(rows: list[list[int]], n: int, weight) -> None:
+    """Extend `rows` through row n of the triangle
+    T(m, k) = T(m-1, k-1) + weight(m, k) T(m-1, k).  The length is tested
+    again under the lock, so two threads never build the same row."""
+    with _GROW_LOCK:
+        while len(rows) <= n:
+            m = len(rows)
+            prev = rows[-1] + [0]
+            rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 1)])
 
 
 def _check_pair(n: int, k: int) -> None:
@@ -57,14 +49,17 @@ def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind: coefficient of z^k in
     the falling factorial z(z-1)...(z-n+1)."""
     _check_pair(n, k)
-    _extend_first(n)
+    if len(_S1_ROWS) <= n:
+        # (z)_m = (z - (m-1)) (z)_{m-1}
+        _grow(_S1_ROWS, n, lambda m, k: 1 - m)
     return _S1_ROWS[n][k]
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: k-block set partitions of an n-set."""
     _check_pair(n, k)
-    _extend_second(n)
+    if len(_S2_ROWS) <= n:
+        _grow(_S2_ROWS, n, lambda m, k: k)
     return _S2_ROWS[n][k]
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +30,11 @@ from .suite import run_full_suite
 FAMILIES = ("bell", "stirling1", "stirling2", "dstirling", "dbell")
 FORMATS = ("text", "json", "csv")
 CSV_HEADER = ["identity", "n", "lambda", "x", "terms", "lhs", "rhs", "abs_error", "passed"]
+
+
+class UsageError(Exception):
+    """Input that passed parsing but cannot be served (a value out of float
+    range, an unwritable --output); `main` reports it and exits 2."""
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,10 @@ def parse_config(argv: list[str] | None = None) -> CliConfig:
         parser.error("--terms must be >= 1")
     if ns.tol <= 0:
         parser.error("--tol must be > 0")
-    if not ns.lam > -1.0 or ns.lam == 0.0:
+    if not -1.0 < ns.lam < math.inf or ns.lam == 0.0:
         parser.error("--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0")
+    if not math.isfinite(ns.x):
+        parser.error("--x must be finite")
     return CliConfig(
         "eval",
         n_max=ns.n,
@@ -121,8 +129,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
 
 
 def _json_text(payload: object) -> str:
@@ -235,10 +246,16 @@ def run_verify(config: CliConfig) -> int:
 
 
 def run_eval(config: CliConfig) -> int:
-    value = eval_bel_numeric(config.n_max, config.lam, config.x)
-    check = None
-    if config.dobinski:
-        check = dobinski_check(config.n_max, config.lam, config.x, config.terms, config.tol)
+    try:
+        if config.dobinski:
+            check = dobinski_check(config.n_max, config.lam, config.x, config.terms, config.tol)
+            value = check.lhs
+        else:
+            check = None
+            value = eval_bel_numeric(config.n_max, config.lam, config.x)
+    except OverflowError as exc:
+        where = f"n={config.n_max}, lambda={config.lam!r}, x={config.x!r}"
+        raise UsageError(f"the value at {where} is out of float range ({exc})") from exc
     if config.fmt == "json":
         payload = {"n": config.n_max, "lambda": config.lam, "x": config.x, "value": value}
         if check is not None:
@@ -272,11 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
     config = parse_config(argv)
-    if config.command == "table":
-        return run_table(config)
-    if config.command == "verify":
-        return run_verify(config)
-    return run_eval(config)
+    run = {"table": run_table, "verify": run_verify, "eval": run_eval}[config.command]
+    try:
+        return run(config)
+    except UsageError as exc:
+        print(f"degenbell: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

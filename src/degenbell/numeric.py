@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import MPoly
-from .classical import bell_polynomial, stirling1
-from .degenerate import dbell_via_stirling_pair, degenerate_bell
+from .classical import bell_polynomial, stirling1, stirling2
+from .degenerate import dbell_via_stirling_pair
 
 DEFAULT_TERMS = 80
 DEFAULT_TOL = 1e-9
@@ -109,18 +109,31 @@ def _falling_float(z: float, lam: float, n: int) -> float:
 def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     """Closed-form degenerate Bell value at real lambda and x.
 
-    lambda and x are bound exactly (every float is a rational), reducing
-    the polynomial to exact coefficients per power of L; only the single
-    transcendental L = log1p(lambda)/lambda is bound in floating point.
-    This keeps the large cancellations among the lambda terms exact, so
-    the result carries only the rounding of one Horner pass.
+    Bel_{n,lambda}(x) is the sum over m of S2(n,m|lambda) (x L)^m, with
+    S2(n,m|lambda) the sum over k of stirling1(n,k) stirling2(k,m)
+    lambda^(n-k).  lambda = p/q and x = r/s are bound exactly (every float
+    is a rational), so the coefficient of L^m is N_m r^m / (q^n s^m) with
+    the integer N_m = sum over k of stirling1(n,k) stirling2(k,m)
+    p^(n-k) q^k, rounded once by a correctly rounded integer division.
+    No polynomial is built: the work is about n^2/2 products of exact
+    integers.  Only the single transcendental L = log1p(lambda)/lambda is
+    bound in floating point, in one Horner pass, which keeps the large
+    cancellations among the lambda terms exact.
+
+    Raises ValueError for n < 0 or lambda outside (-1, 0) and (0, inf),
+    and OverflowError when a coefficient of L^m is too large for a float.
     """
     big_l = _check_lambda(lam)
-    reduced = degenerate_bell(n).substitute({"lambda": Fraction(lam), "x": Fraction(x), "y": 0})
-    by_power = {exps[1]: coeff for exps, coeff in reduced.items()}
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    p, q = Fraction(lam).as_integer_ratio()
+    r, s = Fraction(x).as_integer_ratio()
+    weights = [stirling1(n, k) * p ** (n - k) * q**k for k in range(n + 1)]
+    q_n = q**n
     value = 0.0
-    for power in range(max(by_power, default=0), -1, -1):
-        value = value * big_l + float(by_power.get(power, 0))
+    for m in range(n, -1, -1):
+        exact = sum(weights[k] * stirling2(k, m) for k in range(m, n + 1))
+        value = value * big_l + exact * r**m / (q_n * s**m)
     return value
 
 

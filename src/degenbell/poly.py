@@ -28,7 +28,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-Rational = Fraction
 Exponents = tuple[int, int, int, int]
 Scalar = Union[int, Fraction]
 
@@ -340,7 +339,6 @@ __all__ = [
     "L",
     "LAM",
     "MPoly",
-    "Rational",
     "Scalar",
     "VARIABLES",
     "X",

@@ -6,11 +6,14 @@ direct product expansion for Stirling numbers of the first kind, and
 brute-force set partition counting for the second kind.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from degenbell import classical
 from degenbell.classical import (
     StirlingTable,
     bell_polynomial,
@@ -141,6 +144,42 @@ def test_inversion_pair():
         for m in range(n + 1):
             total = sum(stirling1(n, l) * stirling2(l, m) for l in range(m, n + 1))
             assert total == (1 if n == m else 0)
+
+
+def test_stirling_caches_survive_concurrent_first_use(monkeypatch):
+    # Four threads fill cold caches at once while the interpreter switches
+    # threads as often as it can.  Growth without a lock appended rows
+    # built from a stale last row, or raised IndexError, in about a third
+    # of such trials.
+    n_max = 60
+    expected = [([stirling1(n, k) for k in range(n + 1)], [stirling2(n, k) for k in range(n + 1)])
+                for n in range(n_max + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            monkeypatch.setattr(classical, "_S1_ROWS", [[1]])
+            monkeypatch.setattr(classical, "_S2_ROWS", [[1]])
+            seen, errors = [], []
+
+            def fill():
+                try:
+                    seen.append([(stirling1(n, n // 2), stirling2(n, n // 2)) for n in range(n_max + 1)])
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=fill) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert classical._S1_ROWS == [first for first, _ in expected]
+            assert classical._S2_ROWS == [second for _, second in expected]
+            assert seen == [[(first[n // 2], second[n // 2]) for n, (first, second) in enumerate(expected)]] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- Stirling tables ----------------------------------------------------------------

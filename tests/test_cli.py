@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from degenbell import cli
+from degenbell import cli, numeric
 from degenbell.degenerate import VerificationReport
 from degenbell.poly import MPoly
 from degenbell.suite import SuiteResult
@@ -156,3 +156,54 @@ def test_files_written_when_output_given(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))[2]["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "inf", "--x", "1"], "--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0"),
+        (["--lambda", "0.5", "--x", "inf"], "--x must be finite"),
+        (["--lambda", "0.5", "--x", "nan"], "--x must be finite"),
+    ],
+)
+def test_eval_rejects_non_finite_input(flags, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "--n", "3", *flags])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"degenbell: error: {message}"
+
+
+def test_eval_float_overflow_is_usage_error(capsys):
+    code = cli.main(["eval", "--n", "200", "--lambda", "0.5", "--x", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("degenbell: error: the value at n=200, lambda=0.5, x=1e+200")
+    assert "out of float range" in line
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.txt"
+    code = cli.main(["table", "--family", "bell", "--n-max", "2", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"degenbell: error: cannot write --output {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_eval_dobinski_evaluates_closed_form_once(monkeypatch, capsys):
+    calls = []
+    original = numeric.eval_bel_numeric
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numeric, "eval_bel_numeric", counted)
+    monkeypatch.setattr(cli, "eval_bel_numeric", counted)
+    code, out = run_cli(["eval", "--n", "4", "--lambda", "0.5", "--x", "1", "--dobinski"], capsys)
+    assert code == 0
+    assert calls == [(4, 0.5, 1.0)]
+    assert out.splitlines()[0] == f"value {original(4, 0.5, 1.0)!r}"

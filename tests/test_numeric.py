@@ -3,6 +3,7 @@ Dobinski-type series, the scaled two-sided series identity, and the
 lambda -> 0 sweep."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,45 @@ def test_eval_matches_exact_value_through_L():
         reference = math.fsum(float(c) * big_l ** e[1] for e, c in reduced.items())
         value = eval_bel_numeric(n, 0.5, 1.0)
         assert value == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+def _substituted_eval(poly, lam, x):
+    """The evaluator as it stood before the integer sums: bind lambda and
+    x exactly in the polynomial degenerate_bell(n) with `substitute`,
+    round each coefficient of L^m, one Horner pass in L."""
+    big_l = math.log1p(lam) / lam
+    reduced = poly.substitute({"lambda": Fraction(lam), "x": Fraction(x), "y": 0})
+    by_power = {exps[1]: coeff for exps, coeff in reduced.items()}
+    value = 0.0
+    for power in range(max(by_power, default=0), -1, -1):
+        value = value * big_l + float(by_power.get(power, 0))
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except OverflowError as exc:
+        return type(exc).__name__
+
+
+def test_eval_matches_substituted_polynomial_bytes():
+    # The whole cross grid for n <= 8, then one seeded point for each n up
+    # to 40 (the reference costs about 0.3 s a point at n = 40).
+    rng = random.Random(20150708)
+    lambdas = [rng.uniform(-0.95, 2.0) for _ in range(3)] + [-0.9, -0.5, -0.999999, 1e-8, 100.0]
+    xs = [0.0, -1.5, 1e-300, 1e10, 1e200, rng.uniform(0.1, 5.0), -3.7e-5]
+    for n in range(41):
+        points = [(lam, x) for lam in lambdas for x in xs] if n <= 8 else [(rng.choice(lambdas), rng.choice(xs))]
+        poly = degenerate_bell(n)
+        for lam, x in points:
+            expected = _outcome(_substituted_eval, poly, lam, x)
+            assert _outcome(eval_bel_numeric, n, lam, x) == expected, (n, lam, x)
+
+
+def test_eval_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        eval_bel_numeric(-1, 0.5, 1.0)
 
 
 # -- degenerate Dobinski series ----------------------------------------------------
