@@ -84,9 +84,14 @@ def _make_check(
 
 def _check_lambda(lam: float) -> float:
     """Validate lambda and return L = log(1+lambda)/lambda."""
-    if not lam > -1.0 or lam == 0.0:
+    if not (lam > -1.0 and math.isfinite(lam)) or lam == 0.0:
         raise ValueError(f"lambda must lie in (-1, 0) or (0, inf), got {lam}")
     return math.log1p(lam) / lam
+
+
+def _check_x(x: float) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
 
 
 def _poly_float(p: MPoly, lam: float, big_l: float, x: float, y: float = 0.0) -> float:
@@ -120,10 +125,12 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     bound in floating point, in one Horner pass, which keeps the large
     cancellations among the lambda terms exact.
 
-    Raises ValueError for n < 0 or lambda outside (-1, 0) and (0, inf),
-    and OverflowError when a coefficient of L^m is too large for a float.
+    Raises ValueError for n < 0, lambda outside (-1, 0) and (0, inf) or a
+    non-finite x, and OverflowError when a coefficient of L^m is too large
+    for a float.
     """
     big_l = _check_lambda(lam)
+    _check_x(x)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     p, q = Fraction(lam).as_integer_ratio()
@@ -141,19 +148,25 @@ def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS
     """Truncated Dobinski-type series for the degenerate Bell value:
     exp(-x L) * sum over l of (x^l / l!) L^l (l | lambda)_n.
 
-    Converges to eval_bel_numeric(n, lam, x) as terms grows.
+    Converges to eval_bel_numeric(n, lam, x) as terms grows.  Raises
+    OverflowError when a term, or the sum of the terms, is out of float
+    range, rather than returning inf or nan.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     big_l = _check_lambda(lam)
+    _check_x(x)
     weight = 1.0  # (x L)^l / l!
     partials = []
     for l in range(terms + 1):
         if l:
             weight *= x * big_l / l
-        partials.append(weight * _falling_float(float(l), lam, n))
+        term = weight * _falling_float(float(l), lam, n)
+        if not math.isfinite(term):
+            raise OverflowError(f"Dobinski series term {l} overflows")
+        partials.append(term)
     return math.exp(-x * big_l) * math.fsum(partials)
 
 
@@ -204,6 +217,7 @@ def scaled_bell_series_check(
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_l = _check_lambda(lam)
+    _check_x(x)
     lhs = math.exp(x * big_l) * _poly_float(dbell_via_stirling_pair(n), lam, big_l, x)
     weight = 1.0  # (x L)^k / k!
     partials = []
@@ -228,6 +242,7 @@ def limit_sweep(
     The default scale suits small n and x near 1; sweeps at larger
     arguments should pass a scale matched to their derivative size.
     """
+    _check_x(x)
     classical = bell_polynomial(n)
     target = math.fsum(float(coeff) * x ** exps[2] for exps, coeff in classical.items())
     checks = []

@@ -71,6 +71,20 @@ class MPoly:
         self._terms = canonical
         self._hash: int | None = None
 
+    @classmethod
+    def _trusted(cls, terms: dict[Exponents, Fraction]) -> "MPoly":
+        """Wrap the result of internal arithmetic without re-validating it.
+
+        The keys must already be 4-tuples of non-negative ints and the
+        values `Fraction`s; only zero coefficients are dropped.  Input
+        from outside the package goes through `__init__`, `from_terms` or
+        `from_json_obj`, which check everything.
+        """
+        poly = object.__new__(cls)
+        poly._terms = {exponents: coeff for exponents, coeff in terms.items() if coeff}
+        poly._hash = None
+        return poly
+
     # -- construction -------------------------------------------------
 
     @classmethod
@@ -162,13 +176,13 @@ class MPoly:
             return NotImplemented
         merged = dict(self._terms)
         for exponents, coeff in rhs._terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) + coeff
-        return MPoly(merged)
+            merged[exponents] = merged[exponents] + coeff if exponents in merged else coeff
+        return MPoly._trusted(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly({exponents: -coeff for exponents, coeff in self._terms.items()})
+        return MPoly._trusted({exponents: -coeff for exponents, coeff in self._terms.items()})
 
     def __sub__(self, other: object) -> "MPoly":
         rhs = self._coerce(other)
@@ -190,8 +204,9 @@ class MPoly:
         for exp_a, coeff_a in self._terms.items():
             for exp_b, coeff_b in rhs._terms.items():
                 key = (exp_a[0] + exp_b[0], exp_a[1] + exp_b[1], exp_a[2] + exp_b[2], exp_a[3] + exp_b[3])
-                product[key] = product.get(key, Fraction(0)) + coeff_a * coeff_b
-        return MPoly(product)
+                term = coeff_a * coeff_b
+                product[key] = product[key] + term if key in product else term
+        return MPoly._trusted(product)
 
     __rmul__ = __mul__
 
@@ -241,8 +256,8 @@ class MPoly:
             e_x = exponents[2]
             if e_x:
                 key = (exponents[0], exponents[1], e_x - 1, exponents[3])
-                derived[key] = derived.get(key, Fraction(0)) + coeff * e_x
-        return MPoly(derived)
+                derived[key] = coeff * e_x
+        return MPoly._trusted(derived)
 
     def exact_div_var(self, name: str) -> "MPoly":
         """Divide by a single variable, requiring every term to contain it."""
@@ -254,7 +269,7 @@ class MPoly:
             lowered = list(exponents)
             lowered[index] -= 1
             quotient[tuple(lowered)] = coeff
-        return MPoly(quotient)
+        return MPoly._trusted(quotient)
 
     def eval_exact(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact rational evaluation; all four variables must be bound."""

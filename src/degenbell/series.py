@@ -120,35 +120,60 @@ def degenerate_exp_composita(n: int, k: int) -> MPoly:
     return acc * Fraction(1, factorial(n))
 
 
-def oracle_degenerate_bell(n: int) -> MPoly:
-    """Degenerate Bell polynomial straight from its generating function.
+def oracle_degenerate_bell_table(n_max: int) -> list[MPoly]:
+    """Degenerate Bell polynomials for n = 0..n_max straight from their
+    generating function.
 
-    Expands exp(x L f(t)) with f(t) = (1 + lambda t)^(1/lambda) - 1 as the
-    finite sum of (x L)^m f(t)^m / m! at truncation order n, then converts
-    the ordinary coefficient of t^n to exponential form by multiplying by
-    n!.  The result is a polynomial in lambda, L and x.
+    Expands exp(x L f(t)) with f(t) = (1 + lambda t)^(1/lambda) - 1 once,
+    as the finite sum of (x L)^m f(t)^m / m! at truncation order n_max,
+    then converts the ordinary coefficient of t^n to exponential form by
+    multiplying by n!.  Truncated arithmetic never reads past the stored
+    order, so this coefficient is the same at every order >= n.  Each
+    entry is a polynomial in lambda, L and x.
     """
-    if n < 0:
-        raise ValueError(f"oracle needs n >= 0, got {n}")
-    f = degenerate_exp_minus_one(n)
+    if n_max < 0:
+        raise ValueError(f"oracle needs n >= 0, got {n_max}")
+    f = degenerate_exp_minus_one(n_max)
     scaled = series_scale(f, X * L)
-    total = series_constant(0, n)
-    power = series_constant(1, n)
-    for m in range(n + 1):
+    total = series_constant(0, n_max)
+    power = series_constant(1, n_max)
+    for m in range(n_max + 1):
         total = series_add(total, series_scale(power, Fraction(1, factorial(m))))
-        if m < n:
+        if m < n_max:
             power = series_mul(power, scaled)
-    return total.coefficient(n) * factorial(n)
+    return [total.coefficient(n) * factorial(n) for n in range(n_max + 1)]
+
+
+def oracle_degenerate_bell(n: int) -> MPoly:
+    """Degenerate Bell polynomial of degree n from its generating function."""
+    return oracle_degenerate_bell_table(n)[n]
+
+
+def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
+    """Degenerate Stirling numbers of the second kind from their generating
+    function: row n holds S2(n, m|lambda) for m = 0..n, each (n!/m!) times
+    the coefficient of t^n in f(t)^m.
+
+    Each power f^m is formed once at truncation order n_max, one
+    `series_mul` per m, and read at every n.
+    """
+    if n_max < 0:
+        raise ValueError(f"oracle needs n >= 0, got {n_max}")
+    f = degenerate_exp_minus_one(n_max)
+    powers = [series_constant(1, n_max)]
+    for _ in range(n_max):
+        powers.append(series_mul(powers[-1], f))
+    return [
+        [powers[m].coefficient(n) * Fraction(factorial(n), factorial(m)) for m in range(n + 1)]
+        for n in range(n_max + 1)
+    ]
 
 
 def oracle_degenerate_stirling2(n: int, m: int) -> MPoly:
-    """Degenerate Stirling number of the second kind from its generating
-    function: (n!/m!) times the coefficient of t^n in f(t)^m."""
+    """Degenerate Stirling number S2(n, m|lambda) from its generating function."""
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    f = degenerate_exp_minus_one(n)
-    coefficient = series_pow(f, m).coefficient(n)
-    return coefficient * Fraction(factorial(n), factorial(m))
+    return oracle_degenerate_stirling2_table(n)[n][m]
 
 
 __all__ = [
@@ -156,7 +181,9 @@ __all__ = [
     "degenerate_exp_composita",
     "degenerate_exp_minus_one",
     "oracle_degenerate_bell",
+    "oracle_degenerate_bell_table",
     "oracle_degenerate_stirling2",
+    "oracle_degenerate_stirling2_table",
     "series_add",
     "series_constant",
     "series_mul",

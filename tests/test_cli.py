@@ -183,6 +183,23 @@ def test_eval_float_overflow_is_usage_error(capsys):
     assert "out of float range" in line
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lambda", "100", "--x", "1e10", "--terms", "300"],
+        ["--lambda", "0.5", "--x", "1e10"],
+    ],
+)
+def test_eval_dobinski_overflow_is_usage_error(flags, capsys):
+    code = cli.main(["eval", "--n", "3", "--dobinski", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("degenbell: error: the value at n=3, lambda=")
+    assert "out of float range (Dobinski series term" in line
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "table.txt"
     code = cli.main(["table", "--family", "bell", "--n-max", "2", "--output", str(target)])

@@ -22,6 +22,8 @@ from degenbell.numeric import (
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
 GRID_XS = (0.5, 1.0, 2.0)
+NON_FINITE_POINTS = [(math.inf, 1.0), (math.nan, 1.0), (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan)]
+NON_FINITE_MESSAGE = r"^(lambda must lie in|x must be finite)"
 
 
 # -- closed-form evaluation -----------------------------------------------------
@@ -93,6 +95,12 @@ def test_eval_matches_substituted_polynomial_bytes():
             assert _outcome(eval_bel_numeric, n, lam, x) == expected, (n, lam, x)
 
 
+@pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
+def test_eval_rejects_non_finite_input(lam, x):
+    with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+        eval_bel_numeric(3, lam, x)
+
+
 def test_eval_rejects_negative_degree():
     with pytest.raises(ValueError):
         eval_bel_numeric(-1, 0.5, 1.0)
@@ -123,6 +131,20 @@ def test_dobinski_rejects_bad_arguments():
         dobinski_degenerate(-1, 0.5, 1.0, 80)
 
 
+@pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
+def test_dobinski_rejects_non_finite_input(lam, x):
+    with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+        dobinski_degenerate(3, lam, x)
+
+
+@pytest.mark.parametrize("lam, x, terms", [(0.5, 1e10, 80), (100.0, 1e10, 300)])
+def test_dobinski_overflow_raises(lam, x, terms):
+    # The weights (x L)^l / l! leave the float range: unchecked, the sum
+    # is nan or fsum meets inf - inf.
+    with pytest.raises(OverflowError, match="Dobinski series term"):
+        dobinski_degenerate(3, lam, x, terms)
+
+
 def test_dobinski_truncation_error_shrinks():
     # More terms never hurt, at every grid point.  Once the truncation
     # error sinks below the rounding floor the compared sums can differ in
@@ -142,6 +164,12 @@ def test_dobinski_check_record():
     assert check.passed
     assert check.passed == (check.abs_error <= check.tol)
     assert check.identity_name == "dobinski_degenerate"
+
+
+@pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
+def test_dobinski_check_rejects_non_finite_input(lam, x):
+    with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+        dobinski_check(3, lam, x)
 
 
 # -- classical Dobinski --------------------------------------------------------------
@@ -178,6 +206,12 @@ def test_scaled_series_rejects_bad_lambda():
         scaled_bell_series_check(2, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
+def test_scaled_series_rejects_non_finite_input(lam, x):
+    with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+        scaled_bell_series_check(3, lam, x)
+
+
 # -- limit sweep -------------------------------------------------------------------------
 
 
@@ -197,6 +231,12 @@ def test_limit_sweep_strictly_decreasing():
     errors = [c.abs_error for c in checks]
     assert errors[0] > errors[1] > errors[2]
     assert checks[-1].rhs == 15.0
+
+
+@pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
+def test_limit_sweep_rejects_non_finite_input(lam, x):
+    with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+        limit_sweep(3, x, [lam])
 
 
 def test_numeric_check_passed_invariant():

@@ -45,6 +45,15 @@ def test_normalize_reduces_fractions():
     assert len(p) == 1
 
 
+def test_outside_input_is_validated():
+    with pytest.raises(ValueError):
+        MPoly({(1, 2): 1})
+    with pytest.raises(ValueError):
+        MPoly({(0, 0, -1, 0): 1})
+    with pytest.raises(ValueError):
+        MPoly.from_terms([((1, 2), Fraction(1))])
+
+
 def test_from_terms_rejects_bad_exponents():
     with pytest.raises(ValueError):
         MPoly.from_terms([((1, 2, 3), Fraction(1))])
@@ -223,3 +232,35 @@ def test_eval_commutes_with_substitution(p, q, vals):
     shifted = dict(vals)
     shifted["x"] = q.eval_exact(vals)
     assert substituted == p.eval_exact(shifted)
+
+
+def _assert_canonical(p):
+    for exponents, coeff in p._terms.items():
+        assert type(exponents) is tuple and len(exponents) == 4
+        assert all(type(e) is int and e >= 0 for e in exponents)
+        assert type(coeff) is Fraction and coeff != 0
+    assert p == MPoly(dict(p._terms))
+
+
+@given(polys, polys, coeffs)
+def test_arithmetic_results_are_canonical(p, q, c):
+    # Arithmetic builds its results without re-validating them, so each
+    # result must already be what full validation would produce.
+    results = [
+        p + q,
+        p + c,
+        p - q,
+        p - p,
+        c - p,
+        -p,
+        p * q,
+        c * p,
+        p**0,
+        p**3,
+        p.derivative_x(),
+        (p * X).exact_div_var("x"),
+        (p * LAM).exact_div_var("lambda"),
+    ]
+    for result in results:
+        _assert_canonical(result)
+    assert (p - p).is_zero()

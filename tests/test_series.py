@@ -2,6 +2,7 @@
 against direct power extraction, and the generating-function oracles."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,10 +13,14 @@ from degenbell.series import (
     degenerate_exp_composita,
     degenerate_exp_minus_one,
     oracle_degenerate_bell,
+    oracle_degenerate_bell_table,
     oracle_degenerate_stirling2,
+    oracle_degenerate_stirling2_table,
+    series_add,
     series_constant,
     series_mul,
     series_pow,
+    series_scale,
 )
 
 
@@ -141,3 +146,52 @@ def test_oracle_bell_leading_term():
         assert p.coefficient((0, n, n, 0)) == 1
         # nothing of x-degree n besides L^n x^n
         assert all(exps[2] < n or exps == (0, n, n, 0) for exps, _ in p.items())
+
+
+# -- one-pass oracle tables against the per-n expansion -------------------------
+
+
+def _per_n_bell(n):
+    """The Bell oracle expanded at truncation order n for this n alone."""
+    f = degenerate_exp_minus_one(n)
+    scaled = series_scale(f, X * L)
+    total = series_constant(0, n)
+    power = series_constant(1, n)
+    for m in range(n + 1):
+        total = series_add(total, series_scale(power, Fraction(1, factorial(m))))
+        if m < n:
+            power = series_mul(power, scaled)
+    return total.coefficient(n) * factorial(n)
+
+
+def _per_n_stirling2(n, m):
+    """The Stirling oracle with f^m expanded at order n for this (n, m) alone."""
+    f = degenerate_exp_minus_one(n)
+    return series_pow(f, m).coefficient(n) * Fraction(factorial(n), factorial(m))
+
+
+def test_oracle_tables_match_per_n_expansion():
+    bell = oracle_degenerate_bell_table(12)
+    stirling = oracle_degenerate_stirling2_table(12)
+    assert len(bell) == len(stirling) == 13
+    for n in range(13):
+        assert bell[n] == _per_n_bell(n)
+        assert len(stirling[n]) == n + 1
+        for m in range(n + 1):
+            assert stirling[n][m] == _per_n_stirling2(n, m)
+
+
+def test_oracle_wrappers_read_the_tables():
+    bell = oracle_degenerate_bell_table(8)
+    stirling = oracle_degenerate_stirling2_table(8)
+    for n in range(9):
+        assert oracle_degenerate_bell(n) == oracle_degenerate_bell_table(n)[n] == bell[n]
+        for m in range(n + 1):
+            assert oracle_degenerate_stirling2(n, m) == stirling[n][m]
+
+
+def test_oracle_tables_reject_negative_order():
+    with pytest.raises(ValueError):
+        oracle_degenerate_bell_table(-1)
+    with pytest.raises(ValueError):
+        oracle_degenerate_stirling2_table(-1)
