@@ -9,7 +9,6 @@ and validates the infinite-series identities numerically.
 
 from .poly import L, LAM, MPoly, X, Y
 from .classical import (
-    StirlingTable,
     bell_polynomial,
     binomial,
     falling_factorial_general,
@@ -23,7 +22,6 @@ from .series import (
     oracle_degenerate_bell,
     oracle_degenerate_stirling2,
     series_mul,
-    series_pow,
 )
 from .degenerate import (
     VerificationReport,
@@ -56,7 +54,6 @@ __all__ = [
     "MPoly",
     "NumericCheck",
     "Series",
-    "StirlingTable",
     "SuiteResult",
     "VerificationReport",
     "X",
@@ -85,7 +82,6 @@ __all__ = [
     "run_full_suite",
     "scaled_bell_series_check",
     "series_mul",
-    "series_pow",
     "stirling1",
     "stirling2",
     "verify_addition",

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import LAM, MPoly, Scalar
@@ -63,32 +62,6 @@ def stirling2(n: int, k: int) -> int:
     return _S2_ROWS[n][k]
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Immutable triangular table of Stirling numbers, entry (n, k) for k <= n."""
-
-    kind: str  # "first" (signed) or "second"
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, kind: str, n_max: int) -> "StirlingTable":
-        if kind not in ("first", "second"):
-            raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
-        entry = stirling1 if kind == "first" else stirling2
-        rows = tuple(tuple(entry(n, k) for k in range(n + 1)) for n in range(n_max + 1))
-        return cls(kind, rows)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
-
-    def entry(self, n: int, k: int) -> int:
-        _check_pair(n, k)
-        return self.rows[n][k]
-
-
 def bell_polynomial(n: int) -> MPoly:
     """The exponential polynomial: sum of stirling2(n, k) * x^k over k."""
     if n < 0:
@@ -114,7 +87,6 @@ def falling_factorial_general(z: MPoly | Scalar, n: int) -> MPoly:
 
 
 __all__ = [
-    "StirlingTable",
     "bell_polynomial",
     "binomial",
     "falling_factorial_general",

@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .classical import StirlingTable, bell_polynomial
+from .classical import bell_polynomial, stirling1, stirling2
 from .degenerate import degenerate_bell, degenerate_stirling2
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
 from .poly import MPoly
@@ -159,8 +159,8 @@ def _table_entries(family: str, n_max: int) -> list[tuple]:
         return [(n, degenerate_bell(n)) for n in range(n_max + 1)]
     if family == "dstirling":
         return [(n, m, degenerate_stirling2(n, m)) for n in range(n_max + 1) for m in range(n + 1)]
-    table = StirlingTable.build("first" if family == "stirling1" else "second", n_max)
-    return [(n, table.rows[n]) for n in range(n_max + 1)]
+    entry = stirling1 if family == "stirling1" else stirling2
+    return [(n, [entry(n, k) for k in range(n + 1)]) for n in range(n_max + 1)]
 
 
 def run_table(config: CliConfig) -> int:

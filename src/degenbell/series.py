@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .poly import L, MPoly, Scalar, X
+from .poly import L, MPoly, X
 from .classical import binomial, falling_factorial_general
 
 
@@ -46,24 +46,6 @@ class Series:
         return self.coeffs[n]
 
 
-def series_constant(value: MPoly | Scalar, order: int) -> Series:
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    head = value if isinstance(value, MPoly) else MPoly.constant(value)
-    return Series((head,) + (MPoly.zero(),) * order)
-
-
-def series_add(a: Series, b: Series) -> Series:
-    if a.order != b.order:
-        raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    return Series(tuple(ca + cb for ca, cb in zip(a.coeffs, b.coeffs)))
-
-
-def series_scale(a: Series, factor: MPoly | Scalar) -> Series:
-    poly = factor if isinstance(factor, MPoly) else MPoly.constant(factor)
-    return Series(tuple(c * poly for c in a.coeffs))
-
-
 def series_mul(a: Series, b: Series) -> Series:
     """Truncated Cauchy product of two series of equal order."""
     if a.order != b.order:
@@ -76,16 +58,6 @@ def series_mul(a: Series, b: Series) -> Series:
                 acc = acc + a.coeffs[i] * b.coeffs[n - i]
         coeffs.append(acc)
     return Series(tuple(coeffs))
-
-
-def series_pow(a: Series, k: int) -> Series:
-    """k-fold truncated product; k = 0 gives the constant-1 series."""
-    if k < 0:
-        raise ValueError(f"series power must be >= 0, got {k}")
-    out = series_constant(1, a.order)
-    for _ in range(k):
-        out = series_mul(out, a)
-    return out
 
 
 def degenerate_exp_minus_one(order: int) -> Series:
@@ -124,24 +96,17 @@ def oracle_degenerate_bell_table(n_max: int) -> list[MPoly]:
     """Degenerate Bell polynomials for n = 0..n_max straight from their
     generating function.
 
-    Expands exp(x L f(t)) with f(t) = (1 + lambda t)^(1/lambda) - 1 once,
-    as the finite sum of (x L)^m f(t)^m / m! at truncation order n_max,
-    then converts the ordinary coefficient of t^n to exponential form by
-    multiplying by n!.  Truncated arithmetic never reads past the stored
-    order, so this coefficient is the same at every order >= n.  Each
-    entry is a polynomial in lambda, L and x.
+    exp(x L f(t)) = sum over m of (x L)^m f(t)^m / m!, with
+    f(t) = (1 + lambda t)^(1/lambda) - 1, so n! times its coefficient of
+    t^n is the sum of S2(n, m|lambda) (x L)^m, where S2(n, m|lambda) is
+    n!/m! times the coefficient of t^n in f(t)^m.  The Stirling oracle's
+    rows hold exactly those numbers, so both oracles come from its one
+    expansion of the powers of f.  Each entry is a polynomial in lambda,
+    L and x.
     """
-    if n_max < 0:
-        raise ValueError(f"oracle needs n >= 0, got {n_max}")
-    f = degenerate_exp_minus_one(n_max)
-    scaled = series_scale(f, X * L)
-    total = series_constant(0, n_max)
-    power = series_constant(1, n_max)
-    for m in range(n_max + 1):
-        total = series_add(total, series_scale(power, Fraction(1, factorial(m))))
-        if m < n_max:
-            power = series_mul(power, scaled)
-    return [total.coefficient(n) * factorial(n) for n in range(n_max + 1)]
+    rows = oracle_degenerate_stirling2_table(n_max)
+    xl_powers = [(X * L) ** m for m in range(n_max + 1)]
+    return [sum((s * p for s, p in zip(row, xl_powers)), MPoly.zero()) for row in rows]
 
 
 def oracle_degenerate_bell(n: int) -> MPoly:
@@ -160,7 +125,7 @@ def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
     if n_max < 0:
         raise ValueError(f"oracle needs n >= 0, got {n_max}")
     f = degenerate_exp_minus_one(n_max)
-    powers = [series_constant(1, n_max)]
+    powers = [Series((MPoly.one(),) + (MPoly.zero(),) * n_max)]
     for _ in range(n_max):
         powers.append(series_mul(powers[-1], f))
     return [
@@ -184,9 +149,5 @@ __all__ = [
     "oracle_degenerate_bell_table",
     "oracle_degenerate_stirling2",
     "oracle_degenerate_stirling2_table",
-    "series_add",
-    "series_constant",
     "series_mul",
-    "series_pow",
-    "series_scale",
 ]

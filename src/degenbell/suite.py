@@ -67,15 +67,15 @@ def constructor_reports(n_max: int) -> list[VerificationReport]:
 
 def degenerate_stirling_report(n_max: int) -> VerificationReport:
     """Closed form against the series value for every 0 <= m <= n <= n_max."""
-    name = "degenerate_stirling_closed_vs_oracle"
     oracle = oracle_degenerate_stirling2_table(n_max)
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            lhs = degenerate_stirling2(n, m)
-            rhs = oracle[n][m]
-            if lhs != rhs:
-                return VerificationReport(name, (0, n_max), False, (n, lhs, rhs))
-    return VerificationReport(name, (0, n_max), True)
+
+    def sides(n: int) -> tuple[MPoly, MPoly]:
+        # The first mismatching pair of row n, or else any matching one, so
+        # the sweep stops at the first n with a bad entry and reports it.
+        pairs = [(degenerate_stirling2(n, m), oracle[n][m]) for m in range(n + 1)]
+        return next((pair for pair in pairs if pair[0] != pair[1]), pairs[0])
+
+    return sweep_identity("degenerate_stirling_closed_vs_oracle", 0, n_max, sides)
 
 
 def classical_limit_report(n_max: int) -> VerificationReport:

@@ -15,7 +15,6 @@ import pytest
 
 from degenbell import classical
 from degenbell.classical import (
-    StirlingTable,
     bell_polynomial,
     binomial,
     falling_factorial_general,
@@ -100,6 +99,8 @@ def test_stirling1_hand_values():
     assert stirling1(3, 1) == 2
     for n in range(10):
         assert stirling1(n, n) == 1
+        if n >= 1:
+            assert stirling1(n, 0) == 0
 
 
 def test_stirling1_sign_pattern():
@@ -137,6 +138,8 @@ def test_stirling2_hand_values():
     assert stirling2(6, 2) == count_partitions_with_blocks(6, 2)
     for n in range(10):
         assert stirling2(n, n) == 1
+        if n >= 1:
+            assert stirling2(n, 0) == 0
 
 
 def test_inversion_pair():
@@ -180,25 +183,6 @@ def test_stirling_caches_survive_concurrent_first_use(monkeypatch):
             assert seen == [[(first[n // 2], second[n // 2]) for n, (first, second) in enumerate(expected)]] * 4
     finally:
         sys.setswitchinterval(interval)
-
-
-# -- Stirling tables ----------------------------------------------------------------
-
-
-def test_stirling_table_invariants():
-    for kind in ("first", "second"):
-        table = StirlingTable.build(kind, 9)
-        assert table.n_max == 9
-        assert table.entry(0, 0) == 1
-        for n in range(10):
-            assert table.entry(n, n) == 1
-            if n >= 1:
-                assert table.entry(n, 0) == 0
-
-
-def test_stirling_table_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        StirlingTable.build("third", 3)
 
 
 # -- Bell polynomials ----------------------------------------------------------------

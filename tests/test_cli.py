@@ -1,5 +1,6 @@
 """Command-line behavior: rendering, exit codes, round-trips, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -224,3 +225,36 @@ def test_eval_dobinski_evaluates_closed_form_once(monkeypatch, capsys):
     assert code == 0
     assert calls == [(4, 0.5, 1.0)]
     assert out.splitlines()[0] == f"value {original(4, 0.5, 1.0)!r}"
+
+
+# SHA-256 of stdout for fixed commands, all of which exit 0.  Any change to
+# these bytes is a change to the output format, not a refactoring.
+PINNED_STDOUT = {
+    "verify --n-max 8 --format text": "a8b848e40eb8fc5c972518282e454cfd1f03fa221c3c68486ae6ea3131a466d1",
+    "verify --n-max 8 --format json": "bd2f2fc8238026ce5595baafeb9face98228d571ac54b1492297aff30f767cff",
+    "verify --n-max 8 --format csv": "0454e70527e862b657726011669682fa9ef31ee3c05ab435c84a5f3eaf1c500c",
+    "table --family bell --n-max 12 --format text": "c9a7ca9f90ba67e180d90601ac2bbe027c44b0db5fae90a54c2e1c373b583dac",
+    "table --family bell --n-max 12 --format json": "8dc13b3284f0c5846ce2546b13c98ed4cb1b6532a7bbb64f2042bdd99cd2e68e",
+    "table --family bell --n-max 12 --format csv": "c6971d2f3cbabdbecdd58b61c4372eaf45aedcf38845bf8f877e0442e20bc542",
+    "table --family stirling1 --n-max 12 --format text": "3d1b84e88e34c0e0dcef11ac4a6409eab1f8ee8f6b47c1d24828cd2e2acf95c2",
+    "table --family stirling1 --n-max 12 --format json": "87500b118a67cb263971afb1e3c3d060ec88aa3d8c5135e945ffeefa77ee2ff7",
+    "table --family stirling1 --n-max 12 --format csv": "94db3cd5639508ca48177cb5841e308de8d41f4f28ab9068b4ba0483320a2459",
+    "table --family stirling2 --n-max 12 --format text": "74ca1591977039795edb85551b6e39e50f44dde35fc2528a5cf692beb0e75705",
+    "table --family stirling2 --n-max 12 --format json": "58c77f46ee0a1547cc83e7e1c9cde771b72c3c6fcfa40596834b0bc8b7d82a7b",
+    "table --family stirling2 --n-max 12 --format csv": "faa4ac85bf8ceec993de199b72c6e7b09b5dc54cd969964f39349a7dede69982",
+    "table --family dstirling --n-max 12 --format text": "05763df0c9b2cc4c742c7abef3602349699775e2537dc541349ebfcc220c0f75",
+    "table --family dstirling --n-max 12 --format json": "be8c452f0742efaec5aa720c2dc14772e4541e5e7c09a107b5ba52c8834f7ba7",
+    "table --family dstirling --n-max 12 --format csv": "e5ca5f3196aff9455d174d82c1a54c75eefc4ffba2604487bea90ab26d63f2f8",
+    "table --family dbell --n-max 12 --format text": "9f96a3a0243fa379b4836d902e8fdd24d0e5ca7b4281436da18354396da217a9",
+    "table --family dbell --n-max 12 --format json": "d7c6b255e310d5a3058a4f03a5cd24758e67dedb1a952bfdf9b43c7d10e9d3fc",
+    "table --family dbell --n-max 12 --format csv": "a99652ae48f2741a7674152a0fb61dd4c70e279b6d8a7201356568ba6b7401b1",
+    "eval --n 7 --lambda 0.5 --x 2": "1914bd2790eb09cf83a8a9e6975d943a7545c16f97eac0c4f4eb8fbc0ac2579f",
+    "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format json": "497acbbc95525021d7b2353cdf1b38390b6a73cf8261e2639e7fd35bcea3efc6",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(command, capsys):
+    code, out = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]

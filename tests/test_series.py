@@ -16,11 +16,7 @@ from degenbell.series import (
     oracle_degenerate_bell_table,
     oracle_degenerate_stirling2,
     oracle_degenerate_stirling2_table,
-    series_add,
-    series_constant,
     series_mul,
-    series_pow,
-    series_scale,
 )
 
 
@@ -34,7 +30,7 @@ def test_inner_series_coefficients():
 
 def test_series_mul_identity():
     f = degenerate_exp_minus_one(4)
-    assert series_mul(f, series_constant(1, 4)) == f
+    assert series_mul(f, Series((MPoly.one(),) + (MPoly.zero(),) * 4)) == f
 
 
 def test_series_mul_truncates():
@@ -52,18 +48,6 @@ def test_series_mul_square_of_inner_series():
 def test_series_mul_order_mismatch():
     with pytest.raises(ValueError):
         series_mul(degenerate_exp_minus_one(2), degenerate_exp_minus_one(3))
-
-
-def test_series_pow_cases():
-    f = degenerate_exp_minus_one(3)
-    assert series_pow(f, 0) == series_constant(1, 3)
-    assert series_pow(f, 1) == f
-    assert series_pow(f, 2).coefficient(3) == 1 - LAM
-
-
-def test_series_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        series_pow(degenerate_exp_minus_one(2), -1)
 
 
 def test_coefficient_bounds():
@@ -96,8 +80,10 @@ def test_composita_matches_power_extraction():
     # Closed form against the k-th power of the series itself.
     for n in range(1, 13):
         f = degenerate_exp_minus_one(n)
+        power = f
         for k in range(1, n + 1):
-            assert degenerate_exp_composita(n, k) == series_pow(f, k).coefficient(n)
+            assert degenerate_exp_composita(n, k) == power.coefficient(n)
+            power = series_mul(power, f)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -151,23 +137,29 @@ def test_oracle_bell_leading_term():
 # -- one-pass oracle tables against the per-n expansion -------------------------
 
 
+def _power(f, k):
+    """f^k as k truncated products, starting from the constant 1."""
+    out = Series((MPoly.one(),) + (MPoly.zero(),) * f.order)
+    for _ in range(k):
+        out = series_mul(out, f)
+    return out
+
+
 def _per_n_bell(n):
-    """The Bell oracle expanded at truncation order n for this n alone."""
+    """The Bell oracle expanded at truncation order n for this n alone, with
+    x L inside every product: n! times [t^n] of the sum of (x L f)^m / m!."""
     f = degenerate_exp_minus_one(n)
-    scaled = series_scale(f, X * L)
-    total = series_constant(0, n)
-    power = series_constant(1, n)
+    scaled = Series(tuple(c * (X * L) for c in f.coeffs))
+    total = MPoly.zero()
     for m in range(n + 1):
-        total = series_add(total, series_scale(power, Fraction(1, factorial(m))))
-        if m < n:
-            power = series_mul(power, scaled)
-    return total.coefficient(n) * factorial(n)
+        total = total + _power(scaled, m).coefficient(n) * Fraction(1, factorial(m))
+    return total * factorial(n)
 
 
 def _per_n_stirling2(n, m):
     """The Stirling oracle with f^m expanded at order n for this (n, m) alone."""
     f = degenerate_exp_minus_one(n)
-    return series_pow(f, m).coefficient(n) * Fraction(factorial(n), factorial(m))
+    return _power(f, m).coefficient(n) * Fraction(factorial(n), factorial(m))
 
 
 def test_oracle_tables_match_per_n_expansion():
