@@ -19,12 +19,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .classical import bell_polynomial, stirling1, stirling2
 from .degenerate import degenerate_bell, degenerate_stirling2
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
-from .poly import MPoly
 from .suite import run_full_suite
 
 FAMILIES = ("bell", "stirling1", "stirling2", "dstirling", "dbell")
@@ -35,20 +33,6 @@ CSV_HEADER = ["identity", "n", "lambda", "x", "terms", "lhs", "rhs", "abs_error"
 class UsageError(Exception):
     """Input that passed parsing but cannot be served (a value out of float
     range, an unwritable --output); `main` reports it and exits 2."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    family: str | None = None
-    n_max: int = 0
-    lam: float | None = None
-    x: float | None = None
-    terms: int = DEFAULT_TERMS
-    tol: float = DEFAULT_TOL
-    fmt: str = "text"
-    output: str | None = None
-    dobinski: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,67 +46,46 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="emit a number family")
     table.add_argument("--family", required=True, choices=FAMILIES)
     table.add_argument("--n-max", type=int, default=8)
-    table.add_argument("--format", choices=FORMATS, default="text")
-    table.add_argument("--output", default=None)
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--n-max", type=int, default=12)
-    verify.add_argument("--terms", type=int, default=DEFAULT_TERMS)
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    verify.add_argument("--format", choices=FORMATS, default="text")
-    verify.add_argument("--output", default=None)
 
     ev = sub.add_parser("eval", help="evaluate a degenerate Bell value")
-    ev.add_argument("--n", type=int, required=True)
+    ev.add_argument("--n", dest="n_max", metavar="N", type=int, required=True)
     ev.add_argument("--lambda", dest="lam", type=float, required=True)
     ev.add_argument("--x", type=float, required=True)
     ev.add_argument("--dobinski", action="store_true")
-    ev.add_argument("--terms", type=int, default=DEFAULT_TERMS)
-    ev.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    ev.add_argument("--format", choices=FORMATS, default="text")
-    ev.add_argument("--output", default=None)
 
+    # Shared flags come last, in this order, as they appear in each usage line.
+    for command in (verify, ev):
+        command.add_argument("--terms", type=int, default=DEFAULT_TERMS)
+        command.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    for command in (table, verify, ev):
+        command.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
+        command.add_argument("--output", default=None)
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> CliConfig:
+def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse and validate argv.  Every command has `n_max`, `fmt` and
+    `output`; `verify` and `eval` add `terms` and `tol`."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "table":
-        if ns.n_max < 0:
-            parser.error("--n-max must be >= 0")
-        return CliConfig("table", family=ns.family, n_max=ns.n_max, fmt=ns.format, output=ns.output)
-    if ns.command == "verify":
-        if ns.n_max < 0:
-            parser.error("--n-max must be >= 0")
+    if ns.n_max < 0:
+        parser.error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be >= 0")
+    if ns.command != "table":
         if ns.terms < 1:
             parser.error("--terms must be >= 1")
-        if ns.tol <= 0:
+        if not ns.tol > 0:  # NaN too: it would fail every float check
             parser.error("--tol must be > 0")
-        return CliConfig(
-            "verify", n_max=ns.n_max, terms=ns.terms, tol=ns.tol, fmt=ns.format, output=ns.output
-        )
-    if ns.n < 0:
-        parser.error("--n must be >= 0")
-    if ns.terms < 1:
-        parser.error("--terms must be >= 1")
-    if ns.tol <= 0:
-        parser.error("--tol must be > 0")
-    if not -1.0 < ns.lam < math.inf or ns.lam == 0.0:
-        parser.error("--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0")
-    if not math.isfinite(ns.x):
-        parser.error("--x must be finite")
-    return CliConfig(
-        "eval",
-        n_max=ns.n,
-        lam=ns.lam,
-        x=ns.x,
-        dobinski=ns.dobinski,
-        terms=ns.terms,
-        tol=ns.tol,
-        fmt=ns.format,
-        output=ns.output,
-    )
+        if math.isinf(ns.tol):
+            parser.error("--tol must be finite")
+    if ns.command == "eval":
+        if not -1.0 < ns.lam < math.inf or ns.lam == 0.0:
+            parser.error("--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0")
+        if not math.isfinite(ns.x):
+            parser.error("--x must be finite")
+    return ns
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -150,75 +113,60 @@ def _csv_text(rows: list[list], header: list[str]) -> str:
 
 # -- table ----------------------------------------------------------------
 
-
-def _table_entries(family: str, n_max: int) -> list[tuple]:
-    """(label parts..., value) tuples per family, in table order."""
-    if family == "bell":
-        return [(n, bell_polynomial(n)) for n in range(n_max + 1)]
-    if family == "dbell":
-        return [(n, degenerate_bell(n)) for n in range(n_max + 1)]
-    if family == "dstirling":
-        return [(n, m, degenerate_stirling2(n, m)) for n in range(n_max + 1) for m in range(n + 1)]
-    entry = stirling1 if family == "stirling1" else stirling2
-    return [(n, [entry(n, k) for k in range(n + 1)]) for n in range(n_max + 1)]
+# family -> (index names, text label, builder) for the tables of polynomials
+POLY_TABLES = {
+    "bell": (("n",), "Bel_{}(x)", bell_polynomial),
+    "dbell": (("n",), "Bel_{{{},λ}}(x)", degenerate_bell),
+    "dstirling": (("n", "m"), "S2({},{}|λ)", degenerate_stirling2),
+}
 
 
-def run_table(config: CliConfig) -> int:
-    entries = _table_entries(config.family, config.n_max)
-    if config.fmt == "text":
-        lines = []
-        for entry in entries:
-            if config.family == "bell":
-                n, poly = entry
-                lines.append(f"Bel_{n}(x) = {poly.pretty()}")
-            elif config.family == "dbell":
-                n, poly = entry
-                lines.append(f"Bel_{{{n},λ}}(x) = {poly.pretty()}")
-            elif config.family == "dstirling":
-                n, m, poly = entry
-                lines.append(f"S2({n},{m}|λ) = {poly.pretty()}")
-            else:
-                n, row = entry
-                lines.append(f"n={n}: " + " ".join(str(v) for v in row))
-        _emit("\n".join(lines) + "\n", config.output)
-        return 0
-    if config.fmt == "json":
-        if config.family in ("bell", "dbell"):
-            payload = [{"n": n, "poly": poly.to_json_obj()} for n, poly in entries]
-        elif config.family == "dstirling":
-            payload = [{"n": n, "m": m, "poly": poly.to_json_obj()} for n, m, poly in entries]
+def run_table(ns: argparse.Namespace) -> int:
+    """Polynomials indexed by (n,) or (n, m), or integer rows for the
+    classical Stirling triangles, rendered in the one requested format."""
+    n_range = range(ns.n_max + 1)
+    if ns.family in POLY_TABLES:
+        keys, label, build = POLY_TABLES[ns.family]
+        if len(keys) == 2:
+            indices = [(n, m) for n in n_range for m in range(n + 1)]
         else:
-            payload = [{"n": n, "row": list(row)} for n, row in entries]
-        _emit(_json_text(payload), config.output)
-        return 0
-    if config.family in ("bell", "dbell"):
-        rows = [[n, poly.pretty()] for n, poly in entries]
-        header = ["n", "poly"]
-    elif config.family == "dstirling":
-        rows = [[n, m, poly.pretty()] for n, m, poly in entries]
-        header = ["n", "m", "poly"]
+            indices = [(n,) for n in n_range]
+        entries = [(index, build(*index)) for index in indices]
+        if ns.fmt == "text":
+            text = "".join(f"{label.format(*index)} = {poly.pretty()}\n" for index, poly in entries)
+        elif ns.fmt == "json":
+            objs = [dict(zip(keys, index), poly=poly.to_json_obj()) for index, poly in entries]
+            text = _json_text(objs)
+        else:
+            text = _csv_text([[*index, poly.pretty()] for index, poly in entries], [*keys, "poly"])
     else:
-        rows = [[n, k, value] for n, row in entries for k, value in enumerate(row)]
-        header = ["n", "k", "value"]
-    _emit(_csv_text(rows, header), config.output)
+        entry = stirling1 if ns.family == "stirling1" else stirling2
+        rows = [[entry(n, k) for k in range(n + 1)] for n in n_range]
+        if ns.fmt == "text":
+            text = "".join(f"n={n}: {' '.join(map(str, row))}\n" for n, row in enumerate(rows))
+        elif ns.fmt == "json":
+            text = _json_text([{"n": n, "row": row} for n, row in enumerate(rows)])
+        else:
+            cells = [[n, k, value] for n, row in enumerate(rows) for k, value in enumerate(row)]
+            text = _csv_text(cells, ["n", "k", "value"])
+    _emit(text, ns.output)
     return 0
 
 
 # -- verify ---------------------------------------------------------------
 
 
-def run_verify(config: CliConfig) -> int:
-    result = run_full_suite(config.n_max, config.terms, config.tol)
-    if config.fmt == "json":
-        payload = [r.to_json_obj() for r in result.reports] + [c.to_json_obj() for c in result.checks]
-        _emit(_json_text(payload), config.output)
-    elif config.fmt == "csv":
+def run_verify(ns: argparse.Namespace) -> int:
+    result = run_full_suite(ns.n_max, ns.terms, ns.tol)
+    if ns.fmt == "json":
+        text = _json_text([item.to_json_obj() for item in (*result.reports, *result.checks)])
+    elif ns.fmt == "csv":
         rows = [
             [r.identity_name, f"{r.n_range[0]}..{r.n_range[1]}", "", "", "", "", "", "", r.passed]
             for r in result.reports
         ]
         rows.extend(c.to_csv_row() for c in result.checks)
-        _emit(_csv_text(rows, CSV_HEADER), config.output)
+        text = _csv_text(rows, CSV_HEADER)
     else:
         lines = []
         for r in result.reports:
@@ -232,66 +180,57 @@ def run_verify(config: CliConfig) -> int:
             where = f"n={c.n}" + ("" if c.lam is None else f" lambda={c.lam} x={c.x}")
             lines.append(f"{status} {c.identity_name} {where} terms={c.terms} abs_error={c.abs_error:.3e}")
         total = len(result.reports) + len(result.checks)
-        failed = sum(1 for r in result.reports if not r.passed) + sum(
-            1 for c in result.checks if not c.passed
-        )
+        failed = sum(not item.passed for item in (*result.reports, *result.checks))
         lines.append(
             f"{total} checks, {failed} failed" if failed else f"{total} checks, all passed"
         )
-        _emit("\n".join(lines) + "\n", config.output)
+        text = "\n".join(lines) + "\n"
+    _emit(text, ns.output)
     return 0 if result.passed else 1
 
 
 # -- eval -----------------------------------------------------------------
 
 
-def run_eval(config: CliConfig) -> int:
+def run_eval(ns: argparse.Namespace) -> int:
     try:
-        if config.dobinski:
-            check = dobinski_check(config.n_max, config.lam, config.x, config.terms, config.tol)
+        if ns.dobinski:
+            check = dobinski_check(ns.n_max, ns.lam, ns.x, ns.terms, ns.tol)
             value = check.lhs
         else:
             check = None
-            value = eval_bel_numeric(config.n_max, config.lam, config.x)
+            value = eval_bel_numeric(ns.n_max, ns.lam, ns.x)
     except OverflowError as exc:
-        where = f"n={config.n_max}, lambda={config.lam!r}, x={config.x!r}"
+        where = f"n={ns.n_max}, lambda={ns.lam!r}, x={ns.x!r}"
         raise UsageError(f"the value at {where} is out of float range ({exc})") from exc
-    if config.fmt == "json":
-        payload = {"n": config.n_max, "lambda": config.lam, "x": config.x, "value": value}
+    if ns.fmt == "json":
+        payload = {"n": ns.n_max, "lambda": ns.lam, "x": ns.x, "value": value}
         if check is not None:
             payload.update(
-                {
-                    "dobinski": check.rhs,
-                    "terms": check.terms,
-                    "abs_error": check.abs_error,
-                    "passed": check.passed,
-                }
+                dobinski=check.rhs, terms=check.terms, abs_error=check.abs_error, passed=check.passed
             )
-        _emit(_json_text(payload), config.output)
-    elif config.fmt == "csv":
+        text = _json_text(payload)
+    elif ns.fmt == "csv":
         if check is not None:
             rows = [check.to_csv_row()]
         else:
-            rows = [["bell_degenerate_value", config.n_max, repr(config.lam), repr(config.x), "", repr(value), "", "", ""]]
-        _emit(_csv_text(rows, CSV_HEADER), config.output)
+            rows = [["bell_degenerate_value", ns.n_max, repr(ns.lam), repr(ns.x), "", repr(value), "", "", ""]]
+        text = _csv_text(rows, CSV_HEADER)
+    elif check is None:
+        text = f"{value!r}\n"
     else:
-        if check is None:
-            _emit(f"{value!r}\n", config.output)
-        else:
-            _emit(
-                f"value {value!r}\ndobinski {check.rhs!r}\nabs_error {check.abs_error!r}\n",
-                config.output,
-            )
+        text = f"value {value!r}\ndobinski {check.rhs!r}\nabs_error {check.abs_error!r}\n"
+    _emit(text, ns.output)
     return 0 if check is None or check.passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    config = parse_config(argv)
-    run = {"table": run_table, "verify": run_verify, "eval": run_eval}[config.command]
+    ns = parse_config(argv)
+    run = {"table": run_table, "verify": run_verify, "eval": run_eval}[ns.command]
     try:
-        return run(config)
+        return run(ns)
     except UsageError as exc:
         print(f"degenbell: error: {exc}", file=sys.stderr)
         return 2

@@ -168,13 +168,14 @@ def limit_lambda_zero(p: MPoly) -> MPoly:
 def verify_addition(n_max: int) -> VerificationReport:
     """Binomial addition law in Q[lambda, L, x, y]: the polynomial at x+y
     against the binomial convolution of the polynomials at x and at y."""
+    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+    at_y = [bell.substitute({"x": Y}) for bell in bells]
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
-        lhs = degenerate_bell(n).substitute({"x": X + Y})
+        lhs = bells[n].substitute({"x": X + Y})
         rhs = MPoly.zero()
         for m in range(n + 1):
-            at_y = degenerate_bell(n - m).substitute({"x": Y})
-            rhs = rhs + binomial(n, m) * degenerate_bell(m) * at_y
+            rhs = rhs + binomial(n, m) * bells[m] * at_y[n - m]
         return lhs, rhs
 
     return sweep_identity("addition", 0, n_max, sides)
@@ -188,12 +189,14 @@ def verify_derivative(n_max: int) -> VerificationReport:
     term of the derivative carried no L at all the check fails outright
     (recorded with both sides multiplied back by L).
     """
+    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+    falling = [falling_factorial_general(1, k) for k in range(n_max + 1)]
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
-        derivative = degenerate_bell(n).derivative_x()
+        derivative = bells[n].derivative_x()
         rhs = MPoly.zero()
         for m in range(n):
-            rhs = rhs + binomial(n, m) * degenerate_bell(m) * falling_factorial_general(1, n - m)
+            rhs = rhs + binomial(n, m) * bells[m] * falling[n - m]
         if any(exponents[1] < 1 for exponents, _ in derivative.items()):
             return derivative, L * rhs
         return derivative.exact_div_var("L"), rhs

@@ -92,9 +92,10 @@ def degenerate_exp_composita(n: int, k: int) -> MPoly:
     return acc * Fraction(1, factorial(n))
 
 
-def oracle_degenerate_bell_table(n_max: int) -> list[MPoly]:
+def oracle_degenerate_bell_table(rows: list[list[MPoly]]) -> list[MPoly]:
     """Degenerate Bell polynomials for n = 0..n_max straight from their
-    generating function.
+    generating function, given the rows
+    `oracle_degenerate_stirling2_table(n_max)`.
 
     exp(x L f(t)) = sum over m of (x L)^m f(t)^m / m!, with
     f(t) = (1 + lambda t)^(1/lambda) - 1, so n! times its coefficient of
@@ -104,14 +105,13 @@ def oracle_degenerate_bell_table(n_max: int) -> list[MPoly]:
     expansion of the powers of f.  Each entry is a polynomial in lambda,
     L and x.
     """
-    rows = oracle_degenerate_stirling2_table(n_max)
-    xl_powers = [(X * L) ** m for m in range(n_max + 1)]
+    xl_powers = [(X * L) ** m for m in range(len(rows))]
     return [sum((s * p for s, p in zip(row, xl_powers)), MPoly.zero()) for row in rows]
 
 
 def oracle_degenerate_bell(n: int) -> MPoly:
     """Degenerate Bell polynomial of degree n from its generating function."""
-    return oracle_degenerate_bell_table(n)[n]
+    return oracle_degenerate_bell_table(oracle_degenerate_stirling2_table(n))[n]
 
 
 def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:

@@ -48,10 +48,11 @@ class SuiteResult:
         return all(r.passed for r in self.reports) and all(c.passed for c in self.checks)
 
 
-def constructor_reports(n_max: int) -> list[VerificationReport]:
-    """Each closed-form constructor against the series oracle, expanded
-    once for the whole sweep."""
-    oracle = oracle_degenerate_bell_table(n_max)
+def constructor_reports(rows: list[list[MPoly]]) -> list[VerificationReport]:
+    """Each closed-form constructor against the series oracle for n up to
+    n_max, given the rows `oracle_degenerate_stirling2_table(n_max)`."""
+    n_max = len(rows) - 1
+    oracle = oracle_degenerate_bell_table(rows)
     pairs = [
         ("stirling_pair_vs_oracle", 0, dbell_via_stirling_pair),
         ("degenerate_stirling_sum_vs_oracle", 0, degenerate_bell),
@@ -65,17 +66,17 @@ def constructor_reports(n_max: int) -> list[VerificationReport]:
     ]
 
 
-def degenerate_stirling_report(n_max: int) -> VerificationReport:
-    """Closed form against the series value for every 0 <= m <= n <= n_max."""
-    oracle = oracle_degenerate_stirling2_table(n_max)
+def degenerate_stirling_report(rows: list[list[MPoly]]) -> VerificationReport:
+    """Closed form against the series value for every 0 <= m <= n <= n_max,
+    given the rows `oracle_degenerate_stirling2_table(n_max)`."""
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
         # The first mismatching pair of row n, or else any matching one, so
         # the sweep stops at the first n with a bad entry and reports it.
-        pairs = [(degenerate_stirling2(n, m), oracle[n][m]) for m in range(n + 1)]
+        pairs = [(degenerate_stirling2(n, m), rows[n][m]) for m in range(n + 1)]
         return next((pair for pair in pairs if pair[0] != pair[1]), pairs[0])
 
-    return sweep_identity("degenerate_stirling_closed_vs_oracle", 0, n_max, sides)
+    return sweep_identity("degenerate_stirling_closed_vs_oracle", 0, len(rows) - 1, sides)
 
 
 def classical_limit_report(n_max: int) -> VerificationReport:
@@ -90,12 +91,13 @@ def classical_limit_report(n_max: int) -> VerificationReport:
 def classical_recurrence_report(n_max: int) -> VerificationReport:
     """One-step classical recurrence with step index up to n_max (so the
     produced polynomial reaches degree n_max + 1)."""
+    bells = [bell_polynomial(n) for n in range(n_max + 2)]
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
         rhs = MPoly.zero()
         for j in range(n + 1):
-            rhs = rhs + binomial(n, j) * bell_polynomial(j)
-        return bell_polynomial(n + 1), X * rhs
+            rhs = rhs + binomial(n, j) * bells[j]
+        return bells[n + 1], X * rhs
 
     return sweep_identity("classical_recurrence", 0, n_max, sides)
 
@@ -103,25 +105,27 @@ def classical_recurrence_report(n_max: int) -> VerificationReport:
 def recurrence_limit_report(n_max: int) -> VerificationReport:
     """The degenerate one-step recurrence collapses to the classical one
     under lambda -> 0, L -> 1."""
+    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+    classical = [bell_polynomial(n) for n in range(n_max + 1)]
+    falling = [falling_factorial_general(1 - LAM, k) for k in range(n_max + 1)]
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
         step = MPoly.zero()
         for k in range(n + 1):
-            step = step + binomial(n, k) * degenerate_bell(k) * falling_factorial_general(
-                1 - LAM, n - k
-            )
+            step = step + binomial(n, k) * bells[k] * falling[n - k]
         degenerate_step = limit_lambda_zero(X * L * step)
         classical_step = MPoly.zero()
         for j in range(n + 1):
-            classical_step = classical_step + binomial(n, j) * bell_polynomial(j)
+            classical_step = classical_step + binomial(n, j) * classical[j]
         return degenerate_step, X * classical_step
 
     return sweep_identity("recurrence_classical_limit", 0, n_max, sides)
 
 
 def exact_reports(n_max: int) -> list[VerificationReport]:
-    reports = constructor_reports(n_max)
-    reports.append(degenerate_stirling_report(n_max))
+    rows = oracle_degenerate_stirling2_table(n_max)
+    reports = constructor_reports(rows)
+    reports.append(degenerate_stirling_report(rows))
     reports.append(verify_addition(n_max))
     reports.append(verify_derivative(n_max))
     reports.append(classical_limit_report(n_max))

@@ -174,6 +174,36 @@ def test_eval_rejects_non_finite_input(flags, message, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == f"degenbell: error: {message}"
 
 
+EVAL = ["eval", "--n", "2", "--lambda", "0.5", "--x", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--family", "bell", "--n-max", "-1"], "--n-max must be >= 0"),
+        (["verify", "--n-max", "-1"], "--n-max must be >= 0"),
+        (["eval", "--n", "-1", "--lambda", "0.5", "--x", "1"], "--n must be >= 0"),
+        (["verify", "--terms", "0"], "--terms must be >= 1"),
+        ([*EVAL, "--terms", "0"], "--terms must be >= 1"),
+        (["verify", "--tol", "0"], "--tol must be > 0"),
+        ([*EVAL, "--tol", "0"], "--tol must be > 0"),
+        (["eval", "--n", "2", "--lambda", "0", "--x", "1"], "--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0"),
+        (["eval", "--n", "2", "--lambda", "-1.5", "--x", "1"], "--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0"),
+        # A NaN tolerance fails every float check and an infinite one passes
+        # them all without comparing anything.
+        (["verify", "--n-max", "1", "--tol", "nan"], "--tol must be > 0"),
+        ([*EVAL, "--dobinski", "--tol", "nan"], "--tol must be > 0"),
+        (["verify", "--n-max", "1", "--tol", "inf"], "--tol must be finite"),
+        ([*EVAL, "--dobinski", "--tol", "inf"], "--tol must be finite"),
+    ],
+)
+def test_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"degenbell: error: {message}"
+
+
 def test_eval_float_overflow_is_usage_error(capsys):
     code = cli.main(["eval", "--n", "200", "--lambda", "0.5", "--x", "1e200"])
     captured = capsys.readouterr()

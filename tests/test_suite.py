@@ -5,8 +5,10 @@ import pytest
 
 from degenbell import suite
 from degenbell.poly import LAM, X
+from degenbell.series import oracle_degenerate_stirling2_table
 
 PERTURBATION = LAM * X**2
+ORACLE_ROWS = oracle_degenerate_stirling2_table(6)
 
 
 @pytest.mark.parametrize(
@@ -25,7 +27,7 @@ def test_perturbed_constructor_fails_at_its_n(monkeypatch, identity, constructor
     monkeypatch.setattr(
         suite, constructor, lambda n: original(n) + PERTURBATION if n == k else original(n)
     )
-    reports = {report.identity_name: report for report in suite.constructor_reports(6)}
+    reports = {report.identity_name: report for report in suite.constructor_reports(ORACLE_ROWS)}
     assert len(reports) == 5
     for name, report in reports.items():
         if name == identity:
@@ -44,7 +46,7 @@ def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
         "degenerate_stirling2",
         lambda n, m: original(n, m) + LAM if (n, m) == (5, 2) else original(n, m),
     )
-    report = suite.degenerate_stirling_report(6)
+    report = suite.degenerate_stirling_report(ORACLE_ROWS)
     assert not report.passed
     n, lhs, rhs = report.first_failure
     assert n == 5
@@ -53,5 +55,5 @@ def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
 
 
 def test_unperturbed_oracle_sweeps_pass():
-    assert all(report.passed for report in suite.constructor_reports(6))
-    assert suite.degenerate_stirling_report(6).passed
+    assert all(report.passed for report in suite.constructor_reports(ORACLE_ROWS))
+    assert suite.degenerate_stirling_report(ORACLE_ROWS).passed
