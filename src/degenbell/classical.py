@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 
 from .poly import LAM, MPoly, Scalar
 
@@ -66,9 +65,7 @@ def bell_polynomial(n: int) -> MPoly:
     """The exponential polynomial: sum of stirling2(n, k) * x^k over k."""
     if n < 0:
         raise ValueError(f"bell_polynomial needs n >= 0, got {n}")
-    return MPoly.from_terms(
-        ((0, 0, k, 0), Fraction(stirling2(n, k))) for k in range(n + 1)
-    )
+    return MPoly._trusted({(0, 0, k, 0): stirling2(n, k) for k in range(n + 1)})
 
 
 def falling_factorial_general(z: MPoly | Scalar, n: int) -> MPoly:

@@ -13,20 +13,25 @@ analytic functions exactly when they agree as polynomials in Q[lambda, L,
 x, y].  That turns every identity this package verifies into a decidable
 equality of canonical forms.
 
-Coefficients are `fractions.Fraction` values, which are always stored
-reduced with a positive denominator.  A polynomial is a finite map from
-exponent vectors (4-tuples of non-negative ints) to nonzero coefficients;
-the zero polynomial is the empty map, and two polynomials are equal iff
-their maps are equal.  Wherever an ordering of terms is needed (JSON
-serialization, pretty printing) the graded lexicographic order with the
-largest term first is used.
+A polynomial is a finite map from exponent vectors (4-tuples of
+non-negative ints) to integer numerators, over one positive common
+denominator: the layout of FLINT's fmpq_mpoly.  It is kept canonical: no
+numerator is zero, the denominator and all numerators have gcd 1, and the
+zero polynomial is the empty map over 1.  Two polynomials are then equal
+iff their maps and denominators are equal, and arithmetic on the integer
+coefficients the Bell and Stirling constructors produce never leaves the
+integers.  `items()`, `coefficient()` and `eval_exact()` give each term's
+value as a reduced `fractions.Fraction`.  Wherever an ordering of terms is
+needed (JSON serialization, pretty printing) the graded lexicographic
+order with the largest term first is used.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, int, int, int]
 Scalar = Union[int, Fraction]
@@ -35,6 +40,7 @@ VARIABLES = ("lambda", "L", "x", "y")
 _VAR_INDEX = {name: index for index, name in enumerate(VARIABLES)}
 _PRETTY_NAMES = ("λ", "L", "x", "y")
 _COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+_ORIGIN: Exponents = (0, 0, 0, 0)
 
 
 def _grlex(exponents: Exponents) -> tuple[int, Exponents]:
@@ -58,30 +64,45 @@ class MPoly:
     can be shared freely between threads.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
-        canonical: dict[Exponents, Fraction] = {}
+        values: dict[Exponents, Fraction] = {}
         if terms:
             for exponents, coeff in terms.items():
                 _check_exponents(exponents)
                 value = Fraction(coeff)
                 if value:
-                    canonical[exponents] = value
-        self._terms = canonical
+                    values[exponents] = value
+        # Over the lcm of the reduced denominators the numerators share no
+        # factor with it, so the result is already canonical.
+        den = math.lcm(*(value.denominator for value in values.values()))
+        self._num = {e: value.numerator * (den // value.denominator) for e, value in values.items()}
+        self._den = den
         self._hash: int | None = None
 
     @classmethod
-    def _trusted(cls, terms: dict[Exponents, Fraction]) -> "MPoly":
+    def _trusted(cls, num: dict[Exponents, int], den: int = 1) -> "MPoly":
         """Wrap the result of internal arithmetic without re-validating it.
 
-        The keys must already be 4-tuples of non-negative ints and the
-        values `Fraction`s; only zero coefficients are dropped.  Input
-        from outside the package goes through `__init__`, `from_terms` or
-        `from_json_obj`, which check everything.
+        The keys must already be 4-tuples of non-negative ints, the values
+        ints and `den` a positive int; zero numerators are dropped and, when
+        `den` is not 1, the common factor of `den` and the numerators is
+        divided out.  Input from outside the package goes through
+        `__init__`, `from_terms` or `from_json_obj`, which check everything.
+        The polynomial may keep `num` itself, so the caller must not change
+        it afterwards.
         """
+        if 0 in num.values():
+            num = {exponents: coeff for exponents, coeff in num.items() if coeff}
+        if den != 1:
+            common = math.gcd(den, *num.values())
+            if common != 1:
+                num = {exponents: coeff // common for exponents, coeff in num.items()}
+                den //= common
         poly = object.__new__(cls)
-        poly._terms = {exponents: coeff for exponents, coeff in terms.items() if coeff}
+        poly._num = num
+        poly._den = den
         poly._hash = None
         return poly
 
@@ -89,15 +110,15 @@ class MPoly:
 
     @classmethod
     def zero(cls) -> "MPoly":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "MPoly":
-        return cls.constant(1)
+        return cls._trusted({_ORIGIN: 1})
 
     @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
-        return cls({(0, 0, 0, 0): Fraction(value)})
+        return cls({_ORIGIN: value})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
@@ -105,7 +126,7 @@ class MPoly:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         exponents = [0, 0, 0, 0]
         exponents[_VAR_INDEX[name]] = 1
-        return cls({tuple(exponents): Fraction(1)})
+        return cls._trusted({tuple(exponents): 1})
 
     @classmethod
     def from_terms(cls, raw_terms: Iterable[tuple[Exponents, Scalar]]) -> "MPoly":
@@ -122,39 +143,47 @@ class MPoly:
 
     # -- inspection ----------------------------------------------------
 
+    def _reduced_terms(self) -> Iterator[tuple[Exponents, int, int]]:
+        """(exponents, numerator, denominator) of each term's reduced value,
+        in canonical order (graded lex, largest first)."""
+        den = self._den
+        for exponents in sorted(self._num, key=_grlex, reverse=True):
+            coeff = self._num[exponents]
+            common = math.gcd(coeff, den)
+            yield exponents, coeff // common, den // common
+
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
-        return tuple(sorted(self._terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True))
+        return tuple((e, Fraction(num, den)) for e, num, den in self._reduced_terms())
 
     def coefficient(self, exponents: Exponents) -> Fraction:
-        return self._terms.get(_check_exponents(exponents), Fraction(0))
+        return Fraction(self._num.get(_check_exponents(exponents), 0), self._den)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of `name` across terms; -1 for the zero polynomial."""
         index = _VAR_INDEX[name]
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(exponents[index] for exponents in self._terms)
+        return max(exponents[index] for exponents in self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == MPoly.constant(other)._terms
-        return NotImplemented
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._den == rhs._den and self._num == rhs._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._num.items()), self._den))
         return self._hash
 
     def __repr__(self) -> str:
@@ -166,23 +195,32 @@ class MPoly:
     def _coerce(value: object) -> "MPoly | None":
         if isinstance(value, MPoly):
             return value
-        if isinstance(value, (int, Fraction)):
-            return MPoly.constant(value)
+        if isinstance(value, int):
+            return MPoly._trusted({_ORIGIN: value})
+        if isinstance(value, Fraction):
+            return MPoly._trusted({_ORIGIN: value.numerator}, value.denominator)
         return None
 
     def __add__(self, other: object) -> "MPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for exponents, coeff in rhs._terms.items():
+        if self._den == rhs._den:
+            den, scale_a, scale_b = self._den, 1, 1
+        else:
+            common = math.gcd(self._den, rhs._den)
+            scale_a, scale_b = rhs._den // common, self._den // common
+            den = self._den * scale_a
+        merged = {e: c * scale_a for e, c in self._num.items()} if scale_a != 1 else dict(self._num)
+        for exponents, coeff in rhs._num.items():
+            coeff *= scale_b
             merged[exponents] = merged[exponents] + coeff if exponents in merged else coeff
-        return MPoly._trusted(merged)
+        return MPoly._trusted(merged, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._trusted({exponents: -coeff for exponents, coeff in self._terms.items()})
+        return MPoly._trusted({exponents: -coeff for exponents, coeff in self._num.items()}, self._den)
 
     def __sub__(self, other: object) -> "MPoly":
         rhs = self._coerce(other)
@@ -197,16 +235,18 @@ class MPoly:
         return lhs + (-self)
 
     def __mul__(self, other: object) -> "MPoly":
+        if type(other) is int:
+            return MPoly._trusted({exponents: coeff * other for exponents, coeff in self._num.items()}, self._den)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product: dict[Exponents, Fraction] = {}
-        for exp_a, coeff_a in self._terms.items():
-            for exp_b, coeff_b in rhs._terms.items():
+        product: dict[Exponents, int] = {}
+        for exp_a, coeff_a in self._num.items():
+            for exp_b, coeff_b in rhs._num.items():
                 key = (exp_a[0] + exp_b[0], exp_a[1] + exp_b[1], exp_a[2] + exp_b[2], exp_a[3] + exp_b[3])
                 term = coeff_a * coeff_b
                 product[key] = product[key] + term if key in product else term
-        return MPoly._trusted(product)
+        return MPoly._trusted(product, self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -225,7 +265,11 @@ class MPoly:
     # -- calculus and evaluation ----------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MPoly | Scalar"]) -> "MPoly":
-        """Simultaneously substitute the bound variables; others stay formal."""
+        """Simultaneously substitute the bound variables; others stay formal.
+
+        Terms are grouped by their exponents of the bound variables, so
+        each distinct product of powers of the replacements is formed and
+        multiplied once."""
         replacements: dict[int, MPoly] = {}
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
@@ -236,40 +280,44 @@ class MPoly:
             replacements[_VAR_INDEX[name]] = bound
         if not replacements:
             return self
+        groups: dict[tuple[int, ...], dict[Exponents, int]] = {}
+        for exponents, coeff in self._num.items():
+            bound_part = tuple(exponents[index] for index in replacements)
+            residual = tuple(0 if index in replacements else e for index, e in enumerate(exponents))
+            groups.setdefault(bound_part, {})[residual] = coeff
+        powers: dict[tuple[int, int], MPoly] = {}
         total = MPoly.zero()
-        for exponents, coeff in self._terms.items():
-            residual = [0, 0, 0, 0]
-            factor = MPoly.constant(coeff)
-            for index, exponent in enumerate(exponents):
-                if index in replacements:
-                    if exponent:
-                        factor = factor * replacements[index] ** exponent
-                else:
-                    residual[index] = exponent
-            total = total + factor * MPoly({tuple(residual): Fraction(1)})
-        return total
+        for bound_part, residual_terms in groups.items():
+            factor = MPoly._trusted(residual_terms)
+            for index, exponent in zip(replacements, bound_part):
+                if exponent:
+                    if (index, exponent) not in powers:
+                        powers[index, exponent] = replacements[index] ** exponent
+                    factor = factor * powers[index, exponent]
+            total = total + factor
+        return MPoly._trusted(total._num, total._den * self._den)
 
     def derivative_x(self) -> "MPoly":
         """Formal partial derivative with respect to x."""
-        derived: dict[Exponents, Fraction] = {}
-        for exponents, coeff in self._terms.items():
+        derived: dict[Exponents, int] = {}
+        for exponents, coeff in self._num.items():
             e_x = exponents[2]
             if e_x:
                 key = (exponents[0], exponents[1], e_x - 1, exponents[3])
                 derived[key] = coeff * e_x
-        return MPoly._trusted(derived)
+        return MPoly._trusted(derived, self._den)
 
     def exact_div_var(self, name: str) -> "MPoly":
         """Divide by a single variable, requiring every term to contain it."""
         index = _VAR_INDEX[name]
-        quotient: dict[Exponents, Fraction] = {}
-        for exponents, coeff in self._terms.items():
+        quotient: dict[Exponents, int] = {}
+        for exponents, coeff in self._num.items():
             if exponents[index] < 1:
                 raise ValueError(f"term {exponents} has no factor of {name}; division is not exact")
             lowered = list(exponents)
             lowered[index] -= 1
             quotient[tuple(lowered)] = coeff
-        return MPoly._trusted(quotient)
+        return MPoly._trusted(quotient, self._den)
 
     def eval_exact(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact rational evaluation; all four variables must be bound."""
@@ -278,13 +326,13 @@ class MPoly:
             raise ValueError(f"eval_exact needs a value for every variable; missing {missing}")
         point = tuple(Fraction(values[name]) for name in VARIABLES)
         total = Fraction(0)
-        for exponents, coeff in self._terms.items():
-            term = coeff
+        for exponents, coeff in self._num.items():
+            term = Fraction(coeff)
             for value, exponent in zip(point, exponents):
                 if exponent:
                     term *= value**exponent
             total += term
-        return total
+        return total / self._den
 
     # -- rendering -------------------------------------------------------
 
@@ -292,10 +340,10 @@ class MPoly:
         """JSON interchange form: canonical term list with "p/q" coefficients."""
         return [
             {
-                "coeff": f"{coeff.numerator}/{coeff.denominator}",
+                "coeff": f"{num}/{den}",
                 "pow": {"lambda": e[0], "L": e[1], "x": e[2], "y": e[3]},
             }
-            for e, coeff in self.items()
+            for e, num, den in self._reduced_terms()
         ]
 
     @classmethod
@@ -318,29 +366,29 @@ class MPoly:
 
     def pretty(self) -> str:
         """Human-oriented rendering, e.g. "x^3 + 3x^2 + x" or "L^2x^2 - λLx + Lx"."""
-        if not self._terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
-        for exponents, coeff in self.items():
+        for exponents, num, den in self._reduced_terms():
             monomial = "".join(
                 name if exponent == 1 else f"{name}^{exponent}"
                 for name, exponent in zip(_PRETTY_NAMES, exponents)
                 if exponent
             )
-            magnitude = abs(coeff)
+            magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if monomial:
-                if magnitude == 1:
+                if magnitude == "1":
                     body = monomial
-                elif magnitude.denominator == 1:
+                elif den == 1:
                     body = f"{magnitude}{monomial}"
                 else:
                     body = f"({magnitude}){monomial}"
             else:
-                body = str(magnitude)
+                body = magnitude
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if num > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(pieces)
 
 

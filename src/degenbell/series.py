@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 from .poly import L, MPoly, X
 from .classical import binomial, falling_factorial_general
@@ -74,21 +75,25 @@ def degenerate_exp_minus_one(order: int) -> Series:
     return Series(tuple(coeffs))
 
 
-def degenerate_exp_composita(n: int, k: int) -> MPoly:
+def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly] | None = None) -> MPoly:
     """Coefficient of t^n in the k-th power of (1 + lambda t)^(1/lambda) - 1.
 
     Computed by the alternating binomial closed form over the lambda-step
     falling factorials (j | lambda)_n; k > n gives 0 because the series
-    has no constant term.
+    has no constant term.  `falling`, when given, holds (j | lambda)_n at
+    index j - 1 for j = 1..k at least, so a caller that takes every k at
+    one n builds them once.
     """
     if n < 1 or k < 1:
         raise ValueError(f"composita needs n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n:
         return MPoly.zero()
+    if falling is None:
+        falling = [falling_factorial_general(j, n) for j in range(1, k + 1)]
     acc = MPoly.zero()
     for j in range(1, k + 1):
         sign = -1 if (k - j) % 2 else 1
-        acc = acc + sign * binomial(k, j) * falling_factorial_general(j, n)
+        acc = acc + sign * binomial(k, j) * falling[j - 1]
     return acc * Fraction(1, factorial(n))
 
 
@@ -129,7 +134,7 @@ def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
     for _ in range(n_max):
         powers.append(series_mul(powers[-1], f))
     return [
-        [powers[m].coefficient(n) * Fraction(factorial(n), factorial(m)) for m in range(n + 1)]
+        [powers[m].coefficient(n) * (factorial(n) // factorial(m)) for m in range(n + 1)]
         for n in range(n_max + 1)
     ]
 

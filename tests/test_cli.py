@@ -263,6 +263,8 @@ PINNED_STDOUT = {
     "verify --n-max 8 --format text": "a8b848e40eb8fc5c972518282e454cfd1f03fa221c3c68486ae6ea3131a466d1",
     "verify --n-max 8 --format json": "bd2f2fc8238026ce5595baafeb9face98228d571ac54b1492297aff30f767cff",
     "verify --n-max 8 --format csv": "0454e70527e862b657726011669682fa9ef31ee3c05ab435c84a5f3eaf1c500c",
+    "verify --n-max 14 --format json": "c60cc23ef682c94898b4acc239f749f7097c043b63740051050a174587aede7c",
+    "table --family dbell --n-max 30 --format json": "aecfa5994a918b878f89d4ddad666f43c817508c3985f38aee527f00dbd5e262",
     "table --family bell --n-max 12 --format text": "c9a7ca9f90ba67e180d90601ac2bbe027c44b0db5fae90a54c2e1c373b583dac",
     "table --family bell --n-max 12 --format json": "8dc13b3284f0c5846ce2546b13c98ed4cb1b6532a7bbb64f2042bdd99cd2e68e",
     "table --family bell --n-max 12 --format csv": "c6971d2f3cbabdbecdd58b61c4372eaf45aedcf38845bf8f877e0442e20bc542",

@@ -2,6 +2,7 @@
 differentiation, exact evaluation, and the JSON interchange format."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,7 @@ def test_pretty_descending_graded_order():
     assert (X**3 + 3 * X**2 + X).pretty() == "x^3 + 3x^2 + x"
     assert MPoly.zero().pretty() == "0"
     assert (Fraction(1, 2) * X).pretty() == "(1/2)x"
+    assert (Fraction(-3, 4) * X**2 + Fraction(5, 2)).pretty() == "-(3/4)x^2 + 5/2"
     p = L**2 * X**2 + (1 - LAM) * L * X
     assert p.pretty() == "L^2x^2 - λLx + Lx"
 
@@ -234,12 +236,24 @@ def test_eval_commutes_with_substitution(p, q, vals):
     assert substituted == p.eval_exact(shifted)
 
 
+@given(polys, polys, polys, points)
+def test_simultaneous_substitution_commutes_with_eval(p, q, r, vals):
+    substituted = p.substitute({"x": q, "lambda": r, "y": Fraction(1, 3)}).eval_exact(vals)
+    shifted = dict(vals, x=q.eval_exact(vals), y=Fraction(1, 3))
+    shifted["lambda"] = r.eval_exact(vals)
+    assert substituted == p.eval_exact(shifted)
+
+
 def _assert_canonical(p):
-    for exponents, coeff in p._terms.items():
+    # Integer numerators over one positive denominator, no zero terms and
+    # no common factor, exactly what full validation would produce.
+    assert type(p._den) is int and p._den > 0
+    for exponents, coeff in p._num.items():
         assert type(exponents) is tuple and len(exponents) == 4
         assert all(type(e) is int and e >= 0 for e in exponents)
-        assert type(coeff) is Fraction and coeff != 0
-    assert p == MPoly(dict(p._terms))
+        assert type(coeff) is int and coeff != 0
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert p == MPoly(dict(p.items()))
 
 
 @given(polys, polys, coeffs)
@@ -264,3 +278,50 @@ def test_arithmetic_results_are_canonical(p, q, c):
     for result in results:
         _assert_canonical(result)
     assert (p - p).is_zero()
+
+
+# -- the integer representation against plain Fraction dicts --------------------
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for exponents, coeff in b.items():
+        out[exponents] = out.get(exponents, 0) + sign * coeff
+    return {exponents: coeff for exponents, coeff in out.items() if coeff}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for exp_a, coeff_a in a.items():
+        for exp_b, coeff_b in b.items():
+            key = tuple(i + j for i, j in zip(exp_a, exp_b))
+            out[key] = out.get(key, 0) + coeff_a * coeff_b
+    return {exponents: coeff for exponents, coeff in out.items() if coeff}
+
+
+@given(polys, polys, st.integers(0, 3))
+def test_arithmetic_matches_fraction_reference(p, q, k):
+    a, b = dict(p.items()), dict(q.items())
+    assert all(type(coeff) is Fraction for coeff in a.values())
+    assert dict((p + q).items()) == _ref_add(a, b)
+    assert dict((p - q).items()) == _ref_add(a, b, -1)
+    assert dict((p * q).items()) == _ref_mul(a, b)
+    power = {E_ZERO: Fraction(1)}
+    for _ in range(k):
+        power = _ref_mul(power, a)
+    assert dict((p**k).items()) == power
+
+
+@given(polys, polys, coeffs.filter(bool))
+def test_equal_polynomials_hash_equal(p, q, c):
+    routes = [
+        MPoly(dict(p.items())),
+        MPoly.from_json_obj(p.to_json_obj()),
+        (p + q) - q,
+        (p * c) * (1 / c),
+        q * p - p * q + p,
+        p.substitute({"y": Y}),
+    ]
+    for route in routes:
+        assert route == p
+        assert hash(route) == hash(p)
