@@ -269,6 +269,8 @@ def test_arithmetic_results_are_canonical(p, q, c):
         -p,
         p * q,
         c * p,
+        2 * p,
+        p * 0,
         p**0,
         p**3,
         p.derivative_x(),
@@ -306,6 +308,7 @@ def test_arithmetic_matches_fraction_reference(p, q, k):
     assert dict((p + q).items()) == _ref_add(a, b)
     assert dict((p - q).items()) == _ref_add(a, b, -1)
     assert dict((p * q).items()) == _ref_mul(a, b)
+    assert dict((p * (k - 1)).items()) == _ref_mul(a, {E_ZERO: Fraction(k - 1)})
     power = {E_ZERO: Fraction(1)}
     for _ in range(k):
         power = _ref_mul(power, a)
