@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MPoly
+from .poly import Exponents
 from .classical import bell_polynomial, stirling1, stirling2
 from .degenerate import dbell_via_stirling_pair
 
@@ -94,21 +94,41 @@ def _check_x(x: float) -> None:
         raise ValueError(f"x must be finite, got {x}")
 
 
-def _poly_float(p: MPoly, lam: float, big_l: float, x: float, y: float = 0.0) -> float:
-    """Evaluate an exact polynomial at a float point (coefficients
-    converted at this boundary only)."""
-    point = (lam, big_l, x, y)
-    return math.fsum(
-        float(coeff) * math.prod(v**e for v, e in zip(point, exps) if e)
-        for exps, coeff in p.items()
-    )
+def _closed_terms(n: int) -> list[tuple[Exponents, float]]:
+    """The terms of dbell_via_stirling_pair(n), coefficients as floats."""
+    return [(exps, float(coeff)) for exps, coeff in dbell_via_stirling_pair(n).items()]
 
 
-def _falling_float(z: float, lam: float, n: int) -> float:
-    out = 1.0
-    for i in range(n):
-        out *= z - i * lam
-    return out
+def _poly_float(terms: list[tuple[Exponents, float]], lam: float, big_l: float, x: float) -> float:
+    """Evaluate float terms free of y at a float point."""
+    point = (lam, big_l, x)
+    return math.fsum(coeff * math.prod(v**e for v, e in zip(point, exps) if e) for exps, coeff in terms)
+
+
+def _falling_row(n: int, lam: float, terms: int) -> list[float]:
+    """[(l | lambda)_n for l = 0..terms], each l (l - lambda) ... (l - (n-1) lambda)."""
+    steps = [i * lam for i in range(n)]
+    return [math.prod([l - step for step in steps], start=1.0) for l in range(terms + 1)]
+
+
+def _scaled_inner_row(n: int, lam: float, terms: int) -> list[float]:
+    """[fsum over l of k^l lambda^(n-l) stirling1(n, l) for k = 0..terms]."""
+    weights = [(lam ** (n - l), stirling1(n, l)) for l in range(n + 1)]
+    return [math.fsum(float(k) ** l * power * s1 for l, (power, s1) in enumerate(weights)) for k in range(terms + 1)]
+
+
+def _weighted_sum(xl: float, row: list[float], series: str) -> float:
+    """fsum of (x L)^k / k! * row[k]; OverflowError names the first term out of float range."""
+    weight = 1.0  # (x L)^k / k!
+    partials = []
+    for k, value in enumerate(row):
+        if k:
+            weight *= xl / k
+        term = weight * value
+        if not math.isfinite(term):
+            raise OverflowError(f"{series} term {k} overflows")
+        partials.append(term)
+    return math.fsum(partials)
 
 
 def eval_bel_numeric(n: int, lam: float, x: float) -> float:
@@ -144,13 +164,15 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     return value
 
 
-def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS) -> float:
+def dobinski_degenerate(
+    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, *, falling: list[float] | None = None
+) -> float:
     """Truncated Dobinski-type series for the degenerate Bell value:
     exp(-x L) * sum over l of (x^l / l!) L^l (l | lambda)_n.
 
-    Converges to eval_bel_numeric(n, lam, x) as terms grows.  Raises
-    OverflowError when a term, or the sum of the terms, is out of float
-    range, rather than returning inf or nan.
+    Converges to eval_bel_numeric(n, lam, x) as terms grows.  `falling` may
+    carry the row [(l | lambda)_n for l = 0..terms].  Raises OverflowError
+    when a term, or the sum, is out of float range, never inf or nan.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -158,16 +180,11 @@ def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS
         raise ValueError(f"need n >= 0, got {n}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    weight = 1.0  # (x L)^l / l!
-    partials = []
-    for l in range(terms + 1):
-        if l:
-            weight *= x * big_l / l
-        term = weight * _falling_float(float(l), lam, n)
-        if not math.isfinite(term):
-            raise OverflowError(f"Dobinski series term {l} overflows")
-        partials.append(term)
-    return math.exp(-x * big_l) * math.fsum(partials)
+    total = _weighted_sum(x * big_l, falling or _falling_row(n, lam, terms), "Dobinski series")
+    value = math.exp(-x * big_l) * total
+    if not math.isfinite(value):
+        raise OverflowError("Dobinski series sum overflows")
+    return value
 
 
 def dobinski_classical(n: int, terms: int = 60) -> float:
@@ -186,11 +203,12 @@ def dobinski_classical(n: int, terms: int = 60) -> float:
 
 
 def dobinski_check(
-    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
+    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL,
+    *, falling: list[float] | None = None,
 ) -> NumericCheck:
     """Closed form against the truncated degenerate Dobinski series."""
     lhs = eval_bel_numeric(n, lam, x)
-    rhs = dobinski_degenerate(n, lam, x, terms)
+    rhs = dobinski_degenerate(n, lam, x, terms, falling=falling)
     return _make_check("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol)
 
 
@@ -203,14 +221,17 @@ def classical_dobinski_check(n: int, terms: int = 60, tol: float = DEFAULT_TOL) 
 
 
 def scaled_bell_series_check(
-    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
+    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL,
+    *, closed: list[tuple[Exponents, float]] | None = None, inner: list[float] | None = None,
 ) -> NumericCheck:
     """Two-sided series identity for the exponentially scaled Bell value.
 
     Left side: exp(x L) times the double-Stirling closed form, evaluated
     in floats.  Right side: the truncated series sum over k of
     (x^k / k!) L^k * sum over l of k^l lambda^(n-l) stirling1(n, l),
-    with the inner sum evaluated exactly as written.
+    each inner sum an fsum of its float products.  `closed` may carry the
+    float terms of dbell_via_stirling_pair(n) and `inner` the inner sums for
+    k = 0..terms.  Raises OverflowError naming the side or term out of range.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -218,17 +239,13 @@ def scaled_bell_series_check(
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    lhs = math.exp(x * big_l) * _poly_float(dbell_via_stirling_pair(n), lam, big_l, x)
-    weight = 1.0  # (x L)^k / k!
-    partials = []
-    for k in range(terms + 1):
-        if k:
-            weight *= x * big_l / k
-        inner = math.fsum(
-            float(k) ** l * lam ** (n - l) * stirling1(n, l) for l in range(n + 1)
-        )
-        partials.append(weight * inner)
-    rhs = math.fsum(partials)
+    try:  # exp and ** raise OverflowError, fsum raises ValueError on inf - inf
+        lhs = math.exp(x * big_l) * _poly_float(closed or _closed_terms(n), lam, big_l, x)
+    except (OverflowError, ValueError):
+        lhs = math.nan
+    if not math.isfinite(lhs):
+        raise OverflowError("scaled series left side overflows")
+    rhs = _weighted_sum(x * big_l, inner or _scaled_inner_row(n, lam, terms), "scaled series")
     return _make_check("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
 
 

@@ -28,6 +28,7 @@ from .numeric import (
     dobinski_check,
     scaled_bell_series_check,
 )
+from .numeric import _closed_terms, _falling_row, _scaled_inner_row
 from .series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
@@ -139,10 +140,12 @@ def numeric_checks(
 ) -> list[NumericCheck]:
     checks: list[NumericCheck] = []
     for n in range(min(n_max, NUMERIC_N_CAP) + 1):
+        closed = _closed_terms(n)  # the rows shared by every x, built once
         for lam in GRID_LAMBDAS:
+            falling, inner = _falling_row(n, lam, terms), _scaled_inner_row(n, lam, terms)
             for x in GRID_XS:
-                checks.append(dobinski_check(n, lam, x, terms, tol))
-                checks.append(scaled_bell_series_check(n, lam, x, terms, tol))
+                checks.append(dobinski_check(n, lam, x, terms, tol, falling=falling))
+                checks.append(scaled_bell_series_check(n, lam, x, terms, tol, closed=closed, inner=inner))
     for n in range(min(n_max, CLASSICAL_BELL_MAX) + 1):
         checks.append(classical_dobinski_check(n, terms, tol))
     return checks

@@ -231,6 +231,24 @@ def test_eval_dobinski_overflow_is_usage_error(flags, capsys):
     assert "out of float range (Dobinski series term" in line
 
 
+def test_eval_dobinski_sum_overflow_is_usage_error(capsys):
+    # Every term is finite but exp(-x L) times their sum is not: once
+    # printed as "dobinski inf" with exit 1, an identity failure.
+    code = cli.main(["eval", "--n", "3", "--lambda", "0.5", "--x=-800", "--dobinski"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (
+        "degenbell: error: the value at n=3, lambda=0.5, x=-800.0 is out of float range "
+        "(Dobinski series sum overflows)"
+    )
+    # Underflow stays a reported failure, not an error.
+    code, out = run_cli(["eval", "--n", "3", "--lambda", "0.5", "--x", "1000", "--dobinski"], capsys)
+    assert code == 1
+    assert out.splitlines()[1] == "dobinski 0.0"
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "table.txt"
     code = cli.main(["table", "--family", "bell", "--n-max", "2", "--output", str(target)])
@@ -264,6 +282,7 @@ PINNED_STDOUT = {
     "verify --n-max 8 --format json": "bd2f2fc8238026ce5595baafeb9face98228d571ac54b1492297aff30f767cff",
     "verify --n-max 8 --format csv": "0454e70527e862b657726011669682fa9ef31ee3c05ab435c84a5f3eaf1c500c",
     "verify --n-max 14 --format json": "c60cc23ef682c94898b4acc239f749f7097c043b63740051050a174587aede7c",
+    "verify --n-max 8 --terms 30 --tol 1e-6 --format csv": "9198de65ff952ad173cd43a2e17dd2154c5ee71dd6e6763b65e0931dd886771f",
     "table --family dbell --n-max 30 --format json": "aecfa5994a918b878f89d4ddad666f43c817508c3985f38aee527f00dbd5e262",
     "table --family bell --n-max 12 --format text": "c9a7ca9f90ba67e180d90601ac2bbe027c44b0db5fae90a54c2e1c373b583dac",
     "table --family bell --n-max 12 --format json": "8dc13b3284f0c5846ce2546b13c98ed4cb1b6532a7bbb64f2042bdd99cd2e68e",

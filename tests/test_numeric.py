@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenbell.classical import stirling1
 from degenbell.degenerate import degenerate_bell
 from degenbell.numeric import (
     NumericCheck,
@@ -18,6 +19,9 @@ from degenbell.numeric import (
     eval_bel_numeric,
     limit_sweep,
     scaled_bell_series_check,
+    _closed_terms,
+    _falling_row,
+    _scaled_inner_row,
 )
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
@@ -210,6 +214,54 @@ def test_scaled_series_rejects_bad_lambda():
 def test_scaled_series_rejects_non_finite_input(lam, x):
     with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
         scaled_bell_series_check(3, lam, x)
+
+
+@pytest.mark.parametrize(
+    "check, x, message",
+    [
+        (dobinski_degenerate, -800.0, "Dobinski series sum overflows"),
+        (scaled_bell_series_check, -1e10, r"scaled series term \d+ overflows"),
+        (scaled_bell_series_check, 1e10, "scaled series left side overflows"),
+    ],
+)
+def test_series_overflow_names_what_left_float_range(check, x, message):
+    # Unchecked these returned inf, met inf - inf in fsum, or raised a bare
+    # "math range error" from exp.
+    with pytest.raises(OverflowError, match=message):
+        check(3, 0.5, x)
+
+
+def test_rows_match_their_defining_loops():
+    # The per-point loops the rows replaced, as written: the same float
+    # operations in the same order, so the same bits.
+    rng = random.Random(20150708)
+    for lam in [-0.5, 0.1, 3.0] + [rng.uniform(-0.95, 2.0) for _ in range(3)]:
+        for n in range(13):
+            falling = []
+            for l in range(31):
+                out = 1.0
+                for i in range(n):
+                    out *= float(l) - i * lam
+                falling.append(out)
+            inner = [
+                math.fsum(float(k) ** l * lam ** (n - l) * stirling1(n, l) for l in range(n + 1))
+                for k in range(31)
+            ]
+            assert list(map(repr, _falling_row(n, lam, 30))) == list(map(repr, falling))
+            assert list(map(repr, _scaled_inner_row(n, lam, 30))) == list(map(repr, inner))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 80])
+def test_given_rows_change_no_bit(terms):
+    # A negative lambda and x: negative falling steps, an alternating series.
+    lam, x = -0.5, -1.5
+    for n in range(9):
+        falling = _falling_row(n, lam, terms)
+        closed, inner = _closed_terms(n), _scaled_inner_row(n, lam, terms)
+        assert repr(dobinski_check(n, lam, x, terms, falling=falling)) == repr(dobinski_check(n, lam, x, terms))
+        assert repr(dobinski_degenerate(n, lam, x, terms, falling=falling)) == repr(dobinski_degenerate(n, lam, x, terms))
+        with_rows = scaled_bell_series_check(n, lam, x, terms, closed=closed, inner=inner)
+        assert repr(with_rows) == repr(scaled_bell_series_check(n, lam, x, terms))
 
 
 # -- limit sweep -------------------------------------------------------------------------
