@@ -232,8 +232,8 @@ def test_eval_dobinski_overflow_is_usage_error(flags, capsys):
 
 
 def test_eval_dobinski_sum_overflow_is_usage_error(capsys):
-    # Every term is finite but exp(-x L) times their sum is not: once
-    # printed as "dobinski inf" with exit 1, an identity failure.
+    # Every term is finite but exp(-x L) times their sum is not: a float
+    # overflow (exit 2), not an identity failure (exit 1).
     code = cli.main(["eval", "--n", "3", "--lambda", "0.5", "--x=-800", "--dobinski"])
     captured = capsys.readouterr()
     assert code == 2

@@ -225,8 +225,8 @@ def test_scaled_series_rejects_non_finite_input(lam, x):
     ],
 )
 def test_series_overflow_names_what_left_float_range(check, x, message):
-    # Unchecked these returned inf, met inf - inf in fsum, or raised a bare
-    # "math range error" from exp.
+    # Out of range in three places: exp(-x L) times the Dobinski sum, a
+    # term of the alternating scaled series, and exp(x L) on its left side.
     with pytest.raises(OverflowError, match=message):
         check(3, 0.5, x)
 
