@@ -36,6 +36,14 @@ def _grow(rows: list[list[int]], n: int, weight) -> None:
             rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 1)])
 
 
+def _s1_weight(m: int, k: int) -> int:
+    return 1 - m  # (z)_m = (z - (m-1)) (z)_{m-1}
+
+
+def _s2_weight(m: int, k: int) -> int:
+    return k
+
+
 def _check_pair(n: int, k: int) -> None:
     if n < 0 or k < 0:
         raise ValueError(f"Stirling numbers need n, k >= 0, got n={n}, k={k}")
@@ -48,8 +56,7 @@ def stirling1(n: int, k: int) -> int:
     the falling factorial z(z-1)...(z-n+1)."""
     _check_pair(n, k)
     if len(_S1_ROWS) <= n:
-        # (z)_m = (z - (m-1)) (z)_{m-1}
-        _grow(_S1_ROWS, n, lambda m, k: 1 - m)
+        _grow(_S1_ROWS, n, _s1_weight)
     return _S1_ROWS[n][k]
 
 
@@ -57,8 +64,21 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: k-block set partitions of an n-set."""
     _check_pair(n, k)
     if len(_S2_ROWS) <= n:
-        _grow(_S2_ROWS, n, lambda m, k: k)
+        _grow(_S2_ROWS, n, _s2_weight)
     return _S2_ROWS[n][k]
+
+
+def stirling_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Both caches, grown through row n: (stirling1 rows, stirling2 rows),
+    row m holding k = 0..m.  For callers that read whole rows; never change
+    them."""
+    _check_pair(n, 0)
+    s1_rows, s2_rows = _S1_ROWS, _S2_ROWS
+    if len(s1_rows) <= n:
+        _grow(s1_rows, n, _s1_weight)
+    if len(s2_rows) <= n:
+        _grow(s2_rows, n, _s2_weight)
+    return s1_rows, s2_rows
 
 
 def bell_polynomial(n: int) -> MPoly:
@@ -89,4 +109,5 @@ __all__ = [
     "falling_factorial_general",
     "stirling1",
     "stirling2",
+    "stirling_rows",
 ]

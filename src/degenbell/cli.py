@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -35,7 +36,11 @@ class UsageError(Exception):
     range, an unwritable --output); `main` reports it and exits 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first `parse_config`
+    call rather than at import.  `parse_args` leaves a parser unchanged:
+    each call gets a fresh namespace and help formatter."""
     parser = argparse.ArgumentParser(
         prog="degenbell",
         description="Exact tables, identity verification and numeric evaluation "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Exponents
-from .classical import bell_polynomial, stirling1, stirling2
+from .classical import bell_polynomial, stirling1, stirling_rows
 from .degenerate import dbell_via_stirling_pair
 
 DEFAULT_TERMS = 80
@@ -141,9 +141,10 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     the integer N_m = sum over k of stirling1(n,k) stirling2(k,m)
     p^(n-k) q^k, rounded once by a correctly rounded integer division.
     No polynomial is built: the work is about n^2/2 products of exact
-    integers.  Only the single transcendental L = log1p(lambda)/lambda is
-    bound in floating point, in one Horner pass, which keeps the large
-    cancellations among the lambda terms exact.
+    integers, read from whole rows of the cached Stirling triangles.  Only
+    the single transcendental L = log1p(lambda)/lambda is bound in
+    floating point, in one Horner pass, which keeps the large cancellations
+    among the lambda terms exact.
 
     Raises ValueError for n < 0, lambda outside (-1, 0) and (0, inf) or a
     non-finite x, and OverflowError when a coefficient of L^m is too large
@@ -155,12 +156,16 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
         raise ValueError(f"need n >= 0, got {n}")
     p, q = Fraction(lam).as_integer_ratio()
     r, s = Fraction(x).as_integer_ratio()
-    weights = [stirling1(n, k) * p ** (n - k) * q**k for k in range(n + 1)]
+    s1_rows, s2_rows = stirling_rows(n)
+    coeffs = [0] * (n + 1)  # N_m, summed one stirling2 row k at a time
+    for k, s1 in enumerate(s1_rows[n]):
+        weight = s1 * p ** (n - k) * q**k
+        for m, s2 in enumerate(s2_rows[k]):
+            coeffs[m] += weight * s2
     q_n = q**n
     value = 0.0
     for m in range(n, -1, -1):
-        exact = sum(weights[k] * stirling2(k, m) for k in range(m, n + 1))
-        value = value * big_l + exact * r**m / (q_n * s**m)
+        value = value * big_l + coeffs[m] * r**m / (q_n * s**m)
     return value
 
 
@@ -181,7 +186,10 @@ def dobinski_degenerate(
     big_l = _check_lambda(lam)
     _check_x(x)
     total = _weighted_sum(x * big_l, falling or _falling_row(n, lam, terms), "Dobinski series")
-    value = math.exp(-x * big_l) * total
+    try:
+        value = math.exp(-x * big_l) * total
+    except OverflowError:  # exp(-x L) alone is out of range
+        value = math.inf
     if not math.isfinite(value):
         raise OverflowError("Dobinski series sum overflows")
     return value

@@ -20,6 +20,7 @@ from degenbell.classical import (
     falling_factorial_general,
     stirling1,
     stirling2,
+    stirling_rows,
 )
 from degenbell.poly import LAM, MPoly, X
 
@@ -183,6 +184,20 @@ def test_stirling_caches_survive_concurrent_first_use(monkeypatch):
             assert seen == [[(first[n // 2], second[n // 2]) for n, (first, second) in enumerate(expected)]] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_stirling_rows_grow_the_caches_bound_at_call_time(monkeypatch):
+    # Whole-row readers see the caches through the module globals, so a
+    # fresh cache installed later is the one they grow.
+    monkeypatch.setattr(classical, "_S1_ROWS", [[1]])
+    monkeypatch.setattr(classical, "_S2_ROWS", [[1]])
+    s1_rows, s2_rows = stirling_rows(6)
+    assert s1_rows is classical._S1_ROWS and s2_rows is classical._S2_ROWS
+    assert len(s1_rows) == len(s2_rows) == 7
+    assert s1_rows[6] == [0, -120, 274, -225, 85, -15, 1]
+    assert s2_rows[6] == [0, 1, 31, 90, 65, 15, 1]
+    with pytest.raises(ValueError):
+        stirling_rows(-1)
 
 
 # -- Bell polynomials ----------------------------------------------------------------

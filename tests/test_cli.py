@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
@@ -232,17 +234,19 @@ def test_eval_dobinski_overflow_is_usage_error(flags, capsys):
 
 
 def test_eval_dobinski_sum_overflow_is_usage_error(capsys):
-    # Every term is finite but exp(-x L) times their sum is not: a float
-    # overflow (exit 2), not an identity failure (exit 1).
-    code = cli.main(["eval", "--n", "3", "--lambda", "0.5", "--x=-800", "--dobinski"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert line == (
-        "degenbell: error: the value at n=3, lambda=0.5, x=-800.0 is out of float range "
-        "(Dobinski series sum overflows)"
-    )
+    # Every term is finite but exp(-x L) times their sum is not (x = -800),
+    # or exp(-x L) alone is not (x = -1000): a float overflow (exit 2) that
+    # names the sum, not an identity failure (exit 1).
+    for x in ("-800", "-1000"):
+        code = cli.main(["eval", "--n", "3", "--lambda", "0.5", f"--x={x}", "--dobinski"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"degenbell: error: the value at n=3, lambda=0.5, x={x}.0 is out of float range "
+            "(Dobinski series sum overflows)"
+        )
     # Underflow stays a reported failure, not an error.
     code, out = run_cli(["eval", "--n", "3", "--lambda", "0.5", "--x", "1000", "--dobinski"], capsys)
     assert code == 1
@@ -273,6 +277,80 @@ def test_eval_dobinski_evaluates_closed_form_once(monkeypatch, capsys):
     assert code == 0
     assert calls == [(4, 0.5, 1.0)]
     assert out.splitlines()[0] == f"value {original(4, 0.5, 1.0)!r}"
+
+
+# (command, exit code, SHA-256 of stdout, stderr), each recorded from a fresh
+# `python -m degenbell` process with COLUMNS=80.
+FRESH_PROCESS_RUNS = [
+    ("eval --n 5 --lambda 0.37 --x 2.1 --dobinski", 0,
+     "f11314e49a2ba353187fbc508d9522831b1bb42b3faa170bd009afbbefd750e5", ""),
+    ("eval --n 5 --lambda 0.37 --x 2.1", 0,
+     "f81b1a1c2e24962e5fdb2f3b50da178d9d30a1a68c0a1fbd8c5c5ab829416219", ""),
+    ("table --family dstirling --n-max 3", 0,
+     "e7c1f6c630a2c97451510e8dd9e4d49b8fbecbd76ceef74dd5ef37a7c7b3a23c", ""),
+    ("eval --n 5 --lambda 0.37 --x 2.1 --tol 0", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: --tol must be > 0\n"),
+    ("eval --help", 0,
+     "67179f5eea6c26c7b516137ab955bcab5d6b53579957081aafa13997f87fe66e", ""),
+    ("verify --n-max 1", 0,
+     "c7decc7512e89247ed74064b4ed6078dd1c3e5021b228a09bc681b4c1274aee8", ""),
+]
+
+
+def test_cached_parser_carries_no_state_between_calls(monkeypatch, capsys):
+    # One process, one parser: each command, after every other kind
+    # (a flag set or unset, an error, --help), gives a fresh process's bytes.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for command, code, digest, err in FRESH_PROCESS_RUNS:
+            try:
+                got = cli.main(command.split())
+            except SystemExit as exc:
+                got = exc.code
+            captured = capsys.readouterr()
+            out_digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+            assert (got, out_digest, captured.err) == (code, digest, err), command
+
+
+def test_parse_config_threads_get_their_own_namespace():
+    argvs = [
+        ["eval", "--n", "5", "--lambda", "0.37", "--x", "2.1", "--dobinski"],
+        ["eval", "--n", "7", "--lambda", "-0.5", "--x", "1e10", "--terms", "30", "--format", "json"],
+        ["table", "--family", "dbell", "--n-max", "4", "--format", "csv"],
+        ["verify", "--n-max", "3", "--tol", "1e-6", "--output", "report.txt"],
+    ]
+    expected = [vars(cli.parse_config(argv)) for argv in argvs]
+    assert expected[0] == {
+        "command": "eval", "n_max": 5, "lam": 0.37, "x": 2.1, "dobinski": True,
+        "terms": numeric.DEFAULT_TERMS, "tol": numeric.DEFAULT_TOL, "fmt": "text", "output": None,
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cli._build_parser.cache_clear()  # the first build races too
+            barrier = threading.Barrier(len(argvs))
+            seen, errors = [[] for _ in argvs], []
+
+            def parse(i):
+                try:
+                    barrier.wait()
+                    seen[i].extend(vars(cli.parse_config(argvs[i])) for _ in range(20))
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(argvs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert seen == [[namespace] * 20 for namespace in expected]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # SHA-256 of stdout for fixed commands, all of which exit 0.  Any change to

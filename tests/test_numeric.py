@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenbell.classical import stirling1
+from degenbell.classical import stirling1, stirling2
 from degenbell.degenerate import degenerate_bell
 from degenbell.numeric import (
     NumericCheck,
@@ -97,6 +97,41 @@ def test_eval_matches_substituted_polynomial_bytes():
         for lam, x in points:
             expected = _outcome(_substituted_eval, poly, lam, x)
             assert _outcome(eval_bel_numeric, n, lam, x) == expected, (n, lam, x)
+
+
+def _per_entry_eval(n, lam, x):
+    """The evaluator as it stood before it read whole Stirling rows: the
+    same integer N_m, one validated stirling2(k, m) call per entry."""
+    big_l = math.log1p(lam) / lam
+    p, q = Fraction(lam).as_integer_ratio()
+    r, s = Fraction(x).as_integer_ratio()
+    weights = [stirling1(n, k) * p ** (n - k) * q**k for k in range(n + 1)]
+    q_n = q**n
+    value = 0.0
+    for m in range(n, -1, -1):
+        exact = sum(weights[k] * stirling2(k, m) for k in range(m, n + 1))
+        value = value * big_l + exact * r**m / (q_n * s**m)
+    return value
+
+
+def _outcome_text(fn, *args):
+    try:
+        return repr(fn(*args))
+    except OverflowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_eval_matches_per_entry_stirling_sums():
+    # The whole cross grid up to n = 40: the same float, or the same
+    # overflow message, at every point.
+    rng = random.Random(20151014)
+    lambdas = [rng.uniform(-0.95, 2.0) for _ in range(3)] + [-0.9, -0.5, -0.999999, 1e-8, 3.0, 100.0]
+    xs = [0.0, -1.5, 1e-300, 1e10, 1e200, -3.7e-5, 2.0]
+    for n in range(41):
+        for lam in lambdas:
+            for x in xs:
+                expected = _outcome_text(_per_entry_eval, n, lam, x)
+                assert _outcome_text(eval_bel_numeric, n, lam, x) == expected, (n, lam, x)
 
 
 @pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
