@@ -19,16 +19,16 @@ from .series import (
     Series,
     degenerate_exp_composita,
     degenerate_exp_minus_one,
-    oracle_degenerate_bell,
-    oracle_degenerate_stirling2,
+    oracle_degenerate_bell_table,
+    oracle_degenerate_stirling2_table,
     series_mul,
 )
 from .degenerate import (
     VerificationReport,
     composition_coefficient,
-    dbell_via_classical_bell,
-    dbell_via_composita,
-    dbell_via_recurrence,
+    dbell_classical_bell_table,
+    dbell_composita_table,
+    dbell_recurrence_table,
     dbell_via_stirling_pair,
     degenerate_bell,
     degenerate_stirling2,
@@ -62,9 +62,9 @@ __all__ = [
     "binomial",
     "classical_dobinski_check",
     "composition_coefficient",
-    "dbell_via_classical_bell",
-    "dbell_via_composita",
-    "dbell_via_recurrence",
+    "dbell_classical_bell_table",
+    "dbell_composita_table",
+    "dbell_recurrence_table",
     "dbell_via_stirling_pair",
     "degenerate_bell",
     "degenerate_exp_composita",
@@ -77,8 +77,8 @@ __all__ = [
     "falling_factorial_general",
     "limit_lambda_zero",
     "limit_sweep",
-    "oracle_degenerate_bell",
-    "oracle_degenerate_stirling2",
+    "oracle_degenerate_bell_table",
+    "oracle_degenerate_stirling2_table",
     "run_full_suite",
     "scaled_bell_series_check",
     "series_mul",

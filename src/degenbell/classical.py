@@ -25,25 +25,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _grow(rows: list[list[int]], n: int, weight) -> None:
-    """Extend `rows` through row n of the triangle
-    T(m, k) = T(m-1, k-1) + weight(m, k) T(m-1, k).  The length is tested
-    again under the lock, so two threads never build the same row."""
-    with _GROW_LOCK:
-        while len(rows) <= n:
-            m = len(rows)
-            prev = rows[-1] + [0]
-            rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 1)])
-
-
-def _s1_weight(m: int, k: int) -> int:
-    return 1 - m  # (z)_m = (z - (m-1)) (z)_{m-1}
-
-
-def _s2_weight(m: int, k: int) -> int:
-    return k
-
-
 def _check_pair(n: int, k: int) -> None:
     if n < 0 or k < 0:
         raise ValueError(f"Stirling numbers need n, k >= 0, got n={n}, k={k}")
@@ -55,29 +36,36 @@ def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind: coefficient of z^k in
     the falling factorial z(z-1)...(z-n+1)."""
     _check_pair(n, k)
-    if len(_S1_ROWS) <= n:
-        _grow(_S1_ROWS, n, _s1_weight)
-    return _S1_ROWS[n][k]
+    return stirling_rows(n)[0][n][k]
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: k-block set partitions of an n-set."""
     _check_pair(n, k)
-    if len(_S2_ROWS) <= n:
-        _grow(_S2_ROWS, n, _s2_weight)
-    return _S2_ROWS[n][k]
+    return stirling_rows(n)[1][n][k]
 
 
 def stirling_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Both caches, grown through row n: (stirling1 rows, stirling2 rows),
     row m holding k = 0..m.  For callers that read whole rows; never change
-    them."""
+    them.
+
+    Row m of each triangle comes from row m - 1:
+    s1(m, k) = s1(m-1, k-1) + (1 - m) s1(m-1, k), since
+    (z)_m = (z - (m-1)) (z)_{m-1}, and s2(m, k) = s2(m-1, k-1) + k s2(m-1, k).
+    Both grow together, the stirling2 row last, so a stirling2 cache longer
+    than n means both hold row n.  The length is tested again under the
+    lock, so two threads never build the same row.
+    """
     _check_pair(n, 0)
     s1_rows, s2_rows = _S1_ROWS, _S2_ROWS
-    if len(s1_rows) <= n:
-        _grow(s1_rows, n, _s1_weight)
     if len(s2_rows) <= n:
-        _grow(s2_rows, n, _s2_weight)
+        with _GROW_LOCK:
+            while len(s2_rows) <= n:
+                m = len(s2_rows)
+                s1, s2 = s1_rows[-1] + [0], s2_rows[-1] + [0]
+                s1_rows.append([0] + [s1[k - 1] + (1 - m) * s1[k] for k in range(1, m + 1)])
+                s2_rows.append([0] + [s2[k - 1] + k * s2[k] for k in range(1, m + 1)])
     return s1_rows, s2_rows
 
 
@@ -85,7 +73,7 @@ def bell_polynomial(n: int) -> MPoly:
     """The exponential polynomial: sum of stirling2(n, k) * x^k over k."""
     if n < 0:
         raise ValueError(f"bell_polynomial needs n >= 0, got {n}")
-    return MPoly._trusted({(0, 0, k, 0): stirling2(n, k) for k in range(n + 1)})
+    return MPoly._trusted({(0, 0, k, 0): s2 for k, s2 in enumerate(stirling_rows(n)[1][n])})
 
 
 def falling_factorial_general(z: MPoly | Scalar, n: int) -> MPoly:

@@ -1,10 +1,12 @@
 """Closed-form constructors for degenerate Bell polynomials and degenerate
 Stirling numbers of the second kind, plus exact identity verifiers.
 
-Every constructor returns the same canonical polynomial in Q[lambda, L, x]
-(L standing in for log(1 + lambda)/lambda); the verifiers play the
-constructors against each other and against the series oracle, reporting
-the first mismatching n if any.
+Every constructor gives the same canonical polynomials in Q[lambda, L, x]
+(L standing in for log(1 + lambda)/lambda).  The closed sums take one n;
+the forms that build row n from earlier rows (`*_table`) return rows
+0..n_max from one pass.  The verifiers take those rows and play the forms
+against each other and against the series oracle, reporting the first
+mismatching n if any.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
-from .classical import bell_polynomial, binomial, falling_factorial_general, stirling1, stirling2
+from .classical import bell_polynomial, binomial, falling_factorial_general, stirling1, stirling_rows
 from .series import degenerate_exp_composita
 
 
@@ -69,7 +71,8 @@ def degenerate_stirling2(n: int, m: int) -> MPoly:
     stirling1(n,k) * stirling2(k,m) * lambda^(n-k) for k = m..n."""
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return MPoly._trusted({(n - k, 0, 0, 0): stirling1(n, k) * stirling2(k, m) for k in range(m, n + 1)})
+    s1, s2 = stirling_rows(n)
+    return MPoly._trusted({(n - k, 0, 0, 0): s1[n][k] * s2[k][m] for k in range(m, n + 1)})
 
 
 def degenerate_bell(n: int) -> MPoly:
@@ -88,40 +91,50 @@ def dbell_via_stirling_pair(n: int) -> MPoly:
     weights and L^m x^m attached."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    s1, s2 = stirling_rows(n)
     return MPoly._trusted(
-        {(n - k, m, m, 0): stirling1(n, k) * stirling2(k, m) for k in range(n + 1) for m in range(k + 1)}
+        {(n - k, m, m, 0): s1[n][k] * s2[k][m] for k in range(n + 1) for m in range(k + 1)}
     )
 
 
-def dbell_via_classical_bell(n: int) -> MPoly:
-    """Expansion through classical Bell polynomials taken at the rescaled
-    argument x*L; only stated for n >= 1."""
-    if n < 1:
-        raise ValueError(f"this expansion needs n >= 1, got {n}")
-    rescaled = [bell_polynomial(j).substitute({"x": X * L}) for j in range(n)]
+def binomial_convolution(a: Sequence[MPoly], b: Sequence[MPoly], n: int) -> MPoly:
+    """The binomial convolution: sum of C(n, k) a[k] b[n-k] for k = 0..n."""
     acc = MPoly.zero()
-    for k in range(1, n + 1):
-        s1 = stirling1(n, k)
-        if s1 == 0:
-            continue
-        lam_power = LAM ** (n - k)
-        for j in range(1, k + 1):
-            acc = acc + s1 * binomial(k - 1, j - 1) * lam_power * rescaled[j - 1]
-    return L * X * acc
+    for k in range(n + 1):
+        acc = acc + binomial(n, k) * a[k] * b[n - k]
+    return acc
 
 
-def composition_coefficient(n: int) -> MPoly:
-    """Ordinary coefficient of t^n in the composed generating function,
-    via composita: sum of composita(n,k) * (L x)^k / k!.
+def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
+    """Rows 0..n_max of the expansion through classical Bell polynomials
+    taken at the rescaled argument x*L.  The expansion is stated for
+    n >= 1; row 0 is Bel_0 = 1, which it does not produce.
 
-    This is the exponential value divided by n!; `dbell_via_composita`
+    Row n is x L times the sum over k of stirling1(n,k) lambda^(n-k) c_k,
+    where c_k, the sum of C(k-1, j-1) Bel_{j-1}(x L) over j = 1..k, does
+    not depend on n: each n appends one rescaled Bell polynomial and one c_n.
+    """
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    rescaled: list[MPoly] = []
+    inner: list[MPoly] = []
+    table = [MPoly.one()]
+    for n in range(1, n_max + 1):
+        rescaled.append(bell_polynomial(n - 1).substitute({"x": X * L}))
+        inner.append(sum((binomial(n - 1, j) * rescaled[j] for j in range(n)), MPoly.zero()))
+        acc = sum((stirling1(n, k) * LAM ** (n - k) * inner[k - 1] for k in range(1, n + 1)), MPoly.zero())
+        table.append(L * X * acc)
+    return table
+
+
+def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
+    """Ordinary coefficient of t^n (n >= 1) in the composed generating
+    function, via composita: sum of composita(n,k) * (L x)^k / k!, given
+    falling[j - 1] = (j | lambda)_n for j = 1..n.
+
+    This is the exponential value divided by n!; `dbell_composita_table`
     restores the n! to land on the degenerate Bell polynomial itself.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return MPoly.one()
-    falling = [falling_factorial_general(j, n) for j in range(1, n + 1)]
     acc = MPoly.zero()
     for k in range(1, n + 1):
         r_k = (L * X) ** k * Fraction(1, factorial(k))
@@ -129,27 +142,32 @@ def composition_coefficient(n: int) -> MPoly:
     return acc
 
 
-def dbell_via_composita(n: int) -> MPoly:
-    """Degenerate Bell polynomial assembled from the composita of the
-    inner series: n! times the ordinary composition coefficient."""
-    if n == 0:
-        return MPoly.one()
-    return composition_coefficient(n) * factorial(n)
+def dbell_composita_table(n_max: int) -> list[MPoly]:
+    """Rows 0..n_max of the degenerate Bell polynomial assembled from the
+    composita of the inner series: n! times the ordinary composition
+    coefficient.  Each n grows every (j | lambda)_n by one factor
+    (j - (n-1) lambda)."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    falling = [MPoly.one()] * n_max  # (j | lambda)_0 for j = 1..n_max
+    table = [MPoly.one()]
+    for n in range(1, n_max + 1):
+        falling = [f * (j - (n - 1) * LAM) for j, f in enumerate(falling, 1)]
+        table.append(composition_coefficient(n, falling) * factorial(n))
+    return table
 
 
-def dbell_via_recurrence(n: int) -> MPoly:
-    """Iterate the one-step recurrence up from 1: each step multiplies by
-    x*L and convolves with the lambda-step falling factorials of 1-lambda."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    falling = [falling_factorial_general(1 - LAM, k) for k in range(n)]
+def dbell_recurrence_table(n_max: int) -> list[MPoly]:
+    """Rows 0..n_max of the one-step recurrence iterated up from 1: each
+    step multiplies by x*L the binomial convolution of the rows so far with
+    the lambda-step falling factorials of 1-lambda."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    falling = [falling_factorial_general(1 - LAM, k) for k in range(n_max)]
     bells = [MPoly.one()]
-    for m in range(n):
-        step = MPoly.zero()
-        for k in range(m + 1):
-            step = step + binomial(m, k) * bells[k] * falling[m - k]
-        bells.append(X * L * step)
-    return bells[n]
+    for m in range(n_max):
+        bells.append(X * L * binomial_convolution(bells, falling, m))
+    return bells
 
 
 def limit_lambda_zero(p: MPoly) -> MPoly:
@@ -161,52 +179,49 @@ def limit_lambda_zero(p: MPoly) -> MPoly:
 # -- verifiers ------------------------------------------------------------
 
 
-def verify_addition(n_max: int) -> VerificationReport:
-    """Binomial addition law in Q[lambda, L, x, y]: the polynomial at x+y
-    against the binomial convolution of the polynomials at x and at y."""
-    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+def verify_addition(bells: list[MPoly]) -> VerificationReport:
+    """Binomial addition law in Q[lambda, L, x, y], given bells[n] =
+    Bel_n for n = 0..n_max: the polynomial at x+y against the binomial
+    convolution of the polynomials at x and at y."""
     at_y = [bell.substitute({"x": Y}) for bell in bells]
-
-    def sides(n: int) -> tuple[MPoly, MPoly]:
-        lhs = bells[n].substitute({"x": X + Y})
-        rhs = MPoly.zero()
-        for m in range(n + 1):
-            rhs = rhs + binomial(n, m) * bells[m] * at_y[n - m]
-        return lhs, rhs
-
-    return sweep_identity("addition", 0, n_max, sides)
+    return sweep_identity(
+        "addition",
+        0,
+        len(bells) - 1,
+        lambda n: (bells[n].substitute({"x": X + Y}), binomial_convolution(bells, at_y, n)),
+    )
 
 
-def verify_derivative(n_max: int) -> VerificationReport:
-    """Derivative reduction: (1/L) d/dx of the degree-n polynomial equals
-    the binomial convolution with the falling factorials of 1.
+def verify_derivative(bells: list[MPoly]) -> VerificationReport:
+    """Derivative reduction, given bells[n] = Bel_n for n = 0..n_max:
+    (1/L) d/dx of the degree-n polynomial equals the binomial convolution
+    with the falling factorials of 1 over m = 0..n-1.  The convolution
+    reads (1 | lambda)_k for k >= 1 and 0 at k = 0, which drops m = n.
 
     The 1/L factor is realized as an exact L-exponent decrement; if some
     term of the derivative carried no L at all the check fails outright
     (recorded with both sides multiplied back by L).
     """
-    bells = [degenerate_bell(n) for n in range(n_max + 1)]
-    falling = [falling_factorial_general(1, k) for k in range(n_max + 1)]
+    falling = [MPoly.zero()] + [falling_factorial_general(1, k) for k in range(1, len(bells))]
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
         derivative = bells[n].derivative_x()
-        rhs = MPoly.zero()
-        for m in range(n):
-            rhs = rhs + binomial(n, m) * bells[m] * falling[n - m]
+        rhs = binomial_convolution(bells, falling, n)
         try:
             return derivative.exact_div_var("L"), rhs
         except ValueError:
             return derivative, L * rhs
 
-    return sweep_identity("derivative", 1, n_max, sides)
+    return sweep_identity("derivative", 1, len(bells) - 1, sides)
 
 
 __all__ = [
     "VerificationReport",
+    "binomial_convolution",
     "composition_coefficient",
-    "dbell_via_classical_bell",
-    "dbell_via_composita",
-    "dbell_via_recurrence",
+    "dbell_classical_bell_table",
+    "dbell_composita_table",
+    "dbell_recurrence_table",
     "dbell_via_stirling_pair",
     "degenerate_bell",
     "degenerate_stirling2",

@@ -20,8 +20,8 @@ numerator is zero, the denominator and all numerators have gcd 1, and the
 zero polynomial is the empty map over 1.  Two polynomials are then equal
 iff their maps and denominators are equal, and arithmetic on the integer
 coefficients the Bell and Stirling constructors produce never leaves the
-integers.  `items()`, `coefficient()` and `eval_exact()` give each term's
-value as a reduced `fractions.Fraction`.  Wherever an ordering of terms is
+integers.  `items()` gives each term's value, and `eval_exact()` the
+polynomial's, as a reduced `fractions.Fraction`.  Wherever an ordering of terms is
 needed (JSON serialization, pretty printing) the graded lexicographic
 order with the largest term first is used.
 """
@@ -155,19 +155,6 @@ class MPoly:
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
         return tuple((e, Fraction(num, den)) for e, num, den in self._reduced_terms())
-
-    def coefficient(self, exponents: Exponents) -> Fraction:
-        return Fraction(self._num.get(_check_exponents(exponents), 0), self._den)
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of `name` across terms; -1 for the zero polynomial."""
-        index = _VAR_INDEX[name]
-        if not self._num:
-            return -1
-        return max(exponents[index] for exponents in self._num)
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def __bool__(self) -> bool:
         return bool(self._num)

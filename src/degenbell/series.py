@@ -114,11 +114,6 @@ def oracle_degenerate_bell_table(rows: list[list[MPoly]]) -> list[MPoly]:
     return [sum((s * p for s, p in zip(row, xl_powers)), MPoly.zero()) for row in rows]
 
 
-def oracle_degenerate_bell(n: int) -> MPoly:
-    """Degenerate Bell polynomial of degree n from its generating function."""
-    return oracle_degenerate_bell_table(oracle_degenerate_stirling2_table(n))[n]
-
-
 def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
     """Degenerate Stirling numbers of the second kind from their generating
     function: row n holds S2(n, m|lambda) for m = 0..n, each (n!/m!) times
@@ -139,20 +134,11 @@ def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
     ]
 
 
-def oracle_degenerate_stirling2(n: int, m: int) -> MPoly:
-    """Degenerate Stirling number S2(n, m|lambda) from its generating function."""
-    if m < 0 or n < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return oracle_degenerate_stirling2_table(n)[n][m]
-
-
 __all__ = [
     "Series",
     "degenerate_exp_composita",
     "degenerate_exp_minus_one",
-    "oracle_degenerate_bell",
     "oracle_degenerate_bell_table",
-    "oracle_degenerate_stirling2",
     "oracle_degenerate_stirling2_table",
     "series_mul",
 ]

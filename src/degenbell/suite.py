@@ -6,12 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import L, LAM, MPoly, X
-from .classical import bell_polynomial, binomial, falling_factorial_general
+from .classical import bell_polynomial, falling_factorial_general
 from .degenerate import (
     VerificationReport,
-    dbell_via_classical_bell,
-    dbell_via_composita,
-    dbell_via_recurrence,
+    binomial_convolution,
+    dbell_classical_bell_table,
+    dbell_composita_table,
+    dbell_recurrence_table,
     dbell_via_stirling_pair,
     degenerate_bell,
     degenerate_stirling2,
@@ -49,21 +50,22 @@ class SuiteResult:
         return all(r.passed for r in self.reports) and all(c.passed for c in self.checks)
 
 
-def constructor_reports(rows: list[list[MPoly]]) -> list[VerificationReport]:
-    """Each closed-form constructor against the series oracle for n up to
-    n_max, given the rows `oracle_degenerate_stirling2_table(n_max)`."""
+def constructor_reports(rows: list[list[MPoly]], bells: list[MPoly]) -> list[VerificationReport]:
+    """Each closed form's rows against the series oracle for n up to n_max,
+    given the rows `oracle_degenerate_stirling2_table(n_max)` and the
+    canonical rows bells[n] = degenerate_bell(n)."""
     n_max = len(rows) - 1
     oracle = oracle_degenerate_bell_table(rows)
-    pairs = [
-        ("stirling_pair_vs_oracle", 0, dbell_via_stirling_pair),
-        ("degenerate_stirling_sum_vs_oracle", 0, degenerate_bell),
-        ("classical_bell_expansion_vs_oracle", 1, dbell_via_classical_bell),
-        ("composita_vs_oracle", 0, dbell_via_composita),
-        ("recurrence_vs_oracle", 0, dbell_via_recurrence),
+    tables = [
+        ("stirling_pair_vs_oracle", 0, [dbell_via_stirling_pair(n) for n in range(n_max + 1)]),
+        ("degenerate_stirling_sum_vs_oracle", 0, bells),
+        ("classical_bell_expansion_vs_oracle", 1, dbell_classical_bell_table(n_max)),
+        ("composita_vs_oracle", 0, dbell_composita_table(n_max)),
+        ("recurrence_vs_oracle", 0, dbell_recurrence_table(n_max)),
     ]
     return [
-        sweep_identity(name, lo, n_max, lambda n, f=fn: (f(n), oracle[n]))
-        for name, lo, fn in pairs
+        sweep_identity(name, lo, n_max, lambda n, t=table: (t[n], oracle[n]))
+        for name, lo, table in tables
     ]
 
 
@@ -80,58 +82,55 @@ def degenerate_stirling_report(rows: list[list[MPoly]]) -> VerificationReport:
     return sweep_identity("degenerate_stirling_closed_vs_oracle", 0, len(rows) - 1, sides)
 
 
-def classical_limit_report(n_max: int) -> VerificationReport:
+def classical_limit_report(bells: list[MPoly], classical: list[MPoly]) -> VerificationReport:
+    """bells[n] = degenerate_bell(n) tends to classical[n] =
+    bell_polynomial(n) under lambda -> 0, L -> 1."""
     return sweep_identity(
-        "classical_limit",
-        0,
-        n_max,
-        lambda n: (limit_lambda_zero(degenerate_bell(n)), bell_polynomial(n)),
+        "classical_limit", 0, len(bells) - 1, lambda n: (limit_lambda_zero(bells[n]), classical[n])
     )
 
 
-def classical_recurrence_report(n_max: int) -> VerificationReport:
-    """One-step classical recurrence with step index up to n_max (so the
-    produced polynomial reaches degree n_max + 1)."""
-    bells = [bell_polynomial(n) for n in range(n_max + 2)]
+def classical_recurrence_report(classical: list[MPoly]) -> VerificationReport:
+    """One-step classical recurrence, given classical[n] = bell_polynomial(n)
+    for n = 0..n_max + 1: the step index runs to n_max, so the produced
+    polynomial reaches degree n_max + 1."""
+    ones = [MPoly.one()] * len(classical)
+    return sweep_identity(
+        "classical_recurrence",
+        0,
+        len(classical) - 2,
+        lambda n: (classical[n + 1], X * binomial_convolution(classical, ones, n)),
+    )
+
+
+def recurrence_limit_report(bells: list[MPoly], classical: list[MPoly]) -> VerificationReport:
+    """The degenerate one-step recurrence over bells[n] = degenerate_bell(n)
+    collapses under lambda -> 0, L -> 1 to the classical one over
+    classical[n] = bell_polynomial(n)."""
+    falling = [falling_factorial_general(1 - LAM, k) for k in range(len(bells))]
+    ones = [MPoly.one()] * len(bells)
 
     def sides(n: int) -> tuple[MPoly, MPoly]:
-        rhs = MPoly.zero()
-        for j in range(n + 1):
-            rhs = rhs + binomial(n, j) * bells[j]
-        return bells[n + 1], X * rhs
+        degenerate_step = limit_lambda_zero(X * L * binomial_convolution(bells, falling, n))
+        return degenerate_step, X * binomial_convolution(classical, ones, n)
 
-    return sweep_identity("classical_recurrence", 0, n_max, sides)
-
-
-def recurrence_limit_report(n_max: int) -> VerificationReport:
-    """The degenerate one-step recurrence collapses to the classical one
-    under lambda -> 0, L -> 1."""
-    bells = [degenerate_bell(n) for n in range(n_max + 1)]
-    classical = [bell_polynomial(n) for n in range(n_max + 1)]
-    falling = [falling_factorial_general(1 - LAM, k) for k in range(n_max + 1)]
-
-    def sides(n: int) -> tuple[MPoly, MPoly]:
-        step = MPoly.zero()
-        for k in range(n + 1):
-            step = step + binomial(n, k) * bells[k] * falling[n - k]
-        degenerate_step = limit_lambda_zero(X * L * step)
-        classical_step = MPoly.zero()
-        for j in range(n + 1):
-            classical_step = classical_step + binomial(n, j) * classical[j]
-        return degenerate_step, X * classical_step
-
-    return sweep_identity("recurrence_classical_limit", 0, n_max, sides)
+    return sweep_identity("recurrence_classical_limit", 0, len(bells) - 1, sides)
 
 
 def exact_reports(n_max: int) -> list[VerificationReport]:
+    """Every exact sweep for n up to n_max.  The oracle rows, the canonical
+    rows degenerate_bell(n) and the classical Bell polynomials through
+    n_max + 1 are built once here and passed to each report that reads them."""
     rows = oracle_degenerate_stirling2_table(n_max)
-    reports = constructor_reports(rows)
+    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+    classical = [bell_polynomial(n) for n in range(n_max + 2)]
+    reports = constructor_reports(rows, bells)
     reports.append(degenerate_stirling_report(rows))
-    reports.append(verify_addition(n_max))
-    reports.append(verify_derivative(n_max))
-    reports.append(classical_limit_report(n_max))
-    reports.append(classical_recurrence_report(n_max))
-    reports.append(recurrence_limit_report(n_max))
+    reports.append(verify_addition(bells))
+    reports.append(verify_derivative(bells))
+    reports.append(classical_limit_report(bells, classical))
+    reports.append(classical_recurrence_report(classical))
+    reports.append(recurrence_limit_report(bells, classical))
     return reports
 
 

@@ -211,7 +211,7 @@ def test_bell_polynomial_small():
 
 def test_bell_polynomial_degree_six_x2_coefficient():
     # Pinned by the brute-force partition count, 2^5 - 1 = 31.
-    assert bell_polynomial(6).coefficient((0, 0, 2, 0)) == 31
+    assert dict(bell_polynomial(6).items())[(0, 0, 2, 0)] == 31
 
 
 def test_bell_numbers_at_one():
@@ -249,9 +249,9 @@ def test_falling_factorial_homogenizes_stirling1():
     # The coefficient of lambda^(n-k) x^k in x(x - lambda)...(x - (n-1)lambda)
     # is the signed first-kind number.
     for n in range(13):
-        p = falling_factorial_general(X, n)
+        terms = dict(falling_factorial_general(X, n).items())
         for k in range(n + 1):
-            assert p.coefficient((n - k, 0, k, 0)) == stirling1(n, k)
+            assert terms.get((n - k, 0, k, 0), 0) == stirling1(n, k)
 
 
 def test_falling_factorial_rejects_negative():

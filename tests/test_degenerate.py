@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+from degenbell.classical import falling_factorial_general
 from degenbell.degenerate import (
     VerificationReport,
+    binomial_convolution,
     composition_coefficient,
-    dbell_via_classical_bell,
-    dbell_via_composita,
-    dbell_via_recurrence,
+    dbell_classical_bell_table,
+    dbell_composita_table,
+    dbell_recurrence_table,
     dbell_via_stirling_pair,
     degenerate_bell,
     degenerate_stirling2,
@@ -25,7 +27,9 @@ from degenbell.degenerate import (
     verify_derivative,
 )
 from degenbell.poly import L, LAM, MPoly, X
-from degenbell.series import oracle_degenerate_bell, oracle_degenerate_stirling2
+from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
+
+TABLES = (dbell_classical_bell_table, dbell_composita_table, dbell_recurrence_table)
 
 BEL2 = L**2 * X**2 + (1 - LAM) * L * X
 BEL3 = (1 - 3 * LAM + 2 * LAM**2) * L * X + (3 - 3 * LAM) * L**2 * X**2 + L**3 * X**3
@@ -47,9 +51,10 @@ def test_degenerate_stirling_rejects_m_above_n():
 
 
 def test_degenerate_stirling_matches_oracle():
+    rows = oracle_degenerate_stirling2_table(12)
     for n in range(13):
         for m in range(n + 1):
-            assert degenerate_stirling2(n, m) == oracle_degenerate_stirling2(n, m)
+            assert degenerate_stirling2(n, m) == rows[n][m]
 
 
 # -- constructors ---------------------------------------------------------------
@@ -68,54 +73,70 @@ def test_canonical_form_small():
 
 
 def test_classical_bell_form_small():
-    assert dbell_via_classical_bell(1) == L * X
-    assert dbell_via_classical_bell(2) == BEL2
-    assert dbell_via_classical_bell(3) == degenerate_bell(3)
+    assert dbell_classical_bell_table(3) == [MPoly.one(), L * X, BEL2, degenerate_bell(3)]
 
 
-def test_classical_bell_form_rejects_zero():
-    with pytest.raises(ValueError):
-        dbell_via_classical_bell(0)
+def test_classical_bell_table_rejects_negative_order():
+    # The expansion is stated for n >= 1; its table starts from Bel_0 = 1,
+    # so n_max = 0 gives that row alone and only a negative bound is refused.
+    assert dbell_classical_bell_table(0) == [MPoly.one()]
+    for table in TABLES:
+        with pytest.raises(ValueError):
+            table(-1)
 
 
 def test_composita_form_small():
-    assert dbell_via_composita(0) == MPoly.one()
-    assert dbell_via_composita(1) == L * X
-    assert dbell_via_composita(2) == BEL2
+    assert dbell_composita_table(2) == [MPoly.one(), L * X, BEL2]
 
 
 def test_composita_normalization_control():
     # The ordinary composition coefficient is the exponential value divided
     # by n!; keeping it unscaled must NOT reproduce the degree-2 polynomial.
-    a2 = composition_coefficient(2)
+    a2 = composition_coefficient(2, [falling_factorial_general(j, 2) for j in (1, 2)])
     assert a2 != degenerate_bell(2)
     assert a2 * 2 == degenerate_bell(2)
 
 
 def test_recurrence_form_small():
-    assert dbell_via_recurrence(1) == L * X
-    assert dbell_via_recurrence(2) == BEL2
-    assert dbell_via_recurrence(3) == degenerate_bell(3)
+    assert dbell_recurrence_table(3) == [MPoly.one(), L * X, BEL2, degenerate_bell(3)]
 
 
 def test_six_way_equality_small():
+    oracle = oracle_degenerate_bell_table(oracle_degenerate_stirling2_table(8))
+    classical, composita, recurrence = (table(8) for table in TABLES)
     for n in range(9):
-        oracle = oracle_degenerate_bell(n)
-        assert dbell_via_stirling_pair(n) == oracle
-        assert degenerate_bell(n) == oracle
-        assert dbell_via_composita(n) == oracle
-        assert dbell_via_recurrence(n) == oracle
+        assert dbell_via_stirling_pair(n) == oracle[n]
+        assert degenerate_bell(n) == oracle[n]
+        assert composita[n] == oracle[n]
+        assert recurrence[n] == oracle[n]
         if n >= 1:
-            assert dbell_via_classical_bell(n) == oracle
+            assert classical[n] == oracle[n]
+
+
+def test_tables_are_prefixes_of_each_other():
+    # Row n does not depend on how far the table runs.
+    for table in TABLES:
+        full = table(8)
+        assert len(full) == 9
+        for n_max in range(9):
+            assert table(n_max) == full[: n_max + 1]
+
+
+def test_binomial_convolution_small():
+    a = [MPoly.one(), X, X**2]
+    b = [MPoly.one(), LAM, LAM**2]
+    assert binomial_convolution(a, b, 0) == MPoly.one()
+    # (x + lambda)^2, term by term
+    assert binomial_convolution(a, b, 2) == LAM**2 + 2 * X * LAM + X**2
 
 
 def test_structural_shape():
     for n in range(1, 11):
-        p = degenerate_bell(n)
-        assert p.coefficient((0, 0, 0, 0)) == 0
-        assert p.degree_in("x") == n
+        terms = dict(degenerate_bell(n).items())
+        assert (0, 0, 0, 0) not in terms
+        assert max(exps[2] for exps in terms) == n
         # every term pairs L and x with equal exponents
-        assert all(exps[1] == exps[2] for exps, _ in p.items())
+        assert all(exps[1] == exps[2] for exps in terms)
 
 
 # -- limits ----------------------------------------------------------------------
@@ -130,15 +151,18 @@ def test_limit_small():
 # -- verifiers ---------------------------------------------------------------------
 
 
+BELLS = [degenerate_bell(n) for n in range(11)]
+
+
 def test_addition_report_passes():
-    report = verify_addition(10)
+    report = verify_addition(BELLS)
     assert report.passed
     assert report.first_failure is None
     assert report.n_range == (0, 10)
 
 
 def test_derivative_report_passes():
-    report = verify_derivative(10)
+    report = verify_derivative(BELLS)
     assert report.passed
     assert report.n_range == (1, 10)
 
@@ -161,7 +185,7 @@ def test_report_consistency_enforced():
 
 
 def test_report_json_schema():
-    obj = verify_addition(3).to_json_obj()
+    obj = verify_addition(BELLS[:4]).to_json_obj()
     assert obj == {"identity": "addition", "range": [0, 3], "passed": True, "first_failure": None}
 
     failing = sweep_identity("broken", 1, 2, lambda n: (X, X + 1))

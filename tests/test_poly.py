@@ -42,7 +42,7 @@ def test_normalize_sums_duplicates():
 
 def test_normalize_reduces_fractions():
     p = MPoly.from_terms([((1, 1, 0, 0), Fraction(2, 4))])
-    assert p.coefficient((1, 1, 0, 0)) == Fraction(1, 2)
+    assert dict(p.items()) == {(1, 1, 0, 0): Fraction(1, 2)}
     assert len(p) == 1
 
 
@@ -279,7 +279,7 @@ def test_arithmetic_results_are_canonical(p, q, c):
     ]
     for result in results:
         _assert_canonical(result)
-    assert (p - p).is_zero()
+    assert not (p - p)
 
 
 # -- the integer representation against plain Fraction dicts --------------------

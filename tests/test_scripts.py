@@ -1,7 +1,5 @@
-"""Smoke tests for the standalone scripts under scripts/ and for the
-`python -m degenbell` entry point."""
+"""Smoke test for the `python -m degenbell` entry point."""
 
-import csv
 import os
 import subprocess
 import sys
@@ -18,22 +16,6 @@ def src_env() -> dict:
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return env
-
-
-def test_limit_convergence_error_shrinks():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "limit_convergence.py"), "--n", "4", "--x", "1"],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = list(csv.reader(proc.stdout.splitlines()))
-    assert header == ["lambda", "degenerate", "classical", "abs_error"]
-    errors = [float(row[3]) for row in rows]
-    assert len(errors) > 1
-    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
 
 
 def test_module_entry_point_writes_utf8(capsys):

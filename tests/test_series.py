@@ -12,9 +12,7 @@ from degenbell.series import (
     Series,
     degenerate_exp_composita,
     degenerate_exp_minus_one,
-    oracle_degenerate_bell,
     oracle_degenerate_bell_table,
-    oracle_degenerate_stirling2,
     oracle_degenerate_stirling2_table,
     series_mul,
 )
@@ -88,50 +86,55 @@ def test_composita_matches_power_extraction():
 
 # -- oracles -------------------------------------------------------------------
 
+STIRLING_ROWS = oracle_degenerate_stirling2_table(12)
+BELL_ROWS = oracle_degenerate_bell_table(STIRLING_ROWS)
+
 
 def test_oracle_bell_small():
-    assert oracle_degenerate_bell(0) == MPoly.one()
-    assert oracle_degenerate_bell(1) == L * X
-    assert oracle_degenerate_bell(2) == L**2 * X**2 + (1 - LAM) * L * X
+    assert BELL_ROWS[0] == MPoly.one()
+    assert BELL_ROWS[1] == L * X
+    assert BELL_ROWS[2] == L**2 * X**2 + (1 - LAM) * L * X
 
 
 def test_oracle_bell_rejects_negative():
     with pytest.raises(ValueError):
-        oracle_degenerate_bell(-1)
+        oracle_degenerate_bell_table(oracle_degenerate_stirling2_table(-1))
 
 
 def test_oracle_stirling_small():
-    assert oracle_degenerate_stirling2(2, 1) == 1 - LAM
-    assert oracle_degenerate_stirling2(3, 1) == 1 - 3 * LAM + 2 * LAM**2
+    assert STIRLING_ROWS[2][1] == 1 - LAM
+    assert STIRLING_ROWS[3][1] == 1 - 3 * LAM + 2 * LAM**2
     for n in range(9):
-        assert oracle_degenerate_stirling2(n, n) == MPoly.one()
+        assert STIRLING_ROWS[n][n] == MPoly.one()
 
 
 def test_oracle_stirling_rejects_m_above_n():
-    with pytest.raises(ValueError):
-        oracle_degenerate_stirling2(2, 3)
+    # Row n holds m = 0..n and nothing beyond.
+    assert [len(row) for row in STIRLING_ROWS] == list(range(1, 14))
+    with pytest.raises(IndexError):
+        STIRLING_ROWS[2][3]
 
 
 def test_oracle_stirling_classical_limit():
     for n in range(13):
         for m in range(n + 1):
-            at_zero = oracle_degenerate_stirling2(n, m).substitute({"lambda": 0})
+            at_zero = STIRLING_ROWS[n][m].substitute({"lambda": 0})
             assert at_zero == MPoly.constant(stirling2(n, m))
 
 
 def test_oracle_bell_classical_limit():
     for n in range(13):
-        limit = oracle_degenerate_bell(n).substitute({"lambda": 0, "L": 1})
+        limit = BELL_ROWS[n].substitute({"lambda": 0, "L": 1})
         assert limit == bell_polynomial(n)
 
 
 def test_oracle_bell_leading_term():
     for n in range(1, 13):
-        p = oracle_degenerate_bell(n)
-        assert p.degree_in("x") == n
-        assert p.coefficient((0, n, n, 0)) == 1
+        terms = dict(BELL_ROWS[n].items())
+        assert max(exps[2] for exps in terms) == n
+        assert terms[(0, n, n, 0)] == 1
         # nothing of x-degree n besides L^n x^n
-        assert all(exps[2] < n or exps == (0, n, n, 0) for exps, _ in p.items())
+        assert all(exps[2] < n or exps == (0, n, n, 0) for exps in terms)
 
 
 # -- one-pass oracle tables against the per-n expansion -------------------------
@@ -173,14 +176,14 @@ def test_oracle_tables_match_per_n_expansion():
             assert stirling[n][m] == _per_n_stirling2(n, m)
 
 
-def test_oracle_wrappers_read_the_tables():
+def test_oracle_table_rows_do_not_depend_on_the_order():
+    # Row n of a table expanded at order n equals row n at order 8.
     stirling = oracle_degenerate_stirling2_table(8)
     bell = oracle_degenerate_bell_table(stirling)
     for n in range(9):
-        per_n = oracle_degenerate_bell_table(oracle_degenerate_stirling2_table(n))[n]
-        assert oracle_degenerate_bell(n) == per_n == bell[n]
-        for m in range(n + 1):
-            assert oracle_degenerate_stirling2(n, m) == stirling[n][m]
+        short = oracle_degenerate_stirling2_table(n)
+        assert oracle_degenerate_bell_table(short)[n] == bell[n]
+        assert short[n] == stirling[n]
 
 
 def test_oracle_tables_reject_negative_order():

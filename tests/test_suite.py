@@ -1,17 +1,27 @@
-"""The oracle sweeps can fail: a constructor perturbed by one term at a
-single n makes its report FAIL with that n as the first failure.  The
-float grid's shared rows give the per-point checks bit for bit, are built
-once, and can fail."""
+"""The oracle sweeps can fail: a constructor perturbed by one term in one
+row of its table makes its report FAIL with that n as the first failure,
+and so does the shared binomial convolution.  `exact_reports` builds each
+table once.  The float grid's shared rows give the per-point checks bit
+for bit, are built once, and can fail."""
+
+from collections import Counter
 
 import pytest
 
-from degenbell import numeric, suite
+from degenbell import degenerate, numeric, suite
 from degenbell.numeric import classical_dobinski_check, dobinski_check, scaled_bell_series_check
 from degenbell.poly import LAM, X
 from degenbell.series import oracle_degenerate_stirling2_table
 
 PERTURBATION = LAM * X**2
 ORACLE_ROWS = oracle_degenerate_stirling2_table(6)
+CONSTRUCTOR_IDENTITIES = {
+    "stirling_pair_vs_oracle",
+    "degenerate_stirling_sum_vs_oracle",
+    "classical_bell_expansion_vs_oracle",
+    "composita_vs_oracle",
+    "recurrence_vs_oracle",
+}
 
 
 @pytest.mark.parametrize(
@@ -19,19 +29,28 @@ ORACLE_ROWS = oracle_degenerate_stirling2_table(6)
     [
         ("stirling_pair_vs_oracle", "dbell_via_stirling_pair"),
         ("degenerate_stirling_sum_vs_oracle", "degenerate_bell"),
-        ("classical_bell_expansion_vs_oracle", "dbell_via_classical_bell"),
-        ("composita_vs_oracle", "dbell_via_composita"),
-        ("recurrence_vs_oracle", "dbell_via_recurrence"),
+        ("classical_bell_expansion_vs_oracle", "dbell_classical_bell_table"),
+        ("composita_vs_oracle", "dbell_composita_table"),
+        ("recurrence_vs_oracle", "dbell_recurrence_table"),
     ],
 )
 def test_perturbed_constructor_fails_at_its_n(monkeypatch, identity, constructor):
+    # Row k of one constructor's table gains a term: a table builder has
+    # that row changed, a one-n form its value at k.
     k = 4
     original = getattr(suite, constructor)
-    monkeypatch.setattr(
-        suite, constructor, lambda n: original(n) + PERTURBATION if n == k else original(n)
-    )
-    reports = {report.identity_name: report for report in suite.constructor_reports(ORACLE_ROWS)}
-    assert len(reports) == 5
+
+    def perturbed(n):
+        if constructor.endswith("_table"):
+            table = original(n)
+            table[k] = table[k] + PERTURBATION
+            return table
+        return original(n) + PERTURBATION if n == k else original(n)
+
+    monkeypatch.setattr(suite, constructor, perturbed)
+    bells = [suite.degenerate_bell(n) for n in range(len(ORACLE_ROWS))]
+    reports = {report.identity_name: report for report in suite.constructor_reports(ORACLE_ROWS, bells)}
+    assert set(reports) == CONSTRUCTOR_IDENTITIES
     for name, report in reports.items():
         if name == identity:
             assert not report.passed
@@ -40,6 +59,56 @@ def test_perturbed_constructor_fails_at_its_n(monkeypatch, identity, constructor
             assert lhs - rhs == PERTURBATION
         else:
             assert report.passed
+
+
+def test_perturbed_convolution_fails_every_report_that_reads_it(monkeypatch):
+    # One wrong convolution at n = k.  The reports that convolve at n fail
+    # at k; the recurrence builds row k + 1 from the convolution at k.
+    k = 4
+    original = degenerate.binomial_convolution
+
+    def perturbed(a, b, n):
+        return original(a, b, n) + PERTURBATION if n == k else original(a, b, n)
+
+    monkeypatch.setattr(degenerate, "binomial_convolution", perturbed)
+    monkeypatch.setattr(suite, "binomial_convolution", perturbed)
+    failures = {r.identity_name: r.first_failure[0] for r in suite.exact_reports(6) if not r.passed}
+    assert failures == {
+        "addition": k,
+        "derivative": k,
+        "classical_recurrence": k,
+        "recurrence_classical_limit": k,
+        "recurrence_vs_oracle": k + 1,
+    }
+
+
+def test_exact_reports_build_each_table_once(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    # `verify_addition` and `verify_derivative` live in `degenerate` and
+    # would call its binding, so both modules count through one wrapper.
+    bell = counted(degenerate, "degenerate_bell")
+    monkeypatch.setattr(degenerate, "degenerate_bell", bell)
+    monkeypatch.setattr(suite, "degenerate_bell", bell)
+    tables = (
+        "oracle_degenerate_stirling2_table",
+        "dbell_classical_bell_table",
+        "dbell_composita_table",
+        "dbell_recurrence_table",
+    )
+    for name in tables:
+        monkeypatch.setattr(suite, name, counted(suite, name))
+    assert all(report.passed for report in suite.exact_reports(8))
+    assert calls == {"degenerate_bell": 9, **dict.fromkeys(tables, 1)}
 
 
 def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
@@ -58,7 +127,8 @@ def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
 
 
 def test_unperturbed_oracle_sweeps_pass():
-    assert all(report.passed for report in suite.constructor_reports(ORACLE_ROWS))
+    bells = [suite.degenerate_bell(n) for n in range(len(ORACLE_ROWS))]
+    assert all(report.passed for report in suite.constructor_reports(ORACLE_ROWS, bells))
     assert suite.degenerate_stirling_report(ORACLE_ROWS).passed
 
 
