@@ -1,4 +1,5 @@
-"""Smoke test for the `python -m degenbell` entry point."""
+"""The lambda -> 0 convergence sweep and a smoke test for the
+`python -m degenbell` entry point."""
 
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 from degenbell import cli
+from degenbell.numeric import limit_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,6 +18,17 @@ def src_env() -> dict:
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def test_limit_convergence_error_shrinks():
+    # lambda = 10^-1..10^-8 at n = 4, x = 1: the error against Bel_4(1) = 15
+    # shrinks at every step.
+    lambdas = [10.0**-k for k in range(1, 9)]
+    checks = limit_sweep(4, 1.0, lambdas)
+    assert [c.lam for c in checks] == lambdas
+    assert all(c.rhs == 15.0 and c.abs_error == abs(c.lhs - c.rhs) for c in checks)
+    errors = [c.abs_error for c in checks]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
 
 
 def test_module_entry_point_writes_utf8(capsys):
