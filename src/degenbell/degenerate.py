@@ -80,10 +80,8 @@ def degenerate_bell(n: int) -> MPoly:
     against L^m x^m.  Cheapest form, used by the verifiers and the CLI."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    acc = MPoly.zero()
-    for m in range(n + 1):
-        acc = acc + degenerate_stirling2(n, m) * MPoly._trusted({(0, m, m, 0): 1})
-    return acc
+    terms = ((1, degenerate_stirling2(n, m), MPoly._trusted({(0, m, m, 0): 1})) for m in range(n + 1))
+    return MPoly.sum_of_products(terms)
 
 
 def dbell_via_stirling_pair(n: int) -> MPoly:
@@ -99,10 +97,7 @@ def dbell_via_stirling_pair(n: int) -> MPoly:
 
 def binomial_convolution(a: Sequence[MPoly], b: Sequence[MPoly], n: int) -> MPoly:
     """The binomial convolution: sum of C(n, k) a[k] b[n-k] for k = 0..n."""
-    acc = MPoly.zero()
-    for k in range(n + 1):
-        acc = acc + binomial(n, k) * a[k] * b[n - k]
-    return acc
+    return MPoly.sum_of_products((binomial(n, k), a[k], b[n - k]) for k in range(n + 1))
 
 
 def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
@@ -118,11 +113,12 @@ def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     rescaled: list[MPoly] = []
     inner: list[MPoly] = []
-    table = [MPoly.one()]
+    one = MPoly.one()
+    table = [one]
     for n in range(1, n_max + 1):
         rescaled.append(bell_polynomial(n - 1).substitute({"x": X * L}))
-        inner.append(sum((binomial(n - 1, j) * rescaled[j] for j in range(n)), MPoly.zero()))
-        acc = sum((stirling1(n, k) * LAM ** (n - k) * inner[k - 1] for k in range(1, n + 1)), MPoly.zero())
+        inner.append(MPoly.sum_of_products((binomial(n - 1, j), rescaled[j], one) for j in range(n)))
+        acc = MPoly.sum_of_products((stirling1(n, k), LAM ** (n - k), inner[k - 1]) for k in range(1, n + 1))
         table.append(L * X * acc)
     return table
 
@@ -135,11 +131,10 @@ def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
     This is the exponential value divided by n!; `dbell_composita_table`
     restores the n! to land on the degenerate Bell polynomial itself.
     """
-    acc = MPoly.zero()
-    for k in range(1, n + 1):
-        r_k = (L * X) ** k * Fraction(1, factorial(k))
-        acc = acc + degenerate_exp_composita(n, k, falling) * r_k
-    return acc
+    return MPoly.sum_of_products(
+        (1, degenerate_exp_composita(n, k, falling), (L * X) ** k * Fraction(1, factorial(k)))
+        for k in range(1, n + 1)
+    )
 
 
 def dbell_composita_table(n_max: int) -> list[MPoly]:

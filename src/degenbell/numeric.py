@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .poly import Exponents
 from .classical import bell_polynomial, stirling1, stirling_rows
@@ -162,10 +164,11 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
         weight = s1 * p ** (n - k) * q**k
         for m, s2 in enumerate(s2_rows[k]):
             coeffs[m] += weight * s2
-    q_n = q**n
+    r_m = accumulate(repeat(r, n), mul, initial=1)  # r**m, one factor more per m
+    den_m = accumulate(repeat(s, n), mul, initial=q**n)  # q**n s**m
     value = 0.0
-    for m in range(n, -1, -1):
-        value = value * big_l + coeffs[m] * r**m / (q_n * s**m)
+    for term in reversed([c * r_pow / den for c, r_pow, den in zip(coeffs, r_m, den_m)]):
+        value = value * big_l + term
     return value
 
 

@@ -20,14 +20,18 @@ numerator is zero, the denominator and all numerators have gcd 1, and the
 zero polynomial is the empty map over 1.  Two polynomials are then equal
 iff their maps and denominators are equal, and arithmetic on the integer
 coefficients the Bell and Stirling constructors produce never leaves the
-integers.  `items()` gives each term's value, and `eval_exact()` the
-polynomial's, as a reduced `fractions.Fraction`.  Wherever an ordering of terms is
+integers.  Every product, and every sum of products in the package, goes
+through one multiply-accumulate kernel, `MPoly.sum_of_products`, which
+adds each c*a*b into one map and grows the denominator only by lcm.
+`items()` gives each term's value, and `eval_exact()` the polynomial's,
+as a reduced `fractions.Fraction`.  Wherever an ordering of terms is
 needed (JSON serialization, pretty printing) the graded lexicographic
 order with the largest term first is used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -227,13 +231,7 @@ class MPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product: dict[Exponents, int] = {}
-        for exp_a, coeff_a in self._num.items():
-            for exp_b, coeff_b in rhs._num.items():
-                key = (exp_a[0] + exp_b[0], exp_a[1] + exp_b[1], exp_a[2] + exp_b[2], exp_a[3] + exp_b[3])
-                term = coeff_a * coeff_b
-                product[key] = product[key] + term if key in product else term
-        return MPoly._trusted(product, self._den * rhs._den)
+        return MPoly.sum_of_products([(1, self, rhs)])
 
     __rmul__ = __mul__
 
@@ -249,40 +247,80 @@ class MPoly:
             power >>= 1
         return result
 
+    @classmethod
+    def sum_of_products(cls, terms: Iterable[tuple[int, "MPoly", "MPoly"]]) -> "MPoly":
+        """The sum of c*a*b over the (int c, MPoly a, MPoly b) triples.
+
+        Every product is added into one dict, so no partial sum is built as a
+        polynomial.  The common denominator grows to the lcm only when a
+        product's denominator does not divide it, rescaling the sum so far."""
+        acc: dict[Exponents, int] = {}
+        den = 1
+        for c, a, b in terms:
+            product_den = a._den * b._den
+            if den % product_den:
+                scale = product_den // math.gcd(den, product_den)
+                for exponents in acc:
+                    acc[exponents] *= scale
+                den *= scale
+            c *= den // product_den
+            for (a0, a1, a2, a3), coeff_a in a._num.items():
+                coeff_a *= c
+                for (b0, b1, b2, b3), coeff_b in b._num.items():
+                    key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                    acc[key] = acc.get(key, 0) + coeff_a * coeff_b
+        return cls._trusted(acc, den)
+
     # -- calculus and evaluation ----------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MPoly | Scalar"]) -> "MPoly":
         """Simultaneously substitute the bound variables; others stay formal.
 
-        Terms are grouped by their exponents of the bound variables, so
-        each distinct product of powers of the replacements is formed and
-        multiplied once."""
+        A binding to 0, a constant or one term c*monomial is folded straight
+        into each term's exponents and coefficient.  The terms are grouped by
+        their exponents of the variables bound to longer polynomials, so each
+        product of powers of those is formed once, for `sum_of_products`."""
+        folds: list[tuple[int, list[tuple[int, int]], int, int, int]] = []
         replacements: dict[int, MPoly] = {}
+        den = self._den
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
             bound = self._coerce(value)
             if bound is None:
                 raise TypeError(f"cannot substitute value of type {type(value).__name__}")
-            replacements[_VAR_INDEX[name]] = bound
-        if not replacements:
-            return self
+            index = _VAR_INDEX[name]
+            if len(bound._num) > 1:  # grouped below, folded here as a binding to 1
+                replacements[index], bound = bound, MPoly.one()
+            # Over the common denominator den * bound_den**top, a term keeps bound_den**(top - e).
+            top = max((exponents[index] for exponents in self._num), default=0) if bound._den != 1 else 0
+            den *= bound._den**top
+            monomial, num = next(iter(bound._num.items()), (_ORIGIN, 0))
+            shift = [m - (i == index) for i, m in enumerate(monomial)]  # the bound exponent leaves the key
+            folds.append((index, [(i, m) for i, m in enumerate(shift) if m], num, bound._den, top))
         groups: dict[tuple[int, ...], dict[Exponents, int]] = {}
         for exponents, coeff in self._num.items():
-            bound_part = tuple(exponents[index] for index in replacements)
-            residual = tuple(0 if index in replacements else e for index, e in enumerate(exponents))
-            groups.setdefault(bound_part, {})[residual] = coeff
-        powers: dict[tuple[int, int], MPoly] = {}
-        total = MPoly.zero()
-        for bound_part, residual_terms in groups.items():
-            factor = MPoly._trusted(residual_terms)
-            for index, exponent in zip(replacements, bound_part):
-                if exponent:
-                    if (index, exponent) not in powers:
-                        powers[index, exponent] = replacements[index] ** exponent
-                    factor = factor * powers[index, exponent]
-            total = total + factor
-        return MPoly._trusted(total._num, total._den * self._den)
+            key = list(exponents)
+            for index, shift, num, bound_den, top in folds:
+                e = exponents[index]
+                if e:
+                    for i, m in shift:
+                        key[i] += e * m
+                    coeff *= num**e
+                if bound_den != 1:
+                    coeff *= bound_den ** (top - e)
+            if coeff:
+                residual = groups.setdefault(tuple(exponents[index] for index in replacements), {})
+                key = tuple(key)
+                residual[key] = residual.get(key, 0) + coeff
+        if not replacements:
+            return MPoly._trusted(groups.get((), {}), den)
+        power = functools.cache(lambda index, exponent: replacements[index] ** exponent)
+        total = MPoly.sum_of_products(
+            (1, MPoly._trusted(residual), math.prod(map(power, replacements, part), start=MPoly.one()))
+            for part, residual in groups.items()
+        )
+        return MPoly._trusted(total._num, total._den * den)
 
     def derivative_x(self) -> "MPoly":
         """Formal partial derivative with respect to x."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
 from typing import Sequence
 
@@ -51,14 +52,8 @@ def series_mul(a: Series, b: Series) -> Series:
     """Truncated Cauchy product of two series of equal order."""
     if a.order != b.order:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    coeffs = []
-    for n in range(a.order + 1):
-        acc = MPoly.zero()
-        for i in range(n + 1):
-            if a.coeffs[i] and b.coeffs[n - i]:
-                acc = acc + a.coeffs[i] * b.coeffs[n - i]
-        coeffs.append(acc)
-    return Series(tuple(coeffs))
+    products = (zip(repeat(1), a.coeffs[: n + 1], b.coeffs[n::-1]) for n in range(a.order + 1))
+    return Series(tuple(map(MPoly.sum_of_products, products)))
 
 
 def degenerate_exp_minus_one(order: int) -> Series:
@@ -90,11 +85,8 @@ def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly] | None = N
         return MPoly.zero()
     if falling is None:
         falling = [falling_factorial_general(j, n) for j in range(1, k + 1)]
-    acc = MPoly.zero()
-    for j in range(1, k + 1):
-        sign = -1 if (k - j) % 2 else 1
-        acc = acc + sign * binomial(k, j) * falling[j - 1]
-    return acc * Fraction(1, factorial(n))
+    signed = (((-1) ** (k - j) * binomial(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
+    return MPoly.sum_of_products(signed) * Fraction(1, factorial(n))
 
 
 def oracle_degenerate_bell_table(rows: list[list[MPoly]]) -> list[MPoly]:
@@ -111,7 +103,7 @@ def oracle_degenerate_bell_table(rows: list[list[MPoly]]) -> list[MPoly]:
     L and x.
     """
     xl_powers = [(X * L) ** m for m in range(len(rows))]
-    return [sum((s * p for s, p in zip(row, xl_powers)), MPoly.zero()) for row in rows]
+    return [MPoly.sum_of_products(zip(repeat(1), row, xl_powers)) for row in rows]
 
 
 def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:

@@ -360,6 +360,8 @@ PINNED_STDOUT = {
     "verify --n-max 8 --format json": "bd2f2fc8238026ce5595baafeb9face98228d571ac54b1492297aff30f767cff",
     "verify --n-max 8 --format csv": "0454e70527e862b657726011669682fa9ef31ee3c05ab435c84a5f3eaf1c500c",
     "verify --n-max 14 --format json": "c60cc23ef682c94898b4acc239f749f7097c043b63740051050a174587aede7c",
+    "verify --n-max 10 --format json": "a2eebbb27bb53d8316d4e0acb986a0fca3b95fc528eb160c5a1cbec9c68d8b7f",
+    "verify --n-max 20 --format text": "ee3065a15460ddb92e2448e89c74e68a8226b5ee611e043618c91d7caaec59ec",
     "verify --n-max 8 --terms 30 --tol 1e-6 --format csv": "9198de65ff952ad173cd43a2e17dd2154c5ee71dd6e6763b65e0931dd886771f",
     "table --family dbell --n-max 30 --format json": "aecfa5994a918b878f89d4ddad666f43c817508c3985f38aee527f00dbd5e262",
     "table --family bell --n-max 12 --format text": "c9a7ca9f90ba67e180d90601ac2bbe027c44b0db5fae90a54c2e1c373b583dac",
