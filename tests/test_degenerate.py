@@ -27,7 +27,12 @@ from degenbell.degenerate import (
     verify_derivative,
 )
 from degenbell.poly import L, LAM, MPoly, X
-from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
+from degenbell.series import (
+    degenerate_exp_minus_one,
+    oracle_degenerate_bell_table,
+    oracle_degenerate_stirling2_table,
+    series_mul,
+)
 
 TABLES = (dbell_classical_bell_table, dbell_composita_table, dbell_recurrence_table)
 
@@ -128,6 +133,24 @@ def test_binomial_convolution_small():
     assert binomial_convolution(a, b, 0) == MPoly.one()
     # (x + lambda)^2, term by term
     assert binomial_convolution(a, b, 2) == LAM**2 + 2 * X * LAM + X**2
+
+
+def test_sums_of_products_build_no_partial_sums(monkeypatch):
+    # Each sum goes through MPoly.sum_of_products, which adds every product
+    # into one map, so no partial sum becomes a polynomial through +.
+    bells = [degenerate_bell(n) for n in range(7)]
+    f = degenerate_exp_minus_one(6)
+    expected = (binomial_convolution(bells, bells, 6), series_mul(f, f))
+    add = MPoly.__add__
+    calls = []
+
+    def counting_add(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(MPoly, "__add__", counting_add)
+    assert (binomial_convolution(bells, bells, 6), series_mul(f, f)) == expected
+    assert calls == []
 
 
 def test_structural_shape():

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from degenbell.poly import L, LAM, MPoly, X, Y
 
@@ -244,6 +244,32 @@ def test_simultaneous_substitution_commutes_with_eval(p, q, r, vals):
     assert substituted == p.eval_exact(shifted)
 
 
+def _bound_value(value, vals):
+    return value.eval_exact(vals) if isinstance(value, MPoly) else Fraction(value)
+
+
+# Bindings to 0, constants and c*monomials are folded into the terms, and
+# bindings to longer polynomials grouped; each case mixes the two kinds.
+MIXED_BINDINGS = [
+    {"x": Y, "y": X},
+    {"x": Y, "y": X, "lambda": LAM + L},
+    {"x": X * L, "y": X + Y},
+    {"lambda": 0, "L": 1},
+    {"lambda": 0, "L": 1, "x": X + Y},
+    {"y": Fraction(-2, 3), "x": X + Y, "L": Fraction(3, 4) * X},
+    {"x": 0, "L": 1 + LAM},
+]
+
+
+@given(polys, polys, points)
+def test_mixed_substitution_commutes_with_eval(p, q, vals):
+    for bindings in MIXED_BINDINGS + [dict(binding, y=q) for binding in MIXED_BINDINGS]:
+        result = p.substitute(bindings)
+        _assert_canonical(result)
+        shifted = dict(vals, **{name: _bound_value(value, vals) for name, value in bindings.items()})
+        assert result.eval_exact(vals) == p.eval_exact(shifted)
+
+
 def _assert_canonical(p):
     # Integer numerators over one positive denominator, no zero terms and
     # no common factor, exactly what full validation would produce.
@@ -328,3 +354,27 @@ def test_equal_polynomials_hash_equal(p, q, c):
     for route in routes:
         assert route == p
         assert hash(route) == hash(p)
+
+
+# -- the multiply-accumulate kernel -----------------------------------------------
+
+triples = st.lists(st.tuples(st.integers(-3, 3), polys, polys), max_size=5)
+
+
+@given(triples)
+@example([])
+@example([(0, MPoly.constant(Fraction(1, 3)), X)])
+@example([(1, X, MPoly.one()), (1, MPoly.constant(Fraction(1, 2)), X)])
+@example([(2, X, Y + Fraction(1, 4)), (-1, 2 * X, Y + Fraction(1, 4))])
+def test_sum_of_products_matches_the_naive_loop(terms):
+    # Mixed denominators (the common one must grow and the sum so far be
+    # rescaled), cancellation to zero, the empty sum and c = 0.
+    naive = MPoly.zero()
+    for c, a, b in terms:
+        naive = naive + c * a * b
+    result = MPoly.sum_of_products(iter(terms))
+    _assert_canonical(result)
+    assert result == naive
+    cancelled = MPoly.sum_of_products(terms + [(-c, a, b) for c, a, b in terms])
+    _assert_canonical(cancelled)
+    assert not cancelled
