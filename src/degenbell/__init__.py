@@ -43,7 +43,6 @@ from .numeric import (
     dobinski_classical,
     dobinski_degenerate,
     eval_bel_numeric,
-    limit_sweep,
     scaled_bell_series_check,
 )
 from .suite import SuiteResult, run_full_suite
@@ -76,7 +75,6 @@ __all__ = [
     "eval_bel_numeric",
     "falling_factorial_general",
     "limit_lambda_zero",
-    "limit_sweep",
     "oracle_degenerate_bell_table",
     "oracle_degenerate_stirling2_table",
     "run_full_suite",

@@ -17,9 +17,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
+from json.encoder import encode_basestring
 
 from .classical import bell_polynomial, stirling1, stirling2
 from .degenerate import degenerate_bell, degenerate_stirling2
@@ -104,8 +104,65 @@ def _emit(text: str, output: str | None) -> None:
             raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"`, from one walk.
+
+    `indent` sends `json.dumps` to its pure-Python encoder.  Here leaves go
+    through the C string encoder and `int`/`float.__repr__`, and each key's
+    text, with its comma and indent, is made once per depth.  Dicts need str
+    keys; a type `json` has no form for raises `TypeError`."""
+    chunks: list[str] = []
+    append = chunks.append
+    levels: list[tuple[dict[str, str], str, str]] = []  # per depth: key texts, separator, closing indent
+
+    def walk(value: object, depth: int) -> None:
+        kind = type(value)
+        if kind is str:
+            append(encode_basestring(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif kind is float:
+            text = float.__repr__(value)
+            append(_JSON_FLOATS.get(text, text))
+        elif value is None or kind is bool:
+            append(_JSON_CONSTANTS[value])
+        elif kind is not dict and kind is not list:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        elif not value:
+            append("{}" if kind is dict else "[]")
+        else:
+            if depth == len(levels):
+                indent = "\n" + "  " * depth
+                levels.append(({}, f",{indent}  ", indent))
+            keys, separator, close = levels[depth]
+            start = len(chunks)  # the first separator gives up its comma to the bracket
+            if kind is dict:
+                for key, item in value.items():
+                    text = keys.get(key)
+                    if text is None:
+                        text = keys[key] = f"{separator}{encode_basestring(key)}: "
+                    append(text)
+                    if type(item) is int:  # the commonest leaves, without a call
+                        append(int.__repr__(item))
+                    elif type(item) is str:
+                        append(encode_basestring(item))
+                    else:
+                        walk(item, depth + 1)
+            else:
+                for item in value:
+                    append(separator)
+                    walk(item, depth + 1)
+            brackets = "{}" if kind is dict else "[]"
+            chunks[start] = brackets[0] + chunks[start][1:]
+            append(close + brackets[1])
+
+    walk(payload, 0)
+    append("\n")
+    return "".join(chunks)
 
 
 def _csv_text(rows: list[list], header: list[str]) -> str:

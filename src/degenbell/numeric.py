@@ -260,30 +260,6 @@ def scaled_bell_series_check(
     return _make_check("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
 
 
-def limit_sweep(
-    n: int, x: float, lambdas: list[float], tol_scale: float = 100.0
-) -> list[NumericCheck]:
-    """Compare the degenerate value against the classical Bell polynomial
-    for each lambda; the deviation is first order in lambda, so each point
-    gets the tolerance tol_scale * |lambda|.
-
-    The default scale suits small n and x near 1; sweeps at larger
-    arguments should pass a scale matched to their derivative size.
-    """
-    _check_x(x)
-    classical = bell_polynomial(n)
-    target = math.fsum(float(coeff) * x ** exps[2] for exps, coeff in classical.items())
-    checks = []
-    for lam in lambdas:
-        value = eval_bel_numeric(n, lam, x)
-        checks.append(
-            _make_check(
-                "classical_limit_sweep", n, lam, x, 0, value, target, tol_scale * abs(lam)
-            )
-        )
-    return checks
-
-
 __all__ = [
     "DEFAULT_TERMS",
     "DEFAULT_TOL",
@@ -293,6 +269,5 @@ __all__ = [
     "dobinski_classical",
     "dobinski_degenerate",
     "eval_bel_numeric",
-    "limit_sweep",
     "scaled_bell_series_check",
 ]

@@ -51,6 +51,12 @@ def _grlex(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _monomial_text(exponents: Exponents) -> str:
+    """The pretty form of one exponent vector, e.g. "λ^3L^2x^2"; "" at the origin."""
+    return "".join(f"{name}^{e}" if e > 1 else name for name, e in zip(_PRETTY_NAMES, exponents) if e)
+
+
 def _check_exponents(exponents: object) -> Exponents:
     if (
         not isinstance(exponents, tuple)
@@ -153,7 +159,7 @@ class MPoly:
         den = self._den
         for exponents in sorted(self._num, key=_grlex, reverse=True):
             coeff = self._num[exponents]
-            common = math.gcd(coeff, den)
+            common = 1 if den == 1 else math.gcd(coeff, den)
             yield exponents, coeff // common, den // common
 
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
@@ -395,26 +401,17 @@ class MPoly:
             return "0"
         pieces: list[str] = []
         for exponents, num, den in self._reduced_terms():
-            monomial = "".join(
-                name if exponent == 1 else f"{name}^{exponent}"
-                for name, exponent in zip(_PRETTY_NAMES, exponents)
-                if exponent
-            )
+            monomial = _monomial_text(exponents)
             magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if monomial:
-                if magnitude == "1":
-                    body = monomial
-                elif den == 1:
-                    body = f"{magnitude}{monomial}"
-                else:
-                    body = f"({magnitude}){monomial}"
+            if monomial and magnitude == "1":
+                body = monomial
+            elif monomial and den != 1:
+                body = f"({magnitude}){monomial}"
             else:
-                body = magnitude
-            if not pieces:
-                pieces.append(body if num > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if num > 0 else f"- {body}")
-        return " ".join(pieces)
+                body = magnitude + monomial
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
+        text = " ".join(pieces)  # the leading term drops the space after its sign, and a "+"
+        return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 LAM = MPoly.variable("lambda")

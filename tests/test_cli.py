@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import math
+import re
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
-from degenbell import cli, numeric
+from degenbell import cli, numeric, suite
 from degenbell.degenerate import VerificationReport
-from degenbell.poly import MPoly
+from degenbell.poly import LAM, MPoly
+from degenbell.series import oracle_degenerate_stirling2_table
 from degenbell.suite import SuiteResult
 
 
@@ -381,6 +385,11 @@ PINNED_STDOUT = {
     "table --family dbell --n-max 12 --format csv": "a99652ae48f2741a7674152a0fb61dd4c70e279b6d8a7201356568ba6b7401b1",
     "eval --n 7 --lambda 0.5 --x 2": "1914bd2790eb09cf83a8a9e6975d943a7545c16f97eac0c4f4eb8fbc0ac2579f",
     "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format json": "497acbbc95525021d7b2353cdf1b38390b6a73cf8261e2639e7fd35bcea3efc6",
+    "table --family dstirling --n-max 30 --format json": "d54d3486c2931757c58d0f2243b1d59b2608314dbaa0f551cba4fcb0073304b2",
+    "table --family dbell --n-max 30 --format text": "2346e775dbe52bcb6014212f68937e849c87cc41f9a6f6ed7ebb122f56368bbd",
+    "table --family dstirling --n-max 30 --format csv": "fef686fd23481010825b64c6eaa658c60af4295043b5f065e4d1dbccb441f853",
+    "table --family stirling2 --n-max 30 --format json": "5b5524352a16e65510c54b4f4d2d7726b1de1231bbfe62aa9f06ceebc8fca0ca",
+    "verify --n-max 12 --format json": "c4a50c818c27d0cdd3e38aadfa1d1984782ef2d3a5875d77a2b17fa52b832b66",
 }
 
 
@@ -389,3 +398,126 @@ def test_stdout_bytes_are_pinned(command, capsys):
     code, out = run_cli(command.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
+
+
+# -- the JSON renderer ------------------------------------------------------------
+
+
+def json_reference(payload):
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def assert_same_text(text, expected):
+    # Reports the first difference only: pytest's diff of two large tables takes minutes.
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+        raise AssertionError(f"texts differ at {at}: {text[at - 30 : at + 30]!r} != {expected[at - 30 : at + 30]!r}")
+
+
+def assert_renders_like_json(render, payload):
+    assert_same_text(render(payload), json_reference(payload))
+
+
+def run_cli_json(args, monkeypatch, capsys):
+    """Run the CLI, recording the one payload handed to `_json_text`; its
+    output must be what `json.dumps` makes of that payload."""
+    payloads = []
+    render = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda payload: payloads.append(payload) or render(payload))
+    code, out = run_cli(args, capsys)
+    (payload,) = payloads
+    assert_same_text(out, json_reference(payload))
+    return code
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 30])
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_table_json_equals_json_dumps(family, n_max, monkeypatch, capsys):
+    args = ["table", "--family", family, "--n-max", str(n_max), "--format", "json"]
+    assert run_cli_json(args, monkeypatch, capsys) == 0
+
+
+@pytest.mark.parametrize("n_max", range(13))
+def test_verify_json_equals_json_dumps(n_max, monkeypatch, capsys):
+    assert run_cli_json(["verify", "--n-max", str(n_max), "--format", "json"], monkeypatch, capsys) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        ("--n 7 --lambda 0.5 --x 2", 0),
+        ("--n 5 --lambda -0.3 --x 1.5 --dobinski", 0),
+        ("--n 3 --lambda 0.5 --x 1000 --dobinski", 1),  # the Dobinski sum underflows: a FAIL
+    ],
+)
+def test_eval_json_equals_json_dumps(flags, code, monkeypatch, capsys):
+    assert run_cli_json(["eval", *flags.split(), "--format", "json"], monkeypatch, capsys) == code
+
+
+def test_failing_report_json_equals_json_dumps(monkeypatch, capsys):
+    # The Stirling mutation of tests/test_suite.py: S2(5,2|λ) gains a λ.
+    original = suite.degenerate_stirling2
+    monkeypatch.setattr(
+        suite, "degenerate_stirling2", lambda n, m: original(n, m) + LAM if (n, m) == (5, 2) else original(n, m)
+    )
+    report = suite.degenerate_stirling_report(oracle_degenerate_stirling2_table(6))
+    failure = report.to_json_obj()["first_failure"]
+    assert failure["n"] == 5 and failure["lhs"] and failure["rhs"]
+    monkeypatch.setattr(cli, "run_full_suite", lambda *args: SuiteResult((report,), ()))
+    assert run_cli_json(["verify", "--n-max", "6", "--format", "json"], monkeypatch, capsys) == 1
+
+
+def test_json_text_equals_json_dumps_on_generated_payloads():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(max_size=6) | st.text(st.sampled_from('aλ"\\/\n\t\x00\x1f\x7f é'), max_size=6)
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers(-(2**200), 2**200)
+        | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+        | text
+    )
+    payloads = st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4), max_leaves=40
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(payloads)
+    @hypothesis.example({"λ": [{}, [], {"": [[]]}], 'a"\\': {"λ": "\x01"}})
+    def check(payload):
+        assert_renders_like_json(cli._json_text, payload)
+
+    check()
+
+
+LAMBDA_PAYLOAD = [{"λ": [1, "λ", {"n": 2.5}]}, {"n": None}]
+
+
+def without_newline(payload):
+    return cli._json_text(payload)[:-1]
+
+
+def with_indent_4(payload):  # twice the leading spaces of every line
+    return re.sub(r"(?m)^ +", lambda m: m.group() * 2, cli._json_text(payload))
+
+
+@pytest.mark.parametrize(
+    "mutant", [without_newline, "ensure_ascii", with_indent_4], ids=["no_newline", "ensure_ascii", "indent_4"]
+)
+def test_json_check_fails_on_mutant_renderers(mutant, monkeypatch):
+    if mutant == "ensure_ascii":
+        monkeypatch.setattr(cli, "encode_basestring", json.encoder.encode_basestring_ascii)
+        mutant = cli._json_text
+        assert mutant(LAMBDA_PAYLOAD) == json.dumps(LAMBDA_PAYLOAD, indent=2) + "\n"
+    elif mutant is with_indent_4:
+        assert mutant(LAMBDA_PAYLOAD) == json.dumps(LAMBDA_PAYLOAD, indent=4, ensure_ascii=False) + "\n"
+    with pytest.raises(AssertionError):
+        assert_renders_like_json(mutant, LAMBDA_PAYLOAD)
+
+
+@pytest.mark.parametrize("payload", [{1, 2}, [(1, 2)], {"n": Fraction(1, 2)}, {1: "int key"}])
+def test_json_text_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._json_text(payload)

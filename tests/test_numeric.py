@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenbell.classical import stirling1, stirling2
+from degenbell.classical import bell_polynomial, stirling1, stirling2
 from degenbell.degenerate import degenerate_bell
 from degenbell.numeric import (
     NumericCheck,
@@ -17,10 +17,11 @@ from degenbell.numeric import (
     dobinski_classical,
     dobinski_degenerate,
     eval_bel_numeric,
-    limit_sweep,
     scaled_bell_series_check,
+    _check_x,
     _closed_terms,
     _falling_row,
+    _make_check,
     _scaled_inner_row,
 )
 
@@ -300,6 +301,21 @@ def test_given_rows_change_no_bit(terms):
 
 
 # -- limit sweep -------------------------------------------------------------------------
+
+
+def limit_sweep(n, x, lambdas, tol_scale=100.0):
+    """Compare the degenerate value against the classical Bell polynomial
+    for each lambda; the deviation is first order in lambda, so each point
+    gets the tolerance tol_scale * |lambda|.  The package proves the
+    lambda -> 0 limit exactly (the classical_limit report); this float
+    sweep shows the approach to it."""
+    _check_x(x)
+    classical = bell_polynomial(n)
+    target = math.fsum(float(coeff) * x ** exps[2] for exps, coeff in classical.items())
+    return [
+        _make_check("classical_limit_sweep", n, lam, x, 0, eval_bel_numeric(n, lam, x), target, tol_scale * abs(lam))
+        for lam in lambdas
+    ]
 
 
 def test_limit_sweep_close_to_classical():

@@ -1,6 +1,7 @@
 """Exact-core tests: canonical form, ring arithmetic, substitution,
 differentiation, exact evaluation, and the JSON interchange format."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -168,6 +169,54 @@ def test_pretty_descending_graded_order():
     assert (Fraction(-3, 4) * X**2 + Fraction(5, 2)).pretty() == "-(3/4)x^2 + 5/2"
     p = L**2 * X**2 + (1 - LAM) * L * X
     assert p.pretty() == "L^2x^2 - λLx + Lx"
+
+
+def pretty_formula(poly):
+    """The rendering written out term by term: graded lex order, largest
+    first; a coefficient of magnitude 1 is left off a monomial, a fraction
+    before a monomial is parenthesised, and the first term carries "-" only."""
+    if not poly:
+        return "0"
+    text = ""
+    terms = sorted(dict(poly.items()).items(), key=lambda term: (sum(term[0]), term[0]), reverse=True)
+    for exponents, value in terms:
+        monomial = "".join(
+            f"{name}^{e}" if e > 1 else name for name, e in zip(("λ", "L", "x", "y"), exponents) if e
+        )
+        size = abs(value)
+        magnitude = f"{size.numerator}" if size.denominator == 1 else f"{size.numerator}/{size.denominator}"
+        if not monomial:
+            body = magnitude
+        elif size == 1:
+            body = monomial
+        elif size.denominator == 1:
+            body = magnitude + monomial
+        else:
+            body = f"({magnitude}){monomial}"
+        if not text:
+            text = body if value > 0 else "-" + body
+        else:
+            text += (" + " if value > 0 else " - ") + body
+    return text
+
+
+def test_pretty_equals_the_formula():
+    vectors = list(itertools.product(range(4), repeat=4))
+    for coeff in (1, -1, 7, Fraction(-3, 4)):
+        for exponents in vectors:
+            assert mono(*exponents, coeff=coeff).pretty() == pretty_formula(mono(*exponents, coeff=coeff))
+    every_vector = MPoly({e: Fraction((-1) ** i * (i % 5), 1 + i % 3) for i, e in enumerate(vectors)})
+    cases = [
+        every_vector,
+        Fraction(3, 2) * LAM * X**2 - Fraction(1, 6) * L + Fraction(5, 3),  # denominator 6
+        -(X**3) + 2 * LAM * X - 1,  # negative leading term
+        MPoly.constant(-12),
+        MPoly.constant(Fraction(7, 9)),
+        MPoly.zero(),
+    ]
+    for poly in cases:
+        assert poly.pretty() == pretty_formula(poly)
+    assert [poly.pretty() for poly in cases[1:]] == ["(3/2)λx^2 - (1/6)L + 5/3", "-x^3 + 2λx - 1", "-12", "7/9", "0"]
 
 
 def test_json_round_trip_is_byte_identical():

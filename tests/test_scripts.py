@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from degenbell import cli
-from degenbell.numeric import limit_sweep
+from test_numeric import limit_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
