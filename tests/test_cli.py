@@ -411,7 +411,8 @@ def assert_same_text(text, expected):
     # Reports the first difference only: pytest's diff of two large tables takes minutes.
     if text != expected:
         at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
-        raise AssertionError(f"texts differ at {at}: {text[at - 30 : at + 30]!r} != {expected[at - 30 : at + 30]!r}")
+        window = slice(max(at - 30, 0), at + 30)
+        raise AssertionError(f"texts differ at {at}: {text[window]!r} != {expected[window]!r}")
 
 
 def assert_renders_like_json(render, payload):

@@ -313,7 +313,9 @@ def limit_sweep(n, x, lambdas, tol_scale=100.0):
     classical = bell_polynomial(n)
     target = math.fsum(float(coeff) * x ** exps[2] for exps, coeff in classical.items())
     return [
-        _make_check("classical_limit_sweep", n, lam, x, 0, eval_bel_numeric(n, lam, x), target, tol_scale * abs(lam))
+        _make_check(
+            "classical_limit_sweep", n, lam, x, 0, eval_bel_numeric(n, lam, x), target, tol_scale * abs(lam)
+        )
         for lam in lambdas
     ]
 
