@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -15,6 +16,7 @@ from degenbell.degenerate import VerificationReport
 from degenbell.poly import LAM, MPoly
 from degenbell.series import oracle_degenerate_stirling2_table
 from degenbell.suite import SuiteResult
+from test_scripts import src_env
 
 
 def run_cli(args, capsys):
@@ -299,7 +301,54 @@ FRESH_PROCESS_RUNS = [
      "67179f5eea6c26c7b516137ab955bcab5d6b53579957081aafa13997f87fe66e", ""),
     ("verify --n-max 1", 0,
      "c7decc7512e89247ed74064b4ed6078dd1c3e5021b228a09bc681b4c1274aee8", ""),
+    # Command lines that only argparse parses: an abbreviation, a negative
+    # value in exponent form with and without "=", a repeated flag, -h after
+    # other flags, a bad choice, a missing flag and a bad int.
+    ("table --fam bell --n-max 2", 0,
+     "d106d5df346912823e409e56c3e0dc7228f240d57963ca2174764869ca773aef", ""),
+    ("eval --n 3 --lambda=-1e-05 --x 1", 0,
+     "b785c057565e2d85aaef0a8f2d55d24e34e0eab0cc2c24f3e2608f5ec5b57255", ""),
+    ("eval --n 3 --lambda -1e-05 --x 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell eval [-h] --n N --lambda LAM --x X [--dobinski]\n"
+     "                      [--terms TERMS] [--tol TOL] [--format {text,json,csv}]\n"
+     "                      [--output OUTPUT]\n"
+     "degenbell eval: error: argument --lambda: expected one argument\n"),
+    ("table --family bell --n-max 2 --n-max 3", 0,
+     "c7cf93ab259a51cd56947aa30dc5c4b16a0bbd0a0591b7abfb3b52a660556866", ""),
+    ("table --family bell --n-max 2 -h", 0,
+     "090c50141dc5c6d4799a2ffa0d6613a43d1f2a4e43aa52ed1c89021231a033d0", ""),
+    ("table --family fibonacci --n-max 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell table [-h] --family\n"
+     "                       {bell,stirling1,stirling2,dstirling,dbell}\n"
+     "                       [--n-max N_MAX] [--format {text,json,csv}]\n"
+     "                       [--output OUTPUT]\n"
+     "degenbell table: error: argument --family: invalid choice: 'fibonacci' "
+     "(choose from 'bell', 'stirling1', 'stirling2', 'dstirling', 'dbell')\n"),
+    ("eval --n 3 --lambda 0.5", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell eval [-h] --n N --lambda LAM --x X [--dobinski]\n"
+     "                      [--terms TERMS] [--tol TOL] [--format {text,json,csv}]\n"
+     "                      [--output OUTPUT]\n"
+     "degenbell eval: error: the following arguments are required: --x\n"),
+    ("table --family bell --n-max x", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell table [-h] --family\n"
+     "                       {bell,stirling1,stirling2,dstirling,dbell}\n"
+     "                       [--n-max N_MAX] [--format {text,json,csv}]\n"
+     "                       [--output OUTPUT]\n"
+     "degenbell table: error: argument --n-max: invalid int value: 'x'\n"),
 ]
+
+
+@pytest.mark.parametrize("command", ["eval --n 3 --lambda=-1e-05 --x 1", "eval --n 3 --lambda -1e-05 --x 1"])
+def test_module_entry_point_matches_fresh_process_runs(command):
+    # One command line the table parses and one only argparse parses (and refuses).
+    env = {**src_env(), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "degenbell", *command.split()], capture_output=True, env=env)
+    got = (command, proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode("utf-8"))
+    assert got == next(run for run in FRESH_PROCESS_RUNS if run[0] == command)
 
 
 def test_cached_parser_carries_no_state_between_calls(monkeypatch, capsys):
