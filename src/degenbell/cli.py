@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 from json.encoder import encode_basestring
 
@@ -36,60 +37,98 @@ class UsageError(Exception):
     range, an unwritable --output); `main` reports it and exits 2."""
 
 
+COMMANDS = {
+    "table": "emit a number family",
+    "verify": "run the verification suite",
+    "eval": "evaluate a degenerate Bell value",
+}
+# Every flag once: (commands, name, dest, type, choices, default, required,
+# metavar), in each command's usage order; type None is a switch.
+FLAGS = (
+    (("table",), "--family", "family", str, FAMILIES, None, True, None),
+    (("table",), "--n-max", "n_max", int, None, 8, False, None),
+    (("verify",), "--n-max", "n_max", int, None, 12, False, None),
+    (("eval",), "--n", "n_max", int, None, None, True, "N"),
+    (("eval",), "--lambda", "lam", float, None, None, True, None),
+    (("eval",), "--x", "x", float, None, None, True, None),
+    (("eval",), "--dobinski", "dobinski", None, None, False, False, None),
+    (("verify", "eval"), "--terms", "terms", int, None, DEFAULT_TERMS, False, None),
+    (("verify", "eval"), "--tol", "tol", float, None, DEFAULT_TOL, False, None),
+    (("table", "verify", "eval"), "--format", "fmt", str, FORMATS, "text", False, None),
+    (("table", "verify", "eval"), "--output", "output", str, None, None, False, None),
+)
+# argparse reads a token that starts with "-" as a value only if it matches this.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for argv, or None unless every token after the
+    command is an exact flag of it or `--flag=value` whose value argparse
+    would take, convert and accept, and every required flag is given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = {flag[1]: flag for flag in FLAGS if argv[0] in flag[0]}
+    values = {"command": argv[0], **{dest: default for _, _, dest, _, _, default, _, _ in flags.values()}}
+    missing = {name for _, name, *_, required, _ in flags.values() if required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if name not in flags:
+            return None
+        _, _, dest, kind, choices, *_ = flags[name]
+        if equals and kind is None:  # a switch takes no value
+            return None
+        if not equals and kind is not None:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                return None
+        try:
+            value = True if kind is None else kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        missing.discard(name)
+    return None if missing else argparse.Namespace(**values)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built by the first `parse_config`
-    call rather than at import.  `parse_args` leaves a parser unchanged:
-    each call gets a fresh namespace and help formatter."""
+    """The argparse parser of `FLAGS`, built on first use for help, errors and
+    what `_fast_parse` declines; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="degenbell",
         description="Exact tables, identity verification and numeric evaluation "
         "for degenerate Bell polynomials and degenerate Stirling numbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="emit a number family")
-    table.add_argument("--family", required=True, choices=FAMILIES)
-    table.add_argument("--n-max", type=int, default=8)
-
-    verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--n-max", type=int, default=12)
-
-    ev = sub.add_parser("eval", help="evaluate a degenerate Bell value")
-    ev.add_argument("--n", dest="n_max", metavar="N", type=int, required=True)
-    ev.add_argument("--lambda", dest="lam", type=float, required=True)
-    ev.add_argument("--x", type=float, required=True)
-    ev.add_argument("--dobinski", action="store_true")
-
-    # Shared flags come last, in this order, as they appear in each usage line.
-    for command in (verify, ev):
-        command.add_argument("--terms", type=int, default=DEFAULT_TERMS)
-        command.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    for command in (table, verify, ev):
-        command.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-        command.add_argument("--output", default=None)
+    commands = {command: sub.add_parser(command, help=text) for command, text in COMMANDS.items()}
+    for names, name, dest, kind, choices, default, required, metavar in FLAGS:
+        options = dict(type=kind, choices=choices, default=default, required=required, metavar=metavar)
+        for command in names:
+            commands[command].add_argument(name, dest=dest, **(options if kind else {"action": "store_true"}))
     return parser
 
 
 def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse and validate argv.  Every command has `n_max`, `fmt` and
-    `output`; `verify` and `eval` add `terms` and `tol`."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    """Parse and validate argv (default `sys.argv[1:]`).  Every command has
+    `n_max`, `fmt` and `output`; `verify` and `eval` add `terms` and `tol`."""
+    ns = _fast_parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
     if ns.n_max < 0:
-        parser.error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be >= 0")
+        _build_parser().error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be >= 0")
     if ns.command != "table":
         if ns.terms < 1:
-            parser.error("--terms must be >= 1")
+            _build_parser().error("--terms must be >= 1")
         if not ns.tol > 0:  # NaN too: it would fail every float check
-            parser.error("--tol must be > 0")
+            _build_parser().error("--tol must be > 0")
         if math.isinf(ns.tol):
-            parser.error("--tol must be finite")
+            _build_parser().error("--tol must be finite")
     if ns.command == "eval":
         if not -1.0 < ns.lam < math.inf or ns.lam == 0.0:
-            parser.error("--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0")
+            _build_parser().error("--lambda must lie in (-1, 0) or (0, inf); use the classical table at 0")
         if not math.isfinite(ns.x):
-            parser.error("--x must be finite")
+            _build_parser().error("--x must be finite")
     return ns
 
 
