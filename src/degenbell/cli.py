@@ -76,7 +76,7 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
         if name not in flags:
             return None
         _, _, dest, kind, choices, *_ = flags[name]
-        if equals and kind is None:  # a switch takes no value
+        if equals and (kind is None or value == "--"):  # a switch takes no value; argparse drops a "--" one
             return None
         if not equals and kind is not None:
             value = next(tokens, None)
