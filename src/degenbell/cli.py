@@ -18,7 +18,6 @@ import csv
 import functools
 import io
 import math
-import re
 import sys
 from json.encoder import encode_basestring
 
@@ -57,8 +56,10 @@ FLAGS = (
     (("table", "verify", "eval"), "--format", "fmt", str, FORMATS, "text", False, None),
     (("table", "verify", "eval"), "--output", "output", str, None, None, False, None),
 )
-# argparse reads a token that starts with "-" as a value only if it matches this.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_negative_number(token: str) -> bool:  # argparse's ^-\d+$|^-\d*\.\d+$, the "-" tokens it takes as values
+    return token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
 
 
 def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
@@ -80,7 +81,7 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
             return None
         if not equals and kind is not None:
             value = next(tokens, None)
-            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+            if value is None or value.startswith("-") and not _is_negative_number(value):
                 return None
         try:
             value = True if kind is None else kind(value)
