@@ -1,6 +1,8 @@
 """Command-line behavior: rendering, exit codes, round-trips, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -373,7 +375,12 @@ def test_parse_config_threads_get_their_own_namespace():
         ["eval", "--n", "7", "--lambda", "-0.5", "--x", "1e10", "--terms", "30", "--format", "json"],
         ["table", "--family", "dbell", "--n-max", "4", "--format", "csv"],
         ["verify", "--n-max", "3", "--tol", "1e-6", "--output", "report.txt"],
+        # Abbreviations: only argparse parses these, so the first build races.
+        ["table", "--fam", "bell", "--n-m", "2"],
+        ["eval", "--n", "3", "--lam", "-0.25", "--x=1", "--dob"],
+        ["verify", "--n", "4", "--form", "csv"],
     ]
+    assert [cli._fast_parse(argv) is None for argv in argvs] == [False] * 4 + [True] * 3
     expected = [vars(cli.parse_config(argv)) for argv in argvs]
     assert expected[0] == {
         "command": "eval", "n_max": 5, "lam": 0.37, "x": 2.1, "dobinski": True,
@@ -402,6 +409,7 @@ def test_parse_config_threads_get_their_own_namespace():
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             assert seen == [[namespace] * 20 for namespace in expected]
+            assert cli._build_parser.cache_info().currsize == 1
     finally:
         sys.setswitchinterval(interval)
 
@@ -571,3 +579,143 @@ def test_json_check_fails_on_mutant_renderers(mutant, monkeypatch):
 def test_json_text_rejects_other_types(payload):
     with pytest.raises(TypeError):
         cli._json_text(payload)
+
+
+# -- the flag table and argparse ------------------------------------------------
+
+
+def test_workload_command_lines_never_build_the_parser(monkeypatch, capsys):
+    # Every shape of command line the benchmark's workloads run, in their
+    # flag order: negative lambda as repr() writes it, --dobinski, every format.
+    def refuse():
+        raise AssertionError("the argparse parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    argvs = [
+        ["table", "--family", family, "--n-max", "3", "--format", fmt] for family in cli.FAMILIES for fmt in cli.FORMATS
+    ]
+    argvs += [["verify", "--n-max", "2", "--format", fmt] for fmt in cli.FORMATS]
+    for lam, x in [(-0.8657113526943148, 0.31308772274698443), (0.37, 2.1), (0.5, 1000.0)]:
+        for fmt in cli.FORMATS:
+            argv = ["eval", "--n", "6", "--lambda", repr(lam), "--x", repr(x), "--format", fmt]
+            argvs += [argv, [*argv, "--dobinski"]]
+    for argv in argvs:
+        assert cli.main(argv) in (0, 1), argv  # 1: a reported FAIL (x = 1000 underflows), not a usage error
+        capsys.readouterr()
+
+
+def argparse_vars(argv):
+    """`vars()` of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def command_lines(st):
+    """Command lines from a grammar of exact flags, abbreviations, `=` forms,
+    negative numbers in plain and exponent form, repeated flags, -h, --, empty
+    strings, bad ints and bad choices.  Each of the command's required flags
+    is drawn first (or left out), and values are mostly good ones, so that
+    many lines are well formed."""
+    odd = ["-h", "--help", "--", "", "--fam", "--f", "--n", "--n-m", "--lam", "--t", "--form", "--out", "--dob", "--bogus"]
+    good = {
+        int: ["0", "3", "12", "-1", "-0", " 4", "1_0", "-١"],
+        float: ["0.5", "2.1", "-0.5", "-.25", "-3", "1e-05", "-1e-05", "-2.5E+3", "inf", "nan", "-0.8657113526943148"],
+        str: ["out.txt", "", "x=y", "-1"],
+        None: [],  # a switch takes no value
+    }
+    bad = ["x", "1.5", "", "fibonacci", "TEXT", "-h", "--", "--x", "-5 ", "-5.", "-1\n", "-"]
+
+    def lines(command):
+        flags = [flag for flag in cli.FLAGS if command in flag[0]] or list(cli.FLAGS)
+        values = {name: list(choices or good[kind]) for _, name, _, kind, choices, *_ in flags}
+        everything = [value for pool in values.values() for value in pool]
+
+        def with_value(name, pool):  # the flag and its value, as two tokens or as name=value
+            value = st.sampled_from(pool)
+            return value.map(lambda v: [name, v]) | value.map(lambda v: [f"{name}={v}"])
+
+        def good_item(name):
+            return with_value(name, values[name]) if values[name] else st.just([name])
+
+        def any_item(name):
+            return st.just([name]) | with_value(name, values.get(name, everything) + bad)
+
+        own = st.sampled_from(list(values))
+        required = st.tuples(*(st.one_of(*[good_item(f[1])] * 6, any_item(f[1]), st.just([])) for f in flags if f[6]))
+        extra = st.one_of(*[own.flatmap(good_item)] * 3, own.flatmap(any_item), st.sampled_from(odd).flatmap(any_item))
+        parts = st.tuples(required, st.lists(extra, max_size=4))
+        return parts.flatmap(lambda p: st.permutations([*p[0], *p[1]])).map(
+            lambda p: [command, *(token for part in p for token in part)]
+        )
+
+    return st.sampled_from([*cli.COMMANDS, *cli.COMMANDS, "evaluate", "-h"]).flatmap(lines)
+
+
+def check_fast_parse_equals_argparse(fast_parse, settings, examples=()):
+    """`fast_parse` returns None, or the namespace argparse returns; never a
+    namespace where argparse exits.  Returns how many lines it accepted."""
+    hypothesis = pytest.importorskip("hypothesis")
+    accepted = []
+
+    @settings
+    @hypothesis.given(command_lines(hypothesis.strategies))
+    def check(argv):
+        fast = fast_parse(argv)
+        if fast is not None:
+            expected = argparse_vars(argv)
+            assert expected is not None, "argparse refuses what the table accepts"
+            assert {k: repr(v) for k, v in vars(fast).items()} == {k: repr(v) for k, v in expected.items()}
+            accepted.append(argv)
+
+    for argv in examples:
+        check = hypothesis.example(argv)(check)
+    check()
+    return len(accepted)
+
+
+# Lines of the grammar that bear on the flag table's limits.
+PARSE_EXAMPLES = [
+    ["eval", "--n", "3", "--lambda=-1e-05", "--x", "1"],
+    ["eval", "--n", "3", "--lambda", "-1e-05", "--x", "1"],
+    ["eval", "--n=-1", "--lambda", "-.5", "--x", "-2", "--dobinski", "--dobinski", "--x", "3"],
+    ["eval", "--n", "3", "--lambda", "0.5", "--x", "1", "--t", "5"],
+    ["table", "--family", "bell", "--n-max", "2", "-h"],
+    ["table", "--fam", "bell"],
+    ["table", "--f", "bell"],
+    ["verify", "--output=", "--tol", "nan", "--format=csv"],
+]
+
+
+def test_fast_parse_equals_argparse():
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(max_examples=500, deadline=None)
+    assert check_fast_parse_equals_argparse(cli._fast_parse, settings, PARSE_EXAMPLES) > 50
+
+
+def prefix_fast_parse(argv):
+    """A mutant that reads a flag prefix such as --fam as the first flag it begins."""
+    names = [flag[1] for flag in cli.FLAGS if argv and argv[0] in flag[0]]
+
+    def expand(token):
+        name, equals, value = token.partition("=")
+        if not name.startswith("--"):
+            return token
+        return next((full for full in names if full.startswith(name)), name) + equals + value
+
+    return cli._fast_parse(argv[:1] + [expand(token) for token in argv[1:]])
+
+
+@pytest.mark.parametrize("mutant", ["exponent_values", "prefix_flags"])
+def test_fast_parse_property_fails_on_mutants(mutant, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    fast_parse = cli._fast_parse
+    if mutant == "exponent_values":  # takes -1e-05 as a value, as argparse does not
+        monkeypatch.setattr(cli, "_is_negative_number", lambda token: re.fullmatch(r"-[\d.]+([eE][-+]?\d+)?", token))
+    else:
+        fast_parse = prefix_fast_parse
+    settings = hypothesis.settings(max_examples=500, deadline=None, database=None, report_multiple_bugs=False)
+    with pytest.raises(AssertionError):
+        check_fast_parse_equals_argparse(fast_parse, settings, PARSE_EXAMPLES)
