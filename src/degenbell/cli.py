@@ -115,7 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse and validate argv (default `sys.argv[1:]`).  Every command has
     `n_max`, `fmt` and `output`; `verify` and `eval` add `terms` and `tol`."""
-    ns = _fast_parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
+    ns = _fast_parse(sys.argv[1:] if argv is None else argv)
+    if ns is None:
+        ns = _build_parser().parse_args(argv)
+        for names, name, dest, *_ in FLAGS:  # argparse drops the "--" of --flag=-- and stores []
+            if ns.command in names and getattr(ns, dest) == []:
+                _build_parser().error(f"argument {name}: expected one argument")
     if ns.n_max < 0:
         _build_parser().error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be >= 0")
     if ns.command != "table":

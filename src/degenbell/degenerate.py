@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
 from .classical import bell_polynomial, binomial, falling_factorial_general, stirling1, stirling_rows
@@ -52,15 +52,13 @@ class VerificationReport:
 
 
 def sweep_identity(
-    name: str, lo: int, hi: int, sides: Callable[[int], tuple[MPoly, MPoly]]
+    name: str, lo: int, hi: int, sides: Iterable[tuple[int, MPoly, MPoly]]
 ) -> VerificationReport:
-    """Compare both sides of an identity for n = lo..hi, stopping at the
-    first exact mismatch.  An empty range passes vacuously."""
-    for n in range(lo, hi + 1):
-        lhs, rhs = sides(n)
-        if lhs != rhs:
-            return VerificationReport(name, (lo, hi), False, (n, lhs, rhs))
-    return VerificationReport(name, (lo, hi), True)
+    """Read the triples (n, lhs, rhs) of an identity for n = lo..hi in order,
+    one at a time, and stop at the first exact mismatch, which is the
+    report's first failure.  An empty range passes vacuously."""
+    failure = next((triple for triple in sides if triple[1] != triple[2]), None)
+    return VerificationReport(name, (lo, hi), failure is None, failure)
 
 
 # -- constructors ---------------------------------------------------------
@@ -179,34 +177,19 @@ def verify_addition(bells: list[MPoly]) -> VerificationReport:
     Bel_n for n = 0..n_max: the polynomial at x+y against the binomial
     convolution of the polynomials at x and at y."""
     at_y = [bell.substitute({"x": Y}) for bell in bells]
-    return sweep_identity(
-        "addition",
-        0,
-        len(bells) - 1,
-        lambda n: (bells[n].substitute({"x": X + Y}), binomial_convolution(bells, at_y, n)),
-    )
+    sides = ((n, bell.substitute({"x": X + Y}), binomial_convolution(bells, at_y, n)) for n, bell in enumerate(bells))
+    return sweep_identity("addition", 0, len(bells) - 1, sides)
 
 
 def verify_derivative(bells: list[MPoly]) -> VerificationReport:
     """Derivative reduction, given bells[n] = Bel_n for n = 0..n_max:
-    (1/L) d/dx of the degree-n polynomial equals the binomial convolution
+    d/dx of the degree-n polynomial equals L times the binomial convolution
     with the falling factorials of 1 over m = 0..n-1.  The convolution
     reads (1 | lambda)_k for k >= 1 and 0 at k = 0, which drops m = n.
-
-    The 1/L factor is realized as an exact L-exponent decrement; if some
-    term of the derivative carried no L at all the check fails outright
-    (recorded with both sides multiplied back by L).
-    """
+    L is a formal variable, so this holds exactly when (1/L) d/dx equals
+    the convolution."""
     falling = [MPoly.zero()] + [falling_factorial_general(1, k) for k in range(1, len(bells))]
-
-    def sides(n: int) -> tuple[MPoly, MPoly]:
-        derivative = bells[n].derivative_x()
-        rhs = binomial_convolution(bells, falling, n)
-        try:
-            return derivative.exact_div_var("L"), rhs
-        except ValueError:
-            return derivative, L * rhs
-
+    sides = ((n, bells[n].derivative_x(), L * binomial_convolution(bells, falling, n)) for n in range(1, len(bells)))
     return sweep_identity("derivative", 1, len(bells) - 1, sides)
 
 

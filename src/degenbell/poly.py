@@ -338,18 +338,6 @@ class MPoly:
                 derived[key] = coeff * e_x
         return MPoly._trusted(derived, self._den)
 
-    def exact_div_var(self, name: str) -> "MPoly":
-        """Divide by a single variable, requiring every term to contain it."""
-        index = _VAR_INDEX[name]
-        quotient: dict[Exponents, int] = {}
-        for exponents, coeff in self._num.items():
-            if exponents[index] < 1:
-                raise ValueError(f"term {exponents} has no factor of {name}; division is not exact")
-            lowered = list(exponents)
-            lowered[index] -= 1
-            quotient[tuple(lowered)] = coeff
-        return MPoly._trusted(quotient, self._den)
-
     def eval_exact(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact rational evaluation; all four variables must be bound."""
         missing = [name for name in VARIABLES if name not in values]

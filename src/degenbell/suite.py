@@ -64,7 +64,7 @@ def constructor_reports(rows: list[list[MPoly]], bells: list[MPoly]) -> list[Ver
         ("recurrence_vs_oracle", 0, dbell_recurrence_table(n_max)),
     ]
     return [
-        sweep_identity(name, lo, n_max, lambda n, t=table: (t[n], oracle[n]))
+        sweep_identity(name, lo, n_max, zip(range(lo, n_max + 1), table[lo:], oracle[lo:]))
         for name, lo, table in tables
     ]
 
@@ -72,65 +72,54 @@ def constructor_reports(rows: list[list[MPoly]], bells: list[MPoly]) -> list[Ver
 def degenerate_stirling_report(rows: list[list[MPoly]]) -> VerificationReport:
     """Closed form against the series value for every 0 <= m <= n <= n_max,
     given the rows `oracle_degenerate_stirling2_table(n_max)`."""
-
-    def sides(n: int) -> tuple[MPoly, MPoly]:
-        # The first mismatching pair of row n, or else any matching one, so
-        # the sweep stops at the first n with a bad entry and reports it.
-        pairs = [(degenerate_stirling2(n, m), rows[n][m]) for m in range(n + 1)]
-        return next((pair for pair in pairs if pair[0] != pair[1]), pairs[0])
-
+    sides = ((n, degenerate_stirling2(n, m), entry) for n, row in enumerate(rows) for m, entry in enumerate(row))
     return sweep_identity("degenerate_stirling_closed_vs_oracle", 0, len(rows) - 1, sides)
 
 
 def classical_limit_report(bells: list[MPoly], classical: list[MPoly]) -> VerificationReport:
     """bells[n] = degenerate_bell(n) tends to classical[n] =
     bell_polynomial(n) under lambda -> 0, L -> 1."""
-    return sweep_identity(
-        "classical_limit", 0, len(bells) - 1, lambda n: (limit_lambda_zero(bells[n]), classical[n])
-    )
+    sides = ((n, limit_lambda_zero(bell), classical[n]) for n, bell in enumerate(bells))
+    return sweep_identity("classical_limit", 0, len(bells) - 1, sides)
 
 
-def classical_recurrence_report(classical: list[MPoly]) -> VerificationReport:
-    """One-step classical recurrence, given classical[n] = bell_polynomial(n)
-    for n = 0..n_max + 1: the step index runs to n_max, so the produced
-    polynomial reaches degree n_max + 1."""
-    ones = [MPoly.one()] * len(classical)
-    return sweep_identity(
-        "classical_recurrence",
-        0,
-        len(classical) - 2,
-        lambda n: (classical[n + 1], X * binomial_convolution(classical, ones, n)),
-    )
+def classical_recurrence_report(classical: list[MPoly], steps: list[MPoly]) -> VerificationReport:
+    """One-step classical recurrence classical[n + 1] = steps[n], given
+    classical[n] = bell_polynomial(n) for n = 0..n_max + 1 and the step row
+    steps[n] = x times the binomial convolution of classical with the ones,
+    for n = 0..n_max."""
+    sides = ((n, classical[n + 1], step) for n, step in enumerate(steps))
+    return sweep_identity("classical_recurrence", 0, len(steps) - 1, sides)
 
 
-def recurrence_limit_report(bells: list[MPoly], classical: list[MPoly]) -> VerificationReport:
+def recurrence_limit_report(bells: list[MPoly], steps: list[MPoly]) -> VerificationReport:
     """The degenerate one-step recurrence over bells[n] = degenerate_bell(n)
-    collapses under lambda -> 0, L -> 1 to the classical one over
-    classical[n] = bell_polynomial(n)."""
+    collapses under lambda -> 0, L -> 1 to the classical step row steps[n]."""
     falling = [falling_factorial_general(1 - LAM, k) for k in range(len(bells))]
-    ones = [MPoly.one()] * len(bells)
-
-    def sides(n: int) -> tuple[MPoly, MPoly]:
-        degenerate_step = limit_lambda_zero(X * L * binomial_convolution(bells, falling, n))
-        return degenerate_step, X * binomial_convolution(classical, ones, n)
-
-    return sweep_identity("recurrence_classical_limit", 0, len(bells) - 1, sides)
+    sides = (
+        (n, limit_lambda_zero(X * L * binomial_convolution(bells, falling, n)), step) for n, step in enumerate(steps)
+    )
+    return sweep_identity("recurrence_classical_limit", 0, len(steps) - 1, sides)
 
 
 def exact_reports(n_max: int) -> list[VerificationReport]:
     """Every exact sweep for n up to n_max.  The oracle rows, the canonical
-    rows degenerate_bell(n) and the classical Bell polynomials through
-    n_max + 1 are built once here and passed to each report that reads them."""
+    rows degenerate_bell(n), the classical Bell polynomials through
+    n_max + 1 and the classical step row are built once here, each just
+    before the first report that reads it, and passed to every report that
+    reads them."""
     rows = oracle_degenerate_stirling2_table(n_max)
     bells = [degenerate_bell(n) for n in range(n_max + 1)]
-    classical = [bell_polynomial(n) for n in range(n_max + 2)]
     reports = constructor_reports(rows, bells)
     reports.append(degenerate_stirling_report(rows))
     reports.append(verify_addition(bells))
     reports.append(verify_derivative(bells))
+    classical = [bell_polynomial(n) for n in range(n_max + 2)]
     reports.append(classical_limit_report(bells, classical))
-    reports.append(classical_recurrence_report(classical))
-    reports.append(recurrence_limit_report(bells, classical))
+    ones = [MPoly.one()] * (n_max + 1)
+    steps = [X * binomial_convolution(classical, ones, n) for n in range(n_max + 1)]
+    reports.append(classical_recurrence_report(classical, steps))
+    reports.append(recurrence_limit_report(bells, steps))
     return reports
 
 

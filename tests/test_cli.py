@@ -341,12 +341,34 @@ FRESH_PROCESS_RUNS = [
      "                       [--n-max N_MAX] [--format {text,json,csv}]\n"
      "                       [--output OUTPUT]\n"
      "degenbell table: error: argument --n-max: invalid int value: 'x'\n"),
+    # A --flag=-- value, which argparse takes as no value at all and stores as [].
+    ("table --family bell --n-max=--", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: argument --n-max: expected one argument\n"),
+    ("table --family=-- --n-max 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: argument --family: expected one argument\n"),
+    ("table --family bell --format=--", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: argument --format: expected one argument\n"),
+    ("table --family bell --output=--", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: argument --output: expected one argument\n"),
+    ("eval --n 3 --lambda=-- --x 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: argument --lambda: expected one argument\n"),
+    ("verify --tol=--", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: degenbell [-h] {table,verify,eval} ...\ndegenbell: error: argument --tol: expected one argument\n"),
 ]
 
 
-@pytest.mark.parametrize("command", ["eval --n 3 --lambda=-1e-05 --x 1", "eval --n 3 --lambda -1e-05 --x 1"])
+@pytest.mark.parametrize(
+    "command",
+    ["eval --n 3 --lambda=-1e-05 --x 1", "eval --n 3 --lambda -1e-05 --x 1", "table --family bell --n-max=--"],
+)
 def test_module_entry_point_matches_fresh_process_runs(command):
-    # One command line the table parses and one only argparse parses (and refuses).
+    # One command line the table parses and two only argparse parses (and refuses).
     env = {**src_env(), "COLUMNS": "80"}
     proc = subprocess.run([sys.executable, "-m", "degenbell", *command.split()], capture_output=True, env=env)
     got = (command, proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode("utf-8"))

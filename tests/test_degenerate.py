@@ -191,13 +191,25 @@ def test_derivative_report_passes():
 
 
 def test_sweep_reports_first_failure():
-    report = sweep_identity("broken", 0, 5, lambda n: (MPoly.constant(n), MPoly.constant(n + (n == 3))))
+    sides = ((n, MPoly.constant(n), MPoly.constant(n + (n == 3))) for n in range(6))
+    report = sweep_identity("broken", 0, 5, sides)
     assert not report.passed
     assert report.first_failure is not None
     n, lhs, rhs = report.first_failure
     assert n == 3
     assert lhs == MPoly.constant(3)
     assert rhs == MPoly.constant(4)
+
+
+def test_sweep_reads_no_triple_past_the_first_failure():
+    def triples():
+        yield 0, X, X
+        yield 1, X, X + 1
+        raise AssertionError("the sweep read past its first failure")
+
+    report = sweep_identity("lazy", 0, 5, triples())
+    assert not report.passed
+    assert report.first_failure == (1, X, X + 1)
 
 
 def test_report_consistency_enforced():
@@ -211,7 +223,7 @@ def test_report_json_schema():
     obj = verify_addition(BELLS[:4]).to_json_obj()
     assert obj == {"identity": "addition", "range": [0, 3], "passed": True, "first_failure": None}
 
-    failing = sweep_identity("broken", 1, 2, lambda n: (X, X + 1))
+    failing = sweep_identity("broken", 1, 2, ((n, X, X + 1) for n in range(1, 3)))
     fail_obj = failing.to_json_obj()
     assert fail_obj["passed"] is False
     assert fail_obj["first_failure"]["n"] == 1

@@ -146,19 +146,6 @@ def test_eval_requires_all_variables():
         X.eval_exact({"x": 1})
 
 
-# -- exact division ----------------------------------------------------------------
-
-
-def test_exact_div_var():
-    p = L**2 * X + 2 * L
-    assert p.exact_div_var("L") == L * X + 2
-
-
-def test_exact_div_var_rejects_missing_factor():
-    with pytest.raises(ValueError):
-        (L * X + X).exact_div_var("L")
-
-
 # -- rendering ----------------------------------------------------------------------
 
 
@@ -349,8 +336,6 @@ def test_arithmetic_results_are_canonical(p, q, c):
         p**0,
         p**3,
         p.derivative_x(),
-        (p * X).exact_div_var("x"),
-        (p * LAM).exact_div_var("lambda"),
     ]
     for result in results:
         _assert_canonical(result)

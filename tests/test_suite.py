@@ -82,6 +82,18 @@ def test_perturbed_convolution_fails_every_report_that_reads_it(monkeypatch):
     }
 
 
+def test_derivative_term_without_l_fails_at_its_n():
+    # d/dx of Bel_3 + x^2 has the term 2x, which carries no L.  The
+    # convolution at n reads bells[n] only against (1 | lambda)_0 = 0, so
+    # the right side, L times the convolution, is the unperturbed derivative.
+    bells = [suite.degenerate_bell(n) for n in range(7)]
+    derivative = bells[3].derivative_x()
+    bells[3] = bells[3] + X**2
+    report = degenerate.verify_derivative(bells)
+    assert not report.passed
+    assert report.first_failure == (3, derivative + 2 * X, derivative)
+
+
 def test_exact_reports_build_each_table_once(monkeypatch):
     calls = Counter()
 
@@ -112,11 +124,12 @@ def test_exact_reports_build_each_table_once(monkeypatch):
 
 
 def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
+    # Three bad entries: the sweep reports the first in (n, m) order.
     original = suite.degenerate_stirling2
     monkeypatch.setattr(
         suite,
         "degenerate_stirling2",
-        lambda n, m: original(n, m) + LAM if (n, m) == (5, 2) else original(n, m),
+        lambda n, m: original(n, m) + LAM if (n, m) in {(5, 2), (5, 4), (6, 1)} else original(n, m),
     )
     report = suite.degenerate_stirling_report(ORACLE_ROWS)
     assert not report.passed
