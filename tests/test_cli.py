@@ -479,6 +479,23 @@ def test_stdout_bytes_are_pinned(command, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
 
 
+# SHA-256 of stdout for commands that exit 1: the Dobinski sum at x = 1000
+# underflows to 0.0, a false FAIL of the float check that a fix of the check
+# will change on purpose.
+PINNED_FAILING_STDOUT = {
+    "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format text": "4ac77fac7140c8693d89ef229116d3a0c7c7619540c714e88c708819e1f81ffa",
+    "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format json": "a52dad65641290c59d1e8cd07b9b1dd54e2453de7310b245244cef103dfd4bd9",
+    "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format csv": "8e5a09507d35c9ace9af1ad85d5a81ad72b5a34a4f673a8ba5144eec7106ad3c",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_FAILING_STDOUT))
+def test_failing_stdout_bytes_are_pinned(command, capsys):
+    code, out = run_cli(command.split(), capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_FAILING_STDOUT[command]
+
+
 # -- the JSON renderer ------------------------------------------------------------
 
 

@@ -4,11 +4,12 @@ and so does the shared binomial convolution.  `exact_reports` builds each
 table once.  The float grid's shared rows give the per-point checks bit
 for bit, are built once, and can fail."""
 
+import hashlib
 from collections import Counter
 
 import pytest
 
-from degenbell import degenerate, numeric, suite
+from degenbell import cli, degenerate, numeric, suite
 from degenbell.numeric import classical_dobinski_check, dobinski_check, scaled_bell_series_check
 from degenbell.poly import LAM, X
 from degenbell.series import oracle_degenerate_stirling2_table
@@ -121,6 +122,26 @@ def test_exact_reports_build_each_table_once(monkeypatch):
         monkeypatch.setattr(suite, name, counted(suite, name))
     assert all(report.passed for report in suite.exact_reports(8))
     assert calls == {"degenerate_bell": 9, **dict.fromkeys(tables, 1)}
+
+
+# SHA-256 of `verify --n-max 6` stdout, which exits 1, with S2(5,2|λ) + λ in
+# place of S2(5,2|λ): one failing report among passing reports and checks.
+MUTATED_VERIFY_STDOUT = {
+    "text": "acaf77ca38b9d87273894cff3708b5fc834048a34a60a5786a53af751439bd82",
+    "json": "b7753f973494e2d18f7f956ee4ec266cc972db26e17041424acef4e31f8fbb4b",
+    "csv": "a01817c98302e081d5812effc972dbcc7b8fea8eeefd851378ef7e17309ab610",
+}
+
+
+@pytest.mark.parametrize("fmt", list(MUTATED_VERIFY_STDOUT))
+def test_mutated_verify_stdout_is_pinned(fmt, monkeypatch, capsys):
+    original = suite.degenerate_stirling2
+    monkeypatch.setattr(
+        suite, "degenerate_stirling2", lambda n, m: original(n, m) + LAM if (n, m) == (5, 2) else original(n, m)
+    )
+    assert cli.main(["verify", "--n-max", "6", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MUTATED_VERIFY_STDOUT[fmt]
 
 
 def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
