@@ -16,7 +16,6 @@ from .classical import (
     stirling2,
 )
 from .series import (
-    Series,
     degenerate_exp_composita,
     degenerate_exp_minus_one,
     oracle_degenerate_bell_table,
@@ -52,7 +51,6 @@ __all__ = [
     "LAM",
     "MPoly",
     "NumericCheck",
-    "Series",
     "SuiteResult",
     "VerificationReport",
     "X",

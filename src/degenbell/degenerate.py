@@ -11,18 +11,16 @@ mismatching n if any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
 from .classical import bell_polynomial, binomial, falling_factorial_general, stirling1, stirling_rows
 from .series import degenerate_exp_composita
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of sweeping one identity over a range of n.
 
     `first_failure`, when present, carries (n, lhs, rhs) for the smallest
@@ -31,12 +29,11 @@ class VerificationReport:
 
     identity_name: str
     n_range: tuple[int, int]
-    passed: bool
     first_failure: tuple[int, MPoly, MPoly] | None = None
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.first_failure is None):
-            raise ValueError("passed must be true exactly when first_failure is absent")
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
     def to_json_obj(self) -> dict:
         failure = None
@@ -58,7 +55,7 @@ def sweep_identity(
     one at a time, and stop at the first exact mismatch, which is the
     report's first failure.  An empty range passes vacuously."""
     failure = next((triple for triple in sides if triple[1] != triple[2]), None)
-    return VerificationReport(name, (lo, hi), failure is None, failure)
+    return VerificationReport(name, (lo, hi), failure)
 
 
 # -- constructors ---------------------------------------------------------

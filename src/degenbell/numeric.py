@@ -11,10 +11,10 @@ the classical limit use the exact classical constructors instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .poly import Exponents
 from .classical import bell_polynomial, stirling1, stirling_rows
@@ -24,9 +24,9 @@ DEFAULT_TERMS = 80
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NumericCheck:
-    """One floating-point comparison: passed is abs_error <= tol.
+class NumericCheck(NamedTuple):
+    """One floating-point comparison: `abs_error` is |lhs - rhs| and
+    `passed` is abs_error <= tol, so a NaN on either side fails.
 
     `lam` and `x` are None for purely classical checks.
     """
@@ -38,9 +38,15 @@ class NumericCheck:
     terms: int
     lhs: float
     rhs: float
-    abs_error: float
     tol: float
-    passed: bool
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+    @property
+    def passed(self) -> bool:
+        return self.abs_error <= self.tol
 
     def to_json_obj(self) -> dict:
         return {
@@ -68,20 +74,6 @@ class NumericCheck:
             repr(self.abs_error),
             self.passed,
         ]
-
-
-def _make_check(
-    identity: str,
-    n: int,
-    lam: float | None,
-    x: float | None,
-    terms: int,
-    lhs: float,
-    rhs: float,
-    tol: float,
-) -> NumericCheck:
-    abs_error = abs(lhs - rhs)
-    return NumericCheck(identity, n, lam, x, terms, lhs, rhs, abs_error, tol, abs_error <= tol)
 
 
 def _check_lambda(lam: float) -> float:
@@ -220,13 +212,13 @@ def dobinski_check(
     """Closed form against the truncated degenerate Dobinski series."""
     lhs = eval_bel_numeric(n, lam, x)
     rhs = dobinski_degenerate(n, lam, x, terms, falling=falling)
-    return _make_check("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol)
+    return NumericCheck("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol)
 
 
 def classical_dobinski_check(n: int, terms: int = 60, tol: float = DEFAULT_TOL) -> NumericCheck:
     """Truncated classical Dobinski sum against the exact Bell number."""
     exact = bell_polynomial(n).eval_exact({"lambda": 0, "L": 1, "x": 1, "y": 0})
-    return _make_check(
+    return NumericCheck(
         "dobinski_classical", n, None, None, terms, dobinski_classical(n, terms), float(exact), tol
     )
 
@@ -257,7 +249,7 @@ def scaled_bell_series_check(
     if not math.isfinite(lhs):
         raise OverflowError("scaled series left side overflows")
     rhs = _weighted_sum(x * big_l, inner or _scaled_inner_row(n, lam, terms), "scaled series")
-    return _make_check("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
+    return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
 
 
 __all__ = [

@@ -20,7 +20,7 @@ numerator is zero, the denominator and all numerators have gcd 1, and the
 zero polynomial is the empty map over 1.  Two polynomials are then equal
 iff their maps and denominators are equal, and arithmetic on the integer
 coefficients the Bell and Stirling constructors produce never leaves the
-integers.  Every product, and every sum of products in the package, goes
+integers.  Every sum, product and sum of products in the package goes
 through one multiply-accumulate kernel, `MPoly.sum_of_products`, which
 adds each c*a*b into one map and grows the denominator only by lcm.
 `items()` gives each term's value, and `eval_exact()` the polynomial's,
@@ -74,7 +74,7 @@ class MPoly:
     can be shared freely between threads.
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
         values: dict[Exponents, Fraction] = {}
@@ -89,7 +89,6 @@ class MPoly:
         den = math.lcm(*(value.denominator for value in values.values()))
         self._num = {e: value.numerator * (den // value.denominator) for e, value in values.items()}
         self._den = den
-        self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, num: dict[Exponents, int], den: int = 1) -> "MPoly":
@@ -113,7 +112,6 @@ class MPoly:
         poly = object.__new__(cls)
         poly._num = num
         poly._den = den
-        poly._hash = None
         return poly
 
     # -- construction -------------------------------------------------
@@ -179,9 +177,7 @@ class MPoly:
         return self._den == rhs._den and self._num == rhs._num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((frozenset(self._num.items()), self._den))
-        return self._hash
+        return hash((frozenset(self._num.items()), self._den))
 
     def __repr__(self) -> str:
         return f"MPoly({self.pretty()})"
@@ -202,17 +198,8 @@ class MPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self._den == rhs._den:
-            den, scale_a, scale_b = self._den, 1, 1
-        else:
-            common = math.gcd(self._den, rhs._den)
-            scale_a, scale_b = rhs._den // common, self._den // common
-            den = self._den * scale_a
-        merged = {e: c * scale_a for e, c in self._num.items()} if scale_a != 1 else dict(self._num)
-        for exponents, coeff in rhs._num.items():
-            coeff *= scale_b
-            merged[exponents] = merged[exponents] + coeff if exponents in merged else coeff
-        return MPoly._trusted(merged, den)
+        one = MPoly.one()
+        return MPoly.sum_of_products(((1, self, one), (1, rhs, one)))
 
     __radd__ = __add__
 

@@ -4,17 +4,18 @@ These series are the brute-force oracle: every closed form elsewhere in
 the package is checked against coefficients extracted here by expanding
 the defining generating functions directly.
 
-A series stores ordinary coefficients: the entry at index n is the plain
-coefficient of t^n.  Exponentially normalized quantities are produced at
-the boundary by multiplying the n-th coefficient by n!.  Keeping a single
-stored form with explicit conversion is what prevents a silent factor of
-n! from creeping into the composita arithmetic, which lives on ordinary
-coefficients while Bell-style values are exponential.
+A series is the tuple of its ordinary coefficients: the entry at index n
+is the plain coefficient of t^n, and its truncation order is its length
+less one.  Arithmetic is truncation closed: nothing beyond the stored
+order is ever read or written.  Exponentially normalized quantities are
+produced at the boundary by multiplying the n-th coefficient by n!.
+Keeping a single stored form with explicit conversion is what prevents a
+silent factor of n! from creeping into the composita arithmetic, which
+lives on ordinary coefficients while Bell-style values are exponential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import factorial
@@ -24,39 +25,18 @@ from .poly import L, MPoly, X
 from .classical import binomial, falling_factorial_general
 
 
-@dataclass(frozen=True)
-class Series:
-    """Truncated series sum(coeffs[n] * t^n for n = 0..order).
-
-    Arithmetic is truncation closed: nothing beyond the stored order is
-    ever read or written.
-    """
-
-    coeffs: tuple[MPoly, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> MPoly:
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
-        return self.coeffs[n]
+def series_mul(a: tuple[MPoly, ...], b: tuple[MPoly, ...]) -> tuple[MPoly, ...]:
+    """Truncated Cauchy product of two series of equal order, each a
+    non-empty tuple of coefficients."""
+    if len(a) != len(b):
+        raise ValueError(f"series order mismatch: {len(a) - 1} != {len(b) - 1}")
+    if not a:
+        raise ValueError("a series needs at least the constant coefficient")
+    products = (zip(repeat(1), a[: n + 1], b[n::-1]) for n in range(len(a)))
+    return tuple(map(MPoly.sum_of_products, products))
 
 
-def series_mul(a: Series, b: Series) -> Series:
-    """Truncated Cauchy product of two series of equal order."""
-    if a.order != b.order:
-        raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    products = (zip(repeat(1), a.coeffs[: n + 1], b.coeffs[n::-1]) for n in range(a.order + 1))
-    return Series(tuple(map(MPoly.sum_of_products, products)))
-
-
-def degenerate_exp_minus_one(order: int) -> Series:
+def degenerate_exp_minus_one(order: int) -> tuple[MPoly, ...]:
     """The series of (1 + lambda t)^(1/lambda) - 1.
 
     Its exponential coefficients are the lambda-step falling factorials of
@@ -67,7 +47,7 @@ def degenerate_exp_minus_one(order: int) -> Series:
     coeffs = [MPoly.zero()]
     for n in range(1, order + 1):
         coeffs.append(falling_factorial_general(1, n) * Fraction(1, factorial(n)))
-    return Series(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly] | None = None) -> MPoly:
@@ -117,17 +97,16 @@ def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
     if n_max < 0:
         raise ValueError(f"oracle needs n >= 0, got {n_max}")
     f = degenerate_exp_minus_one(n_max)
-    powers = [Series((MPoly.one(),) + (MPoly.zero(),) * n_max)]
+    powers = [(MPoly.one(),) + (MPoly.zero(),) * n_max]
     for _ in range(n_max):
         powers.append(series_mul(powers[-1], f))
     return [
-        [powers[m].coefficient(n) * (factorial(n) // factorial(m)) for m in range(n + 1)]
+        [powers[m][n] * (factorial(n) // factorial(m)) for m in range(n + 1)]
         for n in range(n_max + 1)
     ]
 
 
 __all__ = [
-    "Series",
     "degenerate_exp_composita",
     "degenerate_exp_minus_one",
     "oracle_degenerate_bell_table",

@@ -3,7 +3,7 @@ the floating-point grid, in a deterministic order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import L, LAM, MPoly, X
 from .classical import bell_polynomial, falling_factorial_general
@@ -40,8 +40,7 @@ NUMERIC_N_CAP = 8
 CLASSICAL_BELL_MAX = 5
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     reports: tuple[VerificationReport, ...]
     checks: tuple[NumericCheck, ...]
 

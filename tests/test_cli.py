@@ -118,7 +118,7 @@ def test_verify_csv_header(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    broken = VerificationReport("synthetic", (0, 1), False, (0, MPoly.one(), MPoly.zero()))
+    broken = VerificationReport("synthetic", (0, 1), (0, MPoly.one(), MPoly.zero()))
     monkeypatch.setattr(cli, "run_full_suite", lambda *a, **k: SuiteResult((broken,), ()))
     code, out = run_cli(["verify", "--n-max", "1"], capsys)
     assert code == 1
@@ -373,6 +373,16 @@ def test_module_entry_point_matches_fresh_process_runs(command):
     proc = subprocess.run([sys.executable, "-m", "degenbell", *command.split()], capture_output=True, env=env)
     got = (command, proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode("utf-8"))
     assert got == next(run for run in FRESH_PROCESS_RUNS if run[0] == command)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # The records are named tuples; a dataclass would pull in inspect, ast,
+    # dis and tokenize, which a cold command then imports and never uses.
+    code = "import sys, degenbell.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    proc = subprocess.run([sys.executable, "-c", code, *heavy], capture_output=True, env=src_env(), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cached_parser_carries_no_state_between_calls(monkeypatch, capsys):

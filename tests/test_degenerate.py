@@ -212,11 +212,11 @@ def test_sweep_reads_no_triple_past_the_first_failure():
     assert report.first_failure == (1, X, X + 1)
 
 
-def test_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        VerificationReport("bad", (0, 1), True, (0, MPoly.one(), MPoly.zero()))
-    with pytest.raises(ValueError):
-        VerificationReport("bad", (0, 1), False, None)
+def test_report_passed_is_derived_from_its_failure():
+    failing = VerificationReport("bad", (0, 1), (0, MPoly.one(), MPoly.zero()))
+    assert not failing.passed
+    assert failing.to_json_obj()["passed"] is False
+    assert VerificationReport("good", (0, 1)).passed
 
 
 def test_report_json_schema():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenbell import cli
 from degenbell.classical import bell_polynomial, stirling1, stirling2
 from degenbell.degenerate import degenerate_bell
 from degenbell.numeric import (
@@ -21,7 +22,6 @@ from degenbell.numeric import (
     _check_x,
     _closed_terms,
     _falling_row,
-    _make_check,
     _scaled_inner_row,
 )
 
@@ -313,7 +313,7 @@ def limit_sweep(n, x, lambdas, tol_scale=100.0):
     classical = bell_polynomial(n)
     target = math.fsum(float(coeff) * x ** exps[2] for exps, coeff in classical.items())
     return [
-        _make_check(
+        NumericCheck(
             "classical_limit_sweep", n, lam, x, 0, eval_bel_numeric(n, lam, x), target, tol_scale * abs(lam)
         )
         for lam in lambdas
@@ -345,8 +345,31 @@ def test_limit_sweep_rejects_non_finite_input(lam, x):
 
 
 def test_numeric_check_passed_invariant():
-    check = NumericCheck("demo", 1, 0.5, 1.0, 10, 1.0, 1.5, 0.5, 0.1, False)
-    assert check.passed == (check.abs_error <= check.tol)
+    check = NumericCheck("demo", 1, 0.5, 1.0, 10, 1.0, 1.5, 0.1)
+    assert check.abs_error == 0.5
+    assert not check.passed
     row = check.to_csv_row()
     assert row[0] == "demo"
     assert len(row) == 9
+
+
+def test_numeric_check_with_nan_side_fails():
+    check = NumericCheck("demo", 1, 0.5, 1.0, 10, math.nan, 1.5, 0.1)
+    assert math.isnan(check.abs_error)
+    assert not check.passed
+    assert '"abs_error": NaN,' in cli._json_text(check.to_json_obj())
+
+
+def test_numeric_check_error_equal_to_tol_passes():
+    check = NumericCheck("demo", 1, 0.5, 1.0, 10, 1.0, 1.5, 0.5)
+    assert check.abs_error == check.tol
+    assert check.passed
+
+
+@pytest.mark.parametrize("lhs, rhs", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_numeric_check_negative_zero_behaves_as_zero(lhs, rhs):
+    check = NumericCheck("demo", 1, 0.5, 1.0, 10, lhs, rhs, 1e-300)
+    assert repr(check.abs_error) == "0.0"
+    assert check.passed
+    assert check.to_json_obj()["abs_error"] == 0.0
+    assert check.to_csv_row()[7] == "0.0"
