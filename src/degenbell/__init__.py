@@ -11,7 +11,7 @@ from .poly import L, LAM, MPoly, X, Y
 from .classical import (
     bell_polynomial,
     binomial,
-    falling_factorial_general,
+    falling_factorials,
     stirling1,
     stirling2,
 )
@@ -71,7 +71,7 @@ __all__ = [
     "dobinski_classical",
     "dobinski_degenerate",
     "eval_bel_numeric",
-    "falling_factorial_general",
+    "falling_factorials",
     "limit_lambda_zero",
     "oracle_degenerate_bell_table",
     "oracle_degenerate_stirling2_table",

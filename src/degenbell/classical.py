@@ -1,10 +1,12 @@
 """Classical integer combinatorics: binomials, both kinds of Stirling
-numbers, Bell polynomials, and the lambda-step falling factorial."""
+numbers, Bell polynomials, and rows of lambda-step falling factorials."""
 
 from __future__ import annotations
 
 import math
 import threading
+from itertools import accumulate
+from operator import mul
 
 from .poly import LAM, MPoly, Scalar
 
@@ -76,25 +78,23 @@ def bell_polynomial(n: int) -> MPoly:
     return MPoly._trusted({(0, 0, k, 0): s2 for k, s2 in enumerate(stirling_rows(n)[1][n])})
 
 
-def falling_factorial_general(z: MPoly | Scalar, n: int) -> MPoly:
-    """The lambda-step falling factorial z (z - lambda) ... (z - (n-1) lambda).
+def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
+    """The row [(z | lambda)_0, ..., (z | lambda)_n] of lambda-step falling
+    factorials (z | lambda)_k = z (z - lambda) ... (z - (k-1) lambda), from
+    one running product: each entry is the one before times (z - (k-1) lambda).
 
-    n = 0 gives the empty product 1.  The step is the formal variable
-    lambda, so with z an integer the result is a polynomial in lambda.
+    (z | lambda)_0 is the empty product 1.  The step is the formal variable
+    lambda, so with z an integer each entry is a polynomial in lambda.
     """
     if n < 0:
-        raise ValueError(f"falling factorial needs n >= 0, got {n}")
-    base = z if isinstance(z, MPoly) else MPoly.constant(z)
-    out = MPoly.one()
-    for i in range(n):
-        out = out * (base - i * LAM)
-    return out
+        raise ValueError(f"falling factorials need n >= 0, got {n}")
+    return list(accumulate((z - k * LAM for k in range(n)), mul, initial=MPoly.one()))
 
 
 __all__ = [
     "bell_polynomial",
     "binomial",
-    "falling_factorial_general",
+    "falling_factorials",
     "stirling1",
     "stirling2",
     "stirling_rows",

@@ -16,7 +16,7 @@ from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
-from .classical import bell_polynomial, binomial, falling_factorial_general, stirling1, stirling_rows
+from .classical import bell_polynomial, binomial, falling_factorials, stirling1, stirling_rows
 from .series import degenerate_exp_composita
 
 
@@ -153,7 +153,7 @@ def dbell_recurrence_table(n_max: int) -> list[MPoly]:
     the lambda-step falling factorials of 1-lambda."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    falling = [falling_factorial_general(1 - LAM, k) for k in range(n_max)]
+    falling = falling_factorials(1 - LAM, n_max)
     bells = [MPoly.one()]
     for m in range(n_max):
         bells.append(X * L * binomial_convolution(bells, falling, m))
@@ -185,7 +185,7 @@ def verify_derivative(bells: list[MPoly]) -> VerificationReport:
     reads (1 | lambda)_k for k >= 1 and 0 at k = 0, which drops m = n.
     L is a formal variable, so this holds exactly when (1/L) d/dx equals
     the convolution."""
-    falling = [MPoly.zero()] + [falling_factorial_general(1, k) for k in range(1, len(bells))]
+    falling = [MPoly.zero()] + falling_factorials(1, len(bells) - 1)[1:]
     sides = ((n, bells[n].derivative_x(), L * binomial_convolution(bells, falling, n)) for n in range(1, len(bells)))
     return sweep_identity("derivative", 1, len(bells) - 1, sides)
 

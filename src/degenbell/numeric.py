@@ -10,6 +10,7 @@ the classical limit use the exact classical constructors instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -88,30 +89,41 @@ def _check_x(x: float) -> None:
         raise ValueError(f"x must be finite, got {x}")
 
 
-def _closed_terms(n: int) -> list[tuple[Exponents, float]]:
+# One cached entry per row builder is enough: the float grid asks for each
+# (n, lambda) row, and each n's closed form, for every x in turn, so the
+# entry the first x builds serves the rest.  Rows are tuples, so no caller
+# can change what the next one reads.
+
+
+@functools.lru_cache(maxsize=1)
+def _closed_terms(n: int) -> tuple[tuple[Exponents, float], ...]:
     """The terms of dbell_via_stirling_pair(n), coefficients as floats."""
-    return [(exps, float(coeff)) for exps, coeff in dbell_via_stirling_pair(n).items()]
+    return tuple((exps, float(coeff)) for exps, coeff in dbell_via_stirling_pair(n).items())
 
 
-def _poly_float(terms: list[tuple[Exponents, float]], lam: float, big_l: float, x: float) -> float:
+def _poly_float(terms: tuple[tuple[Exponents, float], ...], lam: float, big_l: float, x: float) -> float:
     """Evaluate float terms free of y at a float point."""
     point = (lam, big_l, x)
     return math.fsum(coeff * math.prod(v**e for v, e in zip(point, exps) if e) for exps, coeff in terms)
 
 
-def _falling_row(n: int, lam: float, terms: int) -> list[float]:
-    """[(l | lambda)_n for l = 0..terms], each l (l - lambda) ... (l - (n-1) lambda)."""
+@functools.lru_cache(maxsize=1)
+def _falling_row(n: int, lam: float, terms: int) -> tuple[float, ...]:
+    """((l | lambda)_n for l = 0..terms), each l (l - lambda) ... (l - (n-1) lambda)."""
     steps = [i * lam for i in range(n)]
-    return [math.prod([l - step for step in steps], start=1.0) for l in range(terms + 1)]
+    return tuple(math.prod([l - step for step in steps], start=1.0) for l in range(terms + 1))
 
 
-def _scaled_inner_row(n: int, lam: float, terms: int) -> list[float]:
-    """[fsum over l of k^l lambda^(n-l) stirling1(n, l) for k = 0..terms]."""
+@functools.lru_cache(maxsize=1)
+def _scaled_inner_row(n: int, lam: float, terms: int) -> tuple[float, ...]:
+    """(fsum over l of k^l lambda^(n-l) stirling1(n, l) for k = 0..terms)."""
     weights = [(lam ** (n - l), stirling1(n, l)) for l in range(n + 1)]
-    return [math.fsum(float(k) ** l * power * s1 for l, (power, s1) in enumerate(weights)) for k in range(terms + 1)]
+    return tuple(
+        math.fsum(float(k) ** l * power * s1 for l, (power, s1) in enumerate(weights)) for k in range(terms + 1)
+    )
 
 
-def _weighted_sum(xl: float, row: list[float], series: str) -> float:
+def _weighted_sum(xl: float, row: tuple[float, ...], series: str) -> float:
     """fsum of (x L)^k / k! * row[k]; OverflowError names the first term out of float range."""
     weight = 1.0  # (x L)^k / k!
     partials = []
@@ -164,15 +176,13 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     return value
 
 
-def dobinski_degenerate(
-    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, *, falling: list[float] | None = None
-) -> float:
+def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS) -> float:
     """Truncated Dobinski-type series for the degenerate Bell value:
     exp(-x L) * sum over l of (x^l / l!) L^l (l | lambda)_n.
 
-    Converges to eval_bel_numeric(n, lam, x) as terms grows.  `falling` may
-    carry the row [(l | lambda)_n for l = 0..terms].  Raises OverflowError
-    when a term, or the sum, is out of float range, never inf or nan.
+    Converges to eval_bel_numeric(n, lam, x) as terms grows.  Raises
+    OverflowError when a term, or the sum, is out of float range, never inf
+    or nan.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -180,7 +190,7 @@ def dobinski_degenerate(
         raise ValueError(f"need n >= 0, got {n}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    total = _weighted_sum(x * big_l, falling or _falling_row(n, lam, terms), "Dobinski series")
+    total = _weighted_sum(x * big_l, _falling_row(n, lam, terms), "Dobinski series")
     try:
         value = math.exp(-x * big_l) * total
     except OverflowError:  # exp(-x L) alone is out of range
@@ -206,12 +216,11 @@ def dobinski_classical(n: int, terms: int = 60) -> float:
 
 
 def dobinski_check(
-    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL,
-    *, falling: list[float] | None = None,
+    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
 ) -> NumericCheck:
     """Closed form against the truncated degenerate Dobinski series."""
     lhs = eval_bel_numeric(n, lam, x)
-    rhs = dobinski_degenerate(n, lam, x, terms, falling=falling)
+    rhs = dobinski_degenerate(n, lam, x, terms)
     return NumericCheck("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol)
 
 
@@ -224,17 +233,15 @@ def classical_dobinski_check(n: int, terms: int = 60, tol: float = DEFAULT_TOL) 
 
 
 def scaled_bell_series_check(
-    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL,
-    *, closed: list[tuple[Exponents, float]] | None = None, inner: list[float] | None = None,
+    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
 ) -> NumericCheck:
     """Two-sided series identity for the exponentially scaled Bell value.
 
     Left side: exp(x L) times the double-Stirling closed form, evaluated
     in floats.  Right side: the truncated series sum over k of
     (x^k / k!) L^k * sum over l of k^l lambda^(n-l) stirling1(n, l),
-    each inner sum an fsum of its float products.  `closed` may carry the
-    float terms of dbell_via_stirling_pair(n) and `inner` the inner sums for
-    k = 0..terms.  Raises OverflowError naming the side or term out of range.
+    each inner sum an fsum of its float products.  Raises OverflowError
+    naming the side or term out of range.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -243,12 +250,12 @@ def scaled_bell_series_check(
     big_l = _check_lambda(lam)
     _check_x(x)
     try:  # exp and ** raise OverflowError, fsum raises ValueError on inf - inf
-        lhs = math.exp(x * big_l) * _poly_float(closed or _closed_terms(n), lam, big_l, x)
+        lhs = math.exp(x * big_l) * _poly_float(_closed_terms(n), lam, big_l, x)
     except (OverflowError, ValueError):
         lhs = math.nan
     if not math.isfinite(lhs):
         raise OverflowError("scaled series left side overflows")
-    rhs = _weighted_sum(x * big_l, inner or _scaled_inner_row(n, lam, terms), "scaled series")
+    rhs = _weighted_sum(x * big_l, _scaled_inner_row(n, lam, terms), "scaled series")
     return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -43,7 +42,6 @@ Scalar = Union[int, Fraction]
 VARIABLES = ("lambda", "L", "x", "y")
 _VAR_INDEX = {name: index for index, name in enumerate(VARIABLES)}
 _PRETTY_NAMES = ("λ", "L", "x", "y")
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
 _ORIGIN: Exponents = (0, 0, 0, 0)
 
 
@@ -98,7 +96,7 @@ class MPoly:
         ints and `den` a positive int; zero numerators are dropped and, when
         `den` is not 1, the common factor of `den` and the numerators is
         divided out.  Input from outside the package goes through
-        `__init__`, `from_terms` or `from_json_obj`, which check everything.
+        `__init__`, which checks everything.
         The polynomial may keep `num` itself, so the caller must not change
         it afterwards.
         """
@@ -125,29 +123,12 @@ class MPoly:
         return cls._trusted({_ORIGIN: 1})
 
     @classmethod
-    def constant(cls, value: Scalar) -> "MPoly":
-        return cls({_ORIGIN: value})
-
-    @classmethod
     def variable(cls, name: str) -> "MPoly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         exponents = [0, 0, 0, 0]
         exponents[_VAR_INDEX[name]] = 1
         return cls._trusted({tuple(exponents): 1})
-
-    @classmethod
-    def from_terms(cls, raw_terms: Iterable[tuple[Exponents, Scalar]]) -> "MPoly":
-        """Normalize a list of (exponent-vector, coefficient) pairs.
-
-        Duplicate exponent vectors are summed and zero coefficients
-        dropped, so the result is always canonical.
-        """
-        accumulated: dict[Exponents, Fraction] = {}
-        for exponents, coeff in raw_terms:
-            _check_exponents(exponents)
-            accumulated[exponents] = accumulated.get(exponents, Fraction(0)) + Fraction(coeff)
-        return cls(accumulated)
 
     # -- inspection ----------------------------------------------------
 
@@ -269,13 +250,13 @@ class MPoly:
     def substitute(self, bindings: Mapping[str, "MPoly | Scalar"]) -> "MPoly":
         """Simultaneously substitute the bound variables; others stay formal.
 
-        A binding to 0, a constant or one term c*monomial is folded straight
-        into each term's exponents and coefficient.  The terms are grouped by
-        their exponents of the variables bound to longer polynomials, so each
-        product of powers of those is formed once, for `sum_of_products`."""
-        folds: list[tuple[int, list[tuple[int, int]], int, int, int]] = []
+        A binding to 0, an integer or one integer term c*monomial is folded
+        straight into each term's exponents and coefficient.  The terms are
+        grouped by their exponents of the variables bound to anything else (a
+        longer polynomial or one with a denominator), so each product of
+        powers of those is formed once, for `sum_of_products`."""
+        folds: list[tuple[int, list[tuple[int, int]], int]] = []
         replacements: dict[int, MPoly] = {}
-        den = self._den
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
@@ -283,37 +264,32 @@ class MPoly:
             if bound is None:
                 raise TypeError(f"cannot substitute value of type {type(value).__name__}")
             index = _VAR_INDEX[name]
-            if len(bound._num) > 1:  # grouped below, folded here as a binding to 1
+            if len(bound._num) > 1 or bound._den != 1:  # grouped below, folded here as a binding to 1
                 replacements[index], bound = bound, MPoly.one()
-            # Over the common denominator den * bound_den**top, a term keeps bound_den**(top - e).
-            top = max((exponents[index] for exponents in self._num), default=0) if bound._den != 1 else 0
-            den *= bound._den**top
             monomial, num = next(iter(bound._num.items()), (_ORIGIN, 0))
             shift = [m - (i == index) for i, m in enumerate(monomial)]  # the bound exponent leaves the key
-            folds.append((index, [(i, m) for i, m in enumerate(shift) if m], num, bound._den, top))
+            folds.append((index, [(i, m) for i, m in enumerate(shift) if m], num))
         groups: dict[tuple[int, ...], dict[Exponents, int]] = {}
         for exponents, coeff in self._num.items():
             key = list(exponents)
-            for index, shift, num, bound_den, top in folds:
+            for index, shift, num in folds:
                 e = exponents[index]
                 if e:
                     for i, m in shift:
                         key[i] += e * m
                     coeff *= num**e
-                if bound_den != 1:
-                    coeff *= bound_den ** (top - e)
             if coeff:
                 residual = groups.setdefault(tuple(exponents[index] for index in replacements), {})
                 key = tuple(key)
                 residual[key] = residual.get(key, 0) + coeff
         if not replacements:
-            return MPoly._trusted(groups.get((), {}), den)
+            return MPoly._trusted(groups.get((), {}), self._den)
         power = functools.cache(lambda index, exponent: replacements[index] ** exponent)
         total = MPoly.sum_of_products(
             (1, MPoly._trusted(residual), math.prod(map(power, replacements, part), start=MPoly.one()))
             for part, residual in groups.items()
         )
-        return MPoly._trusted(total._num, total._den * den)
+        return MPoly._trusted(total._num, total._den * self._den)
 
     def derivative_x(self) -> "MPoly":
         """Formal partial derivative with respect to x."""
@@ -343,7 +319,7 @@ class MPoly:
     # -- rendering -------------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
-        """JSON interchange form: canonical term list with "p/q" coefficients."""
+        """JSON output form: canonical term list with "p/q" coefficients."""
         return [
             {
                 "coeff": f"{num}/{den}",
@@ -351,24 +327,6 @@ class MPoly:
             }
             for e, num, den in self._reduced_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "MPoly":
-        if not isinstance(obj, list):
-            raise ValueError("polynomial JSON must be a list of term objects")
-        pairs: list[tuple[Exponents, Fraction]] = []
-        for entry in obj:
-            if not isinstance(entry, dict) or set(entry) != {"coeff", "pow"}:
-                raise ValueError(f"malformed polynomial term {entry!r}")
-            coeff_text = entry["coeff"]
-            if not isinstance(coeff_text, str) or not _COEFF_RE.match(coeff_text):
-                raise ValueError(f"malformed coefficient {coeff_text!r}")
-            pow_map = entry["pow"]
-            if not isinstance(pow_map, dict) or set(pow_map) != set(VARIABLES):
-                raise ValueError(f"malformed exponent map {pow_map!r}")
-            exponents = tuple(pow_map[name] for name in VARIABLES)
-            pairs.append((exponents, Fraction(coeff_text)))
-        return cls.from_terms(pairs)
 
     def pretty(self) -> str:
         """Human-oriented rendering, e.g. "x^3 + 3x^2 + x" or "L^2x^2 - λLx + Lx"."""

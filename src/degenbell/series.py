@@ -22,7 +22,7 @@ from math import factorial
 from typing import Sequence
 
 from .poly import L, MPoly, X
-from .classical import binomial, falling_factorial_general
+from .classical import binomial, falling_factorials
 
 
 def series_mul(a: tuple[MPoly, ...], b: tuple[MPoly, ...]) -> tuple[MPoly, ...]:
@@ -44,27 +44,22 @@ def degenerate_exp_minus_one(order: int) -> tuple[MPoly, ...]:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    coeffs = [MPoly.zero()]
-    for n in range(1, order + 1):
-        coeffs.append(falling_factorial_general(1, n) * Fraction(1, factorial(n)))
-    return tuple(coeffs)
+    falling = falling_factorials(1, order)
+    return (MPoly.zero(),) + tuple(falling[n] * Fraction(1, factorial(n)) for n in range(1, order + 1))
 
 
-def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly] | None = None) -> MPoly:
+def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly]) -> MPoly:
     """Coefficient of t^n in the k-th power of (1 + lambda t)^(1/lambda) - 1.
 
     Computed by the alternating binomial closed form over the lambda-step
-    falling factorials (j | lambda)_n; k > n gives 0 because the series
-    has no constant term.  `falling`, when given, holds (j | lambda)_n at
-    index j - 1 for j = 1..k at least, so a caller that takes every k at
-    one n builds them once.
+    falling factorials (j | lambda)_n, which `falling` holds at index j - 1
+    for j = 1..k at least, so a caller that takes every k at one n builds
+    them once; k > n gives 0 because the series has no constant term.
     """
     if n < 1 or k < 1:
         raise ValueError(f"composita needs n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n:
         return MPoly.zero()
-    if falling is None:
-        falling = [falling_factorial_general(j, n) for j in range(1, k + 1)]
     signed = (((-1) ** (k - j) * binomial(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
     return MPoly.sum_of_products(signed) * Fraction(1, factorial(n))
 

@@ -8,7 +8,7 @@ configuration.
 from contextlib import contextmanager
 from fractions import Fraction
 
-from degenbell.classical import bell_polynomial, binomial, falling_factorial_general
+from degenbell.classical import bell_polynomial, binomial, falling_factorials
 from degenbell.degenerate import (
     composition_coefficient,
     dbell_classical_bell_table,
@@ -121,7 +121,7 @@ def test_criterion_7_normalization_resolution():
         "criterion 7: ordinary composition coefficient misses by n! and the shipped "
         "constructor restores it"
     ):
-        ordinary = composition_coefficient(2, [falling_factorial_general(j, 2) for j in (1, 2)])
+        ordinary = composition_coefficient(2, [falling_factorials(j, 2)[2] for j in (1, 2)])
         # Control: the unscaled coefficient does NOT equal the polynomial...
         assert ordinary != degenerate_bell(2)
         # ...it is exactly the polynomial divided by 2!.
@@ -141,12 +141,11 @@ def test_criterion_8_recurrences():
             for j in range(n + 1):
                 convolution = convolution + binomial(n, j) * bell_polynomial(j)
             assert bell_polynomial(n + 1) == X * convolution
+        falling = falling_factorials(1 - LAM, 10)
         for n in range(11):
             step = MPoly.zero()
             for k in range(n + 1):
-                step = step + binomial(n, k) * degenerate_bell(k) * falling_factorial_general(
-                    1 - LAM, n - k
-                )
+                step = step + binomial(n, k) * degenerate_bell(k) * falling[n - k]
             degenerate_side = limit_lambda_zero(X * L * step)
             classical_side = MPoly.zero()
             for j in range(n + 1):

@@ -17,7 +17,7 @@ from degenbell import classical
 from degenbell.classical import (
     bell_polynomial,
     binomial,
-    falling_factorial_general,
+    falling_factorials,
     stirling1,
     stirling2,
     stirling_rows,
@@ -229,31 +229,43 @@ def test_bell_recurrence():
         assert bell_polynomial(n + 1) == X * convolution
 
 
-# -- generalized falling factorial -------------------------------------------------------
+# -- rows of lambda-step falling factorials ------------------------------------------------
 
 
 def test_falling_factorial_of_one():
-    assert falling_factorial_general(1, 3) == 1 - 3 * LAM + 2 * LAM**2
+    assert falling_factorials(1, 3)[3] == 1 - 3 * LAM + 2 * LAM**2
 
 
 def test_falling_factorial_empty_product():
-    assert falling_factorial_general(X + LAM, 0) == MPoly.one()
+    assert falling_factorials(X + LAM, 0) == [MPoly.one()]
 
 
 def test_falling_factorial_polynomial_argument():
-    lhs = falling_factorial_general(1 - LAM, 2)
-    assert lhs == (1 - LAM) * (1 - 2 * LAM)
+    assert falling_factorials(1 - LAM, 2) == [MPoly.one(), 1 - LAM, (1 - LAM) * (1 - 2 * LAM)]
+
+
+def test_falling_factorial_rows_are_the_products():
+    # Every entry against its product written out, for n = 0 too.
+    for z in (0, 1, 1 - LAM, X + LAM):
+        for n in range(9):
+            row = falling_factorials(z, n)
+            assert len(row) == n + 1
+            for k, entry in enumerate(row):
+                product = MPoly.one()
+                for i in range(k):
+                    product = product * (z - i * LAM)
+                assert entry == product
 
 
 def test_falling_factorial_homogenizes_stirling1():
     # The coefficient of lambda^(n-k) x^k in x(x - lambda)...(x - (n-1)lambda)
     # is the signed first-kind number.
-    for n in range(13):
-        terms = dict(falling_factorial_general(X, n).items())
+    for n, entry in enumerate(falling_factorials(X, 12)):
+        terms = dict(entry.items())
         for k in range(n + 1):
             assert terms.get((n - k, 0, k, 0), 0) == stirling1(n, k)
 
 
 def test_falling_factorial_rejects_negative():
     with pytest.raises(ValueError):
-        falling_factorial_general(1, -1)
+        falling_factorials(1, -1)

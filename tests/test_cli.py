@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from degenbell import cli, numeric, suite
-from degenbell.degenerate import VerificationReport
+from degenbell.degenerate import VerificationReport, degenerate_bell
 from degenbell.poly import LAM, MPoly
 from degenbell.series import oracle_degenerate_stirling2_table
 from degenbell.suite import SuiteResult
@@ -45,19 +45,15 @@ def test_table_dstirling_json_contains_expected_terms(capsys):
     assert code == 0
     payload = json.loads(out)
     entry = next(e for e in payload if e["n"] == 2 and e["m"] == 1)
-    from degenbell.poly import LAM
-
-    assert MPoly.from_json_obj(entry["poly"]) == 1 - LAM
+    assert entry["poly"] == (1 - LAM).to_json_obj()
 
 
 def test_table_json_round_trip_byte_identical(capsys):
     code, out = run_cli(["table", "--family", "dbell", "--n-max", "4", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
-    rebuilt = [
-        {"n": entry["n"], "poly": MPoly.from_json_obj(entry["poly"]).to_json_obj()}
-        for entry in payload
-    ]
+    rebuilt = [{"n": n, "poly": degenerate_bell(n).to_json_obj()} for n in range(5)]
+    assert payload == rebuilt
     assert json.dumps(rebuilt, indent=2, ensure_ascii=False) + "\n" == out
 
 
@@ -479,6 +475,7 @@ PINNED_STDOUT = {
     "table --family dstirling --n-max 30 --format csv": "fef686fd23481010825b64c6eaa658c60af4295043b5f065e4d1dbccb441f853",
     "table --family stirling2 --n-max 30 --format json": "5b5524352a16e65510c54b4f4d2d7726b1de1231bbfe62aa9f06ceebc8fca0ca",
     "verify --n-max 12 --format json": "c4a50c818c27d0cdd3e38aadfa1d1984782ef2d3a5875d77a2b17fa52b832b66",
+    "verify --n-max 30 --format json": "f05d88a62aae7835e6f99789255a997dd07ccb00abbac38196aeed545b0e895b",
 }
 
 

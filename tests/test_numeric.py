@@ -20,7 +20,6 @@ from degenbell.numeric import (
     eval_bel_numeric,
     scaled_bell_series_check,
     _check_x,
-    _closed_terms,
     _falling_row,
     _scaled_inner_row,
 )
@@ -285,19 +284,6 @@ def test_rows_match_their_defining_loops():
             ]
             assert list(map(repr, _falling_row(n, lam, 30))) == list(map(repr, falling))
             assert list(map(repr, _scaled_inner_row(n, lam, 30))) == list(map(repr, inner))
-
-
-@pytest.mark.parametrize("terms", [1, 2, 80])
-def test_given_rows_change_no_bit(terms):
-    # A negative lambda and x: negative falling steps, an alternating series.
-    lam, x = -0.5, -1.5
-    for n in range(9):
-        falling = _falling_row(n, lam, terms)
-        closed, inner = _closed_terms(n), _scaled_inner_row(n, lam, terms)
-        assert repr(dobinski_check(n, lam, x, terms, falling=falling)) == repr(dobinski_check(n, lam, x, terms))
-        assert repr(dobinski_degenerate(n, lam, x, terms, falling=falling)) == repr(dobinski_degenerate(n, lam, x, terms))
-        with_rows = scaled_bell_series_check(n, lam, x, terms, closed=closed, inner=inner)
-        assert repr(with_rows) == repr(scaled_bell_series_check(n, lam, x, terms))
 
 
 # -- limit sweep -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The lambda -> 0 convergence sweep and a smoke test for the
-`python -m degenbell` entry point."""
+"""The lambda -> 0 convergence sweep, a smoke test for the
+`python -m degenbell` entry point and a check of the package's imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,3 +45,22 @@ def test_module_entry_point_writes_utf8(capsys):
     expected = capsys.readouterr().out
     assert "λ" in expected
     assert proc.stdout == expected.encode("utf-8")
+
+
+def test_package_imports_only_the_standard_library_and_public_names():
+    # src/ depends on nothing outside the standard library, and no module
+    # reaches into another's private (underscore) names.
+    allowed = {*sys.stdlib_module_names, "degenbell"}
+    outside, private = [], []
+    for path in sorted((ROOT / "src" / "degenbell").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                outside += [(path.name, a.name) for a in node.names if a.name.split(".")[0] not in allowed]
+            elif isinstance(node, ast.ImportFrom):
+                top = "degenbell" if node.level else node.module.split(".")[0]
+                if top not in allowed:
+                    outside.append((path.name, node.module))
+                elif top == "degenbell":
+                    private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert outside == []
+    assert private == []

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from degenbell.classical import bell_polynomial, stirling2
+from degenbell.classical import bell_polynomial, falling_factorials, stirling2
 from degenbell.poly import L, LAM, MPoly, X
 from degenbell.series import (
     degenerate_exp_composita,
@@ -54,22 +54,27 @@ def test_series_mul_rejects_empty_series():
 # -- composita ----------------------------------------------------------------
 
 
+def falling_at(n, k):
+    """(j | lambda)_n at index j - 1 for j = 1..k, as the composita reads them."""
+    return [falling_factorials(j, n)[n] for j in range(1, k + 1)]
+
+
 def test_composita_hand_values():
-    assert degenerate_exp_composita(2, 1) == (1 - LAM) * Fraction(1, 2)
-    assert degenerate_exp_composita(3, 2) == 1 - LAM
+    assert degenerate_exp_composita(2, 1, falling_at(2, 1)) == (1 - LAM) * Fraction(1, 2)
+    assert degenerate_exp_composita(3, 2, falling_at(3, 2)) == 1 - LAM
     for n in range(1, 9):
-        assert degenerate_exp_composita(n, n) == MPoly.one()
+        assert degenerate_exp_composita(n, n, falling_at(n, n)) == MPoly.one()
 
 
 def test_composita_above_diagonal_is_zero():
-    assert degenerate_exp_composita(2, 3) == MPoly.zero()
+    assert degenerate_exp_composita(2, 3, falling_at(2, 3)) == MPoly.zero()
 
 
 def test_composita_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        degenerate_exp_composita(0, 1)
+        degenerate_exp_composita(0, 1, falling_at(0, 1))
     with pytest.raises(ValueError):
-        degenerate_exp_composita(3, 0)
+        degenerate_exp_composita(3, 0, [])
 
 
 def test_composita_matches_power_extraction():
@@ -77,8 +82,9 @@ def test_composita_matches_power_extraction():
     for n in range(1, 13):
         f = degenerate_exp_minus_one(n)
         power = f
+        falling = falling_at(n, n)
         for k in range(1, n + 1):
-            assert degenerate_exp_composita(n, k) == power[n]
+            assert degenerate_exp_composita(n, k, falling) == power[n]
             power = series_mul(power, f)
 
 
@@ -117,7 +123,7 @@ def test_oracle_stirling_classical_limit():
     for n in range(13):
         for m in range(n + 1):
             at_zero = STIRLING_ROWS[n][m].substitute({"lambda": 0})
-            assert at_zero == MPoly.constant(stirling2(n, m))
+            assert at_zero == MPoly.one() * stirling2(n, m)
 
 
 def test_oracle_bell_classical_limit():

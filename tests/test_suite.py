@@ -183,15 +183,15 @@ def test_numeric_checks_equal_per_point_checks(n_max, terms):
 
 
 def test_perturbed_inner_row_fails_its_three_checks(monkeypatch):
-    original = suite._scaled_inner_row
+    original = numeric._scaled_inner_row
 
     def perturbed(n, lam, terms):
         row = original(n, lam, terms)
         if (n, lam) == (4, 0.5):
-            row[3] += 1.0
+            row = row[:3] + (row[3] + 1.0,) + row[4:]
         return row
 
-    monkeypatch.setattr(suite, "_scaled_inner_row", perturbed)
+    monkeypatch.setattr(numeric, "_scaled_inner_row", perturbed)
     failed = [(c.identity_name, c.n, c.lam) for c in suite.numeric_checks(8) if not c.passed]
     assert failed == [("scaled_bell_series", 4, 0.5)] * len(suite.GRID_XS)
 
@@ -200,5 +200,15 @@ def test_numeric_checks_build_each_closed_form_once(monkeypatch):
     calls = []
     original = numeric.dbell_via_stirling_pair
     monkeypatch.setattr(numeric, "dbell_via_stirling_pair", lambda n: calls.append(n) or original(n))
+    numeric._closed_terms.cache_clear()
     suite.numeric_checks(8)
     assert calls == list(range(9))
+
+
+def test_numeric_checks_build_each_row_once():
+    # One row per (n, lambda) and one closed form per n, shared by every x.
+    rows = [numeric._falling_row, numeric._scaled_inner_row, numeric._closed_terms]
+    for row in rows:
+        row.cache_clear()
+    suite.numeric_checks(8)
+    assert [row.cache_info().misses for row in rows] == [27, 27, 9]
