@@ -16,7 +16,6 @@ from .classical import (
     stirling2,
 )
 from .series import (
-    degenerate_exp_composita,
     degenerate_exp_minus_one,
     oracle_degenerate_bell_table,
     oracle_degenerate_stirling2_table,
@@ -30,6 +29,7 @@ from .degenerate import (
     dbell_recurrence_table,
     dbell_via_stirling_pair,
     degenerate_bell,
+    degenerate_exp_composita,
     degenerate_stirling2,
     limit_lambda_zero,
     verify_addition,

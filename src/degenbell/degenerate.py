@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
 from .classical import bell_polynomial, binomial, falling_factorials, stirling1, stirling_rows
-from .series import degenerate_exp_composita
 
 
 class VerificationReport(NamedTuple):
@@ -118,6 +117,22 @@ def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
     return table
 
 
+def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly]) -> MPoly:
+    """Coefficient of t^n in the k-th power of (1 + lambda t)^(1/lambda) - 1.
+
+    Computed by the alternating binomial closed form over the lambda-step
+    falling factorials (j | lambda)_n, which `falling` holds at index j - 1
+    for j = 1..k at least, so a caller that takes every k at one n builds
+    them once; k > n gives 0 because the series has no constant term.
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"composita needs n >= 1 and k >= 1, got n={n}, k={k}")
+    if k > n:
+        return MPoly.zero()
+    signed = (((-1) ** (k - j) * binomial(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
+    return MPoly.sum_of_products(signed) * Fraction(1, factorial(n))
+
+
 def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
     """Ordinary coefficient of t^n (n >= 1) in the composed generating
     function, via composita: sum of composita(n,k) * (L x)^k / k!, given
@@ -199,6 +214,7 @@ __all__ = [
     "dbell_recurrence_table",
     "dbell_via_stirling_pair",
     "degenerate_bell",
+    "degenerate_exp_composita",
     "degenerate_stirling2",
     "limit_lambda_zero",
     "sweep_identity",

@@ -17,9 +17,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .poly import Exponents
-from .classical import bell_polynomial, stirling1, stirling_rows
-from .degenerate import dbell_via_stirling_pair
+from .classical import stirling1, stirling_rows
 
 DEFAULT_TERMS = 80
 DEFAULT_TOL = 1e-9
@@ -90,21 +88,9 @@ def _check_x(x: float) -> None:
 
 
 # One cached entry per row builder is enough: the float grid asks for each
-# (n, lambda) row, and each n's closed form, for every x in turn, so the
-# entry the first x builds serves the rest.  Rows are tuples, so no caller
-# can change what the next one reads.
-
-
-@functools.lru_cache(maxsize=1)
-def _closed_terms(n: int) -> tuple[tuple[Exponents, float], ...]:
-    """The terms of dbell_via_stirling_pair(n), coefficients as floats."""
-    return tuple((exps, float(coeff)) for exps, coeff in dbell_via_stirling_pair(n).items())
-
-
-def _poly_float(terms: tuple[tuple[Exponents, float], ...], lam: float, big_l: float, x: float) -> float:
-    """Evaluate float terms free of y at a float point."""
-    point = (lam, big_l, x)
-    return math.fsum(coeff * math.prod(v**e for v, e in zip(point, exps) if e) for exps, coeff in terms)
+# (n, lambda) row for every x in turn, so the entry the first x builds
+# serves the rest.  Rows are tuples, so no caller can change what the next
+# one reads.
 
 
 @functools.lru_cache(maxsize=1)
@@ -225,11 +211,10 @@ def dobinski_check(
 
 
 def classical_dobinski_check(n: int, terms: int = 60, tol: float = DEFAULT_TOL) -> NumericCheck:
-    """Truncated classical Dobinski sum against the exact Bell number."""
-    exact = bell_polynomial(n).eval_exact({"lambda": 0, "L": 1, "x": 1, "y": 0})
-    return NumericCheck(
-        "dobinski_classical", n, None, None, terms, dobinski_classical(n, terms), float(exact), tol
-    )
+    """Truncated classical Dobinski sum against the exact Bell number, the
+    sum of the stirling2 row n."""
+    exact = float(sum(stirling_rows(n)[1][n]))
+    return NumericCheck("dobinski_classical", n, None, None, terms, dobinski_classical(n, terms), exact, tol)
 
 
 def scaled_bell_series_check(
@@ -237,11 +222,12 @@ def scaled_bell_series_check(
 ) -> NumericCheck:
     """Two-sided series identity for the exponentially scaled Bell value.
 
-    Left side: exp(x L) times the double-Stirling closed form, evaluated
-    in floats.  Right side: the truncated series sum over k of
-    (x^k / k!) L^k * sum over l of k^l lambda^(n-l) stirling1(n, l),
-    each inner sum an fsum of its float products.  Raises OverflowError
-    naming the side or term out of range.
+    Left side: exp(x L) times the double-Stirling closed form, the fsum
+    of stirling1(n,k) stirling2(k,m) lambda^(n-k) (L x)^m over its non-zero
+    integer coefficients, each rounded once to a float.  Right side: the
+    truncated series sum over k of (x^k / k!) L^k * sum over l of
+    k^l lambda^(n-l) stirling1(n, l), each inner sum an fsum of its float
+    products.  Raises OverflowError naming the side or term out of range.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -249,8 +235,12 @@ def scaled_bell_series_check(
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    try:  # exp and ** raise OverflowError, fsum raises ValueError on inf - inf
-        lhs = math.exp(x * big_l) * _poly_float(_closed_terms(n), lam, big_l, x)
+    s1, s2 = stirling_rows(n)
+    coeffs = ((s1[n][k] * s2[k][m], (n - k, m, m)) for k in range(n + 1) for m in range(k + 1))
+    point = (lam, big_l, x)
+    try:  # float, exp and ** raise OverflowError, fsum raises ValueError on inf - inf
+        closed = math.fsum(float(c) * math.prod(v**e for v, e in zip(point, exps) if e) for c, exps in coeffs if c)
+        lhs = math.exp(x * big_l) * closed
     except (OverflowError, ValueError):
         lhs = math.nan
     if not math.isfinite(lhs):

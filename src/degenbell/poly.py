@@ -353,7 +353,6 @@ X = MPoly.variable("x")
 Y = MPoly.variable("y")
 
 __all__ = [
-    "Exponents",
     "L",
     "LAM",
     "MPoly",

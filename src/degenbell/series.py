@@ -19,10 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import factorial
-from typing import Sequence
 
-from .poly import L, MPoly, X
-from .classical import binomial, falling_factorials
+from .poly import L, LAM, MPoly, X
 
 
 def series_mul(a: tuple[MPoly, ...], b: tuple[MPoly, ...]) -> tuple[MPoly, ...]:
@@ -40,28 +38,18 @@ def degenerate_exp_minus_one(order: int) -> tuple[MPoly, ...]:
     """The series of (1 + lambda t)^(1/lambda) - 1.
 
     Its exponential coefficients are the lambda-step falling factorials of
-    1, so the stored ordinary coefficient of t^n is (1 | lambda)_n / n!.
+    1, so the stored ordinary coefficient of t^n is (1 | lambda)_n / n!,
+    the one before times (1 - (n-1) lambda) / n.  The oracle builds this
+    running product itself, so it shares no row with the closed forms.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    falling = falling_factorials(1, order)
-    return (MPoly.zero(),) + tuple(falling[n] * Fraction(1, factorial(n)) for n in range(1, order + 1))
-
-
-def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly]) -> MPoly:
-    """Coefficient of t^n in the k-th power of (1 + lambda t)^(1/lambda) - 1.
-
-    Computed by the alternating binomial closed form over the lambda-step
-    falling factorials (j | lambda)_n, which `falling` holds at index j - 1
-    for j = 1..k at least, so a caller that takes every k at one n builds
-    them once; k > n gives 0 because the series has no constant term.
-    """
-    if n < 1 or k < 1:
-        raise ValueError(f"composita needs n >= 1 and k >= 1, got n={n}, k={k}")
-    if k > n:
-        return MPoly.zero()
-    signed = (((-1) ** (k - j) * binomial(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
-    return MPoly.sum_of_products(signed) * Fraction(1, factorial(n))
+    coeffs = [MPoly.zero()]
+    c = MPoly.one()
+    for n in range(1, order + 1):
+        c = c * (1 - (n - 1) * LAM) * Fraction(1, n)
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def oracle_degenerate_bell_table(rows: list[list[MPoly]]) -> list[MPoly]:
@@ -102,7 +90,6 @@ def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
 
 
 __all__ = [
-    "degenerate_exp_composita",
     "degenerate_exp_minus_one",
     "oracle_degenerate_bell_table",
     "oracle_degenerate_stirling2_table",

@@ -2,8 +2,10 @@
 
 Hand values below were derived from the small Stirling tables
 (S1(2,1) = -1, S1(3,2) = -3, S2(3,2) = 3, ...) and cross-checked against
-the series oracle, which expands the defining generating function with no
-shared code path.
+the series oracle, which expands the defining generating function and
+imports nothing from this module or from `classical`, so it shares no
+code path with the closed forms; the composita closed form's own tests
+against the series powers are in `test_series.py`.
 """
 
 from fractions import Fraction

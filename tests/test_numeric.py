@@ -10,7 +10,7 @@ import pytest
 
 from degenbell import cli
 from degenbell.classical import bell_polynomial, stirling1, stirling2
-from degenbell.degenerate import degenerate_bell
+from degenbell.degenerate import dbell_via_stirling_pair, degenerate_bell
 from degenbell.numeric import (
     NumericCheck,
     classical_dobinski_check,
@@ -285,6 +285,38 @@ def test_rows_match_their_defining_loops():
             assert list(map(repr, _falling_row(n, lam, 30))) == list(map(repr, falling))
             assert list(map(repr, _scaled_inner_row(n, lam, 30))) == list(map(repr, inner))
 
+
+
+def closed_form_left_side(n, lam, x):
+    """exp(x L) times the float terms of dbell_via_stirling_pair(n), as the
+    scaled series' left side was evaluated from the polynomial."""
+    big_l = math.log1p(lam) / lam
+    point = (lam, big_l, x)
+    terms = [(exps, float(coeff)) for exps, coeff in dbell_via_stirling_pair(n).items()]
+    return math.exp(x * big_l) * math.fsum(
+        coeff * math.prod(v**e for v, e in zip(point, exps) if e) for exps, coeff in terms
+    )
+
+
+def test_scaled_series_left_side_matches_the_closed_form_polynomial():
+    # The left side reads the integer Stirling rows, not the polynomial: the
+    # same float products, summed by fsum in another order, so the same bits.
+    for n in range(13):
+        for lam in (-0.5, 0.1, 1.0, 3.0):
+            for x in (-50.0, 0.5, 2.0):
+                lhs = scaled_bell_series_check(n, lam, x).lhs
+                assert repr(lhs) == repr(closed_form_left_side(n, lam, x)), (n, lam, x)
+    # x^2 is out of float range in a term of the closed form itself.
+    with pytest.raises(OverflowError):
+        closed_form_left_side(2, 0.5, -1e300)
+    with pytest.raises(OverflowError, match="scaled series left side overflows"):
+        scaled_bell_series_check(2, 0.5, -1e300)
+
+
+def test_classical_dobinski_reads_the_bell_number_off_the_stirling_row():
+    point = {"lambda": 0, "L": 1, "x": 1, "y": 0}
+    for n in range(31):
+        assert classical_dobinski_check(n).rhs == float(bell_polynomial(n).eval_exact(point))
 
 # -- limit sweep -------------------------------------------------------------------------
 

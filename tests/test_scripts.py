@@ -1,5 +1,7 @@
 """The lambda -> 0 convergence sweep, a smoke test for the
-`python -m degenbell` entry point and a check of the package's imports."""
+`python -m degenbell` entry point and checks of the package's imports:
+standard library only, no private names across modules, and the
+package modules each layer may import."""
 
 import ast
 import os
@@ -64,3 +66,35 @@ def test_package_imports_only_the_standard_library_and_public_names():
                     private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert outside == []
     assert private == []
+
+
+# The package modules each layer may import.  The oracle (series) stands on
+# the polynomial ring alone, so it shares no code with the closed forms it
+# judges; the float checks read only the integer rows of classical; the
+# closed forms need the ring and the classical rows, not the oracle.
+LAYER_IMPORTS = {
+    "series.py": {"poly"},
+    "numeric.py": {"classical"},
+    "degenerate.py": {"poly", "classical"},
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The degenbell modules that one source file imports, by short name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"degenbell.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [module] if module != "degenbell" else [f"degenbell.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("degenbell.")}
+    return found
+
+
+def test_package_imports_stay_within_each_layer():
+    src = ROOT / "src" / "degenbell"
+    extra = {name: package_imports(src / name) - allowed for name, allowed in LAYER_IMPORTS.items()}
+    assert extra == {name: set() for name in LAYER_IMPORTS}

@@ -1,5 +1,7 @@
-"""Series-oracle tests: truncated arithmetic, the composita closed form
-against direct power extraction, and the generating-function oracles."""
+"""Series-oracle tests: truncated arithmetic, the oracle's own inner
+series, the generating-function oracles, and the composita closed form
+(which lives with the closed forms in `degenerate`) against direct power
+extraction from the series."""
 
 from fractions import Fraction
 from math import factorial
@@ -7,9 +9,9 @@ from math import factorial
 import pytest
 
 from degenbell.classical import bell_polynomial, falling_factorials, stirling2
+from degenbell.degenerate import degenerate_exp_composita
 from degenbell.poly import L, LAM, MPoly, X
 from degenbell.series import (
-    degenerate_exp_composita,
     degenerate_exp_minus_one,
     oracle_degenerate_bell_table,
     oracle_degenerate_stirling2_table,

@@ -196,19 +196,10 @@ def test_perturbed_inner_row_fails_its_three_checks(monkeypatch):
     assert failed == [("scaled_bell_series", 4, 0.5)] * len(suite.GRID_XS)
 
 
-def test_numeric_checks_build_each_closed_form_once(monkeypatch):
-    calls = []
-    original = numeric.dbell_via_stirling_pair
-    monkeypatch.setattr(numeric, "dbell_via_stirling_pair", lambda n: calls.append(n) or original(n))
-    numeric._closed_terms.cache_clear()
-    suite.numeric_checks(8)
-    assert calls == list(range(9))
-
-
 def test_numeric_checks_build_each_row_once():
-    # One row per (n, lambda) and one closed form per n, shared by every x.
-    rows = [numeric._falling_row, numeric._scaled_inner_row, numeric._closed_terms]
+    # One row per (n, lambda), shared by every x.
+    rows = [numeric._falling_row, numeric._scaled_inner_row]
     for row in rows:
         row.cache_clear()
     suite.numeric_checks(8)
-    assert [row.cache_info().misses for row in rows] == [27, 27, 9]
+    assert [row.cache_info().misses for row in rows] == [27, 27]
