@@ -75,7 +75,7 @@ def bell_polynomial(n: int) -> MPoly:
     """The exponential polynomial: sum of stirling2(n, k) * x^k over k."""
     if n < 0:
         raise ValueError(f"bell_polynomial needs n >= 0, got {n}")
-    return MPoly._trusted({(0, 0, k, 0): s2 for k, s2 in enumerate(stirling_rows(n)[1][n])})
+    return MPoly.from_ints({(0, 0, k, 0): s2 for k, s2 in enumerate(stirling_rows(n)[1][n])})
 
 
 def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:

@@ -11,6 +11,7 @@ mismatching n if any.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
@@ -60,13 +61,15 @@ def sweep_identity(
 # -- constructors ---------------------------------------------------------
 
 
+# `degenerate_bell` and the suite's report read each entry: 4096 hold n <= 89.
+@functools.lru_cache(maxsize=1 << 12)
 def degenerate_stirling2(n: int, m: int) -> MPoly:
     """Closed form over the classical pair: sum of
     stirling1(n,k) * stirling2(k,m) * lambda^(n-k) for k = m..n."""
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
     s1, s2 = stirling_rows(n)
-    return MPoly._trusted({(n - k, 0, 0, 0): s1[n][k] * s2[k][m] for k in range(m, n + 1)})
+    return MPoly.from_ints({(n - k, 0, 0, 0): s1[n][k] * s2[k][m] for k in range(m, n + 1)})
 
 
 def degenerate_bell(n: int) -> MPoly:
@@ -74,7 +77,7 @@ def degenerate_bell(n: int) -> MPoly:
     against L^m x^m.  Cheapest form, used by the verifiers and the CLI."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    terms = ((1, degenerate_stirling2(n, m), MPoly._trusted({(0, m, m, 0): 1})) for m in range(n + 1))
+    terms = ((1, degenerate_stirling2(n, m), MPoly.from_ints({(0, m, m, 0): 1})) for m in range(n + 1))
     return MPoly.sum_of_products(terms)
 
 
@@ -84,7 +87,7 @@ def dbell_via_stirling_pair(n: int) -> MPoly:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     s1, s2 = stirling_rows(n)
-    return MPoly._trusted(
+    return MPoly.from_ints(
         {(n - k, m, m, 0): s1[n][k] * s2[k][m] for k in range(n + 1) for m in range(k + 1)}
     )
 
@@ -142,7 +145,7 @@ def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
     restores the n! to land on the degenerate Bell polynomial itself.
     """
     return MPoly.sum_of_products(
-        (1, degenerate_exp_composita(n, k, falling), (L * X) ** k * Fraction(1, factorial(k)))
+        (1, degenerate_exp_composita(n, k, falling), MPoly({(0, k, k, 0): Fraction(1, factorial(k))}))
         for k in range(1, n + 1)
     )
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, sub, truediv
 from typing import NamedTuple
 
-from .classical import stirling1, stirling_rows
+from .classical import stirling_rows
 
 DEFAULT_TERMS = 80
 DEFAULT_TOL = 1e-9
@@ -88,39 +87,48 @@ def _check_x(x: float) -> None:
 
 
 # One cached entry per row builder is enough: the float grid asks for each
-# (n, lambda) row for every x in turn, so the entry the first x builds
-# serves the rest.  Rows are tuples, so no caller can change what the next
-# one reads.
+# (n, lambda) row for every x in turn.  The weights keep an entry for each
+# (lambda, x) of a grid of up to 16 points (verify's has 9), met at every n.
+# Rows are tuples, so no caller can change what the next one reads.
 
 
 @functools.lru_cache(maxsize=1)
 def _falling_row(n: int, lam: float, terms: int) -> tuple[float, ...]:
     """((l | lambda)_n for l = 0..terms), each l (l - lambda) ... (l - (n-1) lambda)."""
     steps = [i * lam for i in range(n)]
-    return tuple(math.prod([l - step for step in steps], start=1.0) for l in range(terms + 1))
+    return tuple(math.prod(map(sub, repeat(l, n), steps), start=1.0) for l in range(terms + 1))
 
 
 @functools.lru_cache(maxsize=1)
 def _scaled_inner_row(n: int, lam: float, terms: int) -> tuple[float, ...]:
-    """(fsum over l of k^l lambda^(n-l) stirling1(n, l) for k = 0..terms)."""
-    weights = [(lam ** (n - l), stirling1(n, l)) for l in range(n + 1)]
-    return tuple(
-        math.fsum(float(k) ** l * power * s1 for l, (power, s1) in enumerate(weights)) for k in range(terms + 1)
-    )
+    """(fsum over l of (k^l lambda^(n-l)) stirling1(n, l) for k = 0..terms);
+    the columns are lazy, so zip forms the products k by k, l by l."""
+    columns = [
+        map(mul, map(mul, map(pow, map(float, range(terms + 1)), repeat(l)), repeat(lam ** (n - l))), repeat(s1))
+        for l, s1 in enumerate(stirling_rows(n)[0][n])
+    ]
+    return tuple(map(math.fsum, zip(*columns)))
+
+
+@functools.lru_cache(maxsize=16)
+def _weights(xl: float, terms: int) -> tuple[float, ...]:
+    """((x L)^k / k! for k = 0..terms), each the one before times x L / k.
+    0.0 and -0.0 share an entry: fsum does not see the signs of zero weights."""
+    return tuple(accumulate((xl / k for k in range(1, terms + 1)), mul, initial=1.0))
 
 
 def _weighted_sum(xl: float, row: tuple[float, ...], series: str) -> float:
     """fsum of (x L)^k / k! * row[k]; OverflowError names the first term out of float range."""
-    weight = 1.0  # (x L)^k / k!
-    partials = []
-    for k, value in enumerate(row):
-        if k:
-            weight *= xl / k
-        term = weight * value
-        if not math.isfinite(term):
-            raise OverflowError(f"{series} term {k} overflows")
-        partials.append(term)
-    return math.fsum(partials)
+    terms = list(map(mul, _weights(xl, len(row) - 1), row))
+    try:
+        total = math.fsum(terms)  # not finite only when some term is not
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf among the terms
+        if all(map(math.isfinite, terms)):
+            raise
+    k = next(k for k, term in enumerate(terms) if not math.isfinite(term))
+    raise OverflowError(f"{series} term {k} overflows")
 
 
 def eval_bel_numeric(n: int, lam: float, x: float) -> float:
@@ -146,8 +154,8 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     _check_x(x)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    p, q = Fraction(lam).as_integer_ratio()
-    r, s = Fraction(x).as_integer_ratio()
+    p, q = lam.as_integer_ratio()
+    r, s = x.as_integer_ratio()
     s1_rows, s2_rows = stirling_rows(n)
     coeffs = [0] * (n + 1)  # N_m, summed one stirling2 row k at a time
     for k, s1 in enumerate(s1_rows[n]):
@@ -192,13 +200,8 @@ def dobinski_classical(n: int, terms: int = 60) -> float:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    inv_fact = 1.0
-    partials = []
-    for k in range(terms + 1):
-        if k:
-            inv_fact /= k
-        partials.append(float(k) ** n * inv_fact)
-    return math.exp(-1.0) * math.fsum(partials)
+    inv_fact = accumulate(range(1, terms + 1), truediv, initial=1.0)  # 1/k!, the one before over k
+    return math.exp(-1.0) * math.fsum(map(mul, map(pow, map(float, range(terms + 1)), repeat(n)), inv_fact))
 
 
 def dobinski_check(
@@ -236,10 +239,13 @@ def scaled_bell_series_check(
     big_l = _check_lambda(lam)
     _check_x(x)
     s1, s2 = stirling_rows(n)
-    coeffs = ((s1[n][k] * s2[k][m], (n - k, m, m)) for k in range(n + 1) for m in range(k + 1))
-    point = (lam, big_l, x)
     try:  # float, exp and ** raise OverflowError, fsum raises ValueError on inf - inf
-        closed = math.fsum(float(c) * math.prod(v**e for v, e in zip(point, exps) if e) for c, exps in coeffs if c)
+        lam_pows = [lam**j for j in range(max(n, 1))]  # lambda^n has no non-zero coefficient when n > 0
+        l_pows, x_pows = [big_l**m for m in range(n + 1)], [x**m for m in range(n + 1)]
+        closed = math.fsum(
+            float(c) * (lam_pows[n - k] * l_pows[m] * x_pows[m])
+            for k in range(n + 1) for m in range(k + 1) if (c := s1[n][k] * s2[k][m])
+        )
         lhs = math.exp(x * big_l) * closed
     except (OverflowError, ValueError):
         lhs = math.nan

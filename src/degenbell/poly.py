@@ -13,20 +13,25 @@ analytic functions exactly when they agree as polynomials in Q[lambda, L,
 x, y].  That turns every identity this package verifies into a decidable
 equality of canonical forms.
 
-A polynomial is a finite map from exponent vectors (4-tuples of
-non-negative ints) to integer numerators, over one positive common
-denominator: the layout of FLINT's fmpq_mpoly.  It is kept canonical: no
-numerator is zero, the denominator and all numerators have gcd 1, and the
-zero polynomial is the empty map over 1.  Two polynomials are then equal
-iff their maps and denominators are equal, and arithmetic on the integer
-coefficients the Bell and Stirling constructors produce never leaves the
-integers.  Every sum, product and sum of products in the package goes
-through one multiply-accumulate kernel, `MPoly.sum_of_products`, which
-adds each c*a*b into one map and grows the denominator only by lcm.
-`items()` gives each term's value, and `eval_exact()` the polynomial's,
-as a reduced `fractions.Fraction`.  Wherever an ordering of terms is
-needed (JSON serialization, pretty printing) the graded lexicographic
-order with the largest term first is used.
+A polynomial is a finite map from exponent vectors to integer numerators,
+over one positive common denominator: the layout of FLINT's fmpq_mpoly.
+Each exponent vector, a 4-tuple outside this module, is packed into one
+int key (Monagan and Pearce): 16-bit fields for, from the top, the total
+degree and the exponents of lambda, L, x and y, each below 2^15 so that
+the top bit, a guard bit, stays clear.  A product's key is the sum of its
+factors' keys, and keys sort as ints in graded lex order.  The map is
+kept canonical: no numerator is zero, the denominator and all numerators
+have gcd 1, and the zero polynomial is the empty map over 1.  Two
+polynomials are then equal iff their maps and denominators are equal,
+and arithmetic on the integer coefficients the Bell and Stirling
+constructors produce never leaves the integers.  Every sum, product and
+sum of products in the package goes through one multiply-accumulate
+kernel, `MPoly.sum_of_products`, which adds each c*a*b into one map and
+grows the denominator only by lcm.  `items()` gives each term's value,
+and `eval_exact()` the polynomial's, as a reduced `fractions.Fraction`.
+Wherever an ordering of terms is needed (JSON serialization, pretty
+printing) the graded lexicographic order with the largest term first,
+the order of the keys, is used.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import getitem, index as as_int, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, int, int, int]
@@ -42,27 +49,41 @@ Scalar = Union[int, Fraction]
 VARIABLES = ("lambda", "L", "x", "y")
 _VAR_INDEX = {name: index for index, name in enumerate(VARIABLES)}
 _PRETTY_NAMES = ("λ", "L", "x", "y")
-_ORIGIN: Exponents = (0, 0, 0, 0)
 
-
-def _grlex(exponents: Exponents) -> tuple[int, Exponents]:
-    return (sum(exponents), exponents)
+# 16 bits: an exponent below 2^15 and a guard bit, so adding keys never carries between fields.
+# No field exceeds the total degree, the top one, so one max() of the keys checks a whole map.
+_FIELD_BITS = 16
+_LIMIT = 1 << (_FIELD_BITS - 1)
+_MASK = (1 << _FIELD_BITS) - 1
+_DEGREE_SHIFT, *_SHIFTS = (_FIELD_BITS * i for i in (4, 3, 2, 1, 0))  # the degree; lambda, L, x, y
+_UNITS = tuple((1 << _DEGREE_SHIFT) + (1 << shift) for shift in _SHIFTS)  # the key of each variable
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _monomial_text(exponents: Exponents) -> str:
-    """The pretty form of one exponent vector, e.g. "λ^3L^2x^2"; "" at the origin."""
-    return "".join(f"{name}^{e}" if e > 1 else name for name, e in zip(_PRETTY_NAMES, exponents) if e)
+def _unpack(key: int) -> Exponents:
+    return (key >> _SHIFTS[0] & _MASK, key >> _SHIFTS[1] & _MASK, key >> _SHIFTS[2] & _MASK, key & _MASK)
 
 
-def _check_exponents(exponents: object) -> Exponents:
-    if (
-        not isinstance(exponents, tuple)
-        or len(exponents) != 4
-        or not all(isinstance(e, int) and e >= 0 for e in exponents)
-    ):
-        raise ValueError(f"exponent vector must be a 4-tuple of non-negative ints, got {exponents!r}")
-    return exponents
+def _in_range(num: dict[int, int]) -> dict[int, int]:
+    """`num` itself; OverflowError names the largest key's exponents when it is out of range."""
+    if (top := max(num, default=0)) >> _DEGREE_SHIFT >= _LIMIT:
+        raise OverflowError(f"exponents {_unpack(top)} of total degree {top >> _DEGREE_SHIFT} reach 2^15")
+    return num
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _monomial_text(key: int) -> str:
+    """The pretty form of one key, e.g. "λ^3L^2x^2"; "" at the origin."""
+    return "".join(f"{name}^{e}" if e > 1 else name for name, e in zip(_PRETTY_NAMES, _unpack(key)) if e)
+
+
+@functools.lru_cache(maxsize=1 << 14, typed=True)
+def _pack(e_lam: int, e_l: int, e_x: int, e_y: int) -> int:
+    """The key of one exponent vector of ints >= 0 whose total degree is below 2^15.
+    The cache is typed, so a float equal to an int never gets that int's key."""
+    if min(e_lam, e_l, e_x, e_y) < 0 or e_lam + e_l + e_x + e_y >= _LIMIT:
+        raise ValueError(f"exponents {(e_lam, e_l, e_x, e_y)} must be >= 0, of total degree below 2^15")
+    return sum(map(mul, map(as_int, (e_lam, e_l, e_x, e_y)), _UNITS))
 
 
 class MPoly:
@@ -78,34 +99,45 @@ class MPoly:
         values: dict[Exponents, Fraction] = {}
         if terms:
             for exponents, coeff in terms.items():
-                _check_exponents(exponents)
+                if (
+                    not isinstance(exponents, tuple)
+                    or len(exponents) != 4
+                    or not all(isinstance(e, int) and e >= 0 for e in exponents)
+                    or sum(exponents) >= _LIMIT
+                ):
+                    raise ValueError(f"exponents must be 4 ints >= 0, of total degree below 2^15, got {exponents!r}")
                 value = Fraction(coeff)
                 if value:
                     values[exponents] = value
         # Over the lcm of the reduced denominators the numerators share no
         # factor with it, so the result is already canonical.
         den = math.lcm(*(value.denominator for value in values.values()))
-        self._num = {e: value.numerator * (den // value.denominator) for e, value in values.items()}
+        self._num = MPoly.from_ints({e: v.numerator * (den // v.denominator) for e, v in values.items()})._num
         self._den = den
 
     @classmethod
-    def _trusted(cls, num: dict[Exponents, int], den: int = 1) -> "MPoly":
+    def from_ints(cls, terms: Mapping[Exponents, int]) -> "MPoly":
+        """Integer coefficients keyed by exponent 4-tuples, without the rational arithmetic of `MPoly(...)`."""
+        return cls._trusted({_pack(*exponents): as_int(coeff) for exponents, coeff in terms.items()})
+
+    @classmethod
+    def _trusted(cls, num: dict[int, int], den: int = 1) -> "MPoly":
         """Wrap the result of internal arithmetic without re-validating it.
 
-        The keys must already be 4-tuples of non-negative ints, the values
+        The keys must already be packed keys in range, the values
         ints and `den` a positive int; zero numerators are dropped and, when
         `den` is not 1, the common factor of `den` and the numerators is
         divided out.  Input from outside the package goes through
-        `__init__`, which checks everything.
+        `__init__` or `from_ints`, which check everything.
         The polynomial may keep `num` itself, so the caller must not change
         it afterwards.
         """
         if 0 in num.values():
-            num = {exponents: coeff for exponents, coeff in num.items() if coeff}
+            num = {key: coeff for key, coeff in num.items() if coeff}
         if den != 1:
             common = math.gcd(den, *num.values())
             if common != 1:
-                num = {exponents: coeff // common for exponents, coeff in num.items()}
+                num = {key: coeff // common for key, coeff in num.items()}
                 den //= common
         poly = object.__new__(cls)
         poly._num = num
@@ -120,30 +152,28 @@ class MPoly:
 
     @classmethod
     def one(cls) -> "MPoly":
-        return cls._trusted({_ORIGIN: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-        exponents = [0, 0, 0, 0]
-        exponents[_VAR_INDEX[name]] = 1
-        return cls._trusted({tuple(exponents): 1})
+        return cls._trusted({_UNITS[_VAR_INDEX[name]]: 1})
 
     # -- inspection ----------------------------------------------------
 
-    def _reduced_terms(self) -> Iterator[tuple[Exponents, int, int]]:
-        """(exponents, numerator, denominator) of each term's reduced value,
-        in canonical order (graded lex, largest first)."""
+    def _reduced_terms(self) -> Iterator[tuple[int, int, int]]:
+        """(key, numerator, denominator) of each term's reduced value, in
+        canonical order (graded lex, largest first): the order of the keys."""
         den = self._den
-        for exponents in sorted(self._num, key=_grlex, reverse=True):
-            coeff = self._num[exponents]
+        for key in sorted(self._num, reverse=True):
+            coeff = self._num[key]
             common = 1 if den == 1 else math.gcd(coeff, den)
-            yield exponents, coeff // common, den // common
+            yield key, coeff // common, den // common
 
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
-        return tuple((e, Fraction(num, den)) for e, num, den in self._reduced_terms())
+        return tuple((_unpack(key), Fraction(num, den)) for key, num, den in self._reduced_terms())
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -170,9 +200,9 @@ class MPoly:
         if isinstance(value, MPoly):
             return value
         if isinstance(value, int):
-            return MPoly._trusted({_ORIGIN: value})
+            return MPoly._trusted({0: value})
         if isinstance(value, Fraction):
-            return MPoly._trusted({_ORIGIN: value.numerator}, value.denominator)
+            return MPoly._trusted({0: value.numerator}, value.denominator)
         return None
 
     def __add__(self, other: object) -> "MPoly":
@@ -185,7 +215,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._trusted({exponents: -coeff for exponents, coeff in self._num.items()}, self._den)
+        return MPoly._trusted({key: -coeff for key, coeff in self._num.items()}, self._den)
 
     def __sub__(self, other: object) -> "MPoly":
         rhs = self._coerce(other)
@@ -201,7 +231,7 @@ class MPoly:
 
     def __mul__(self, other: object) -> "MPoly":
         if type(other) is int:
-            return MPoly._trusted({exponents: coeff * other for exponents, coeff in self._num.items()}, self._den)
+            return MPoly._trusted({key: coeff * other for key, coeff in self._num.items()}, self._den)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -227,23 +257,25 @@ class MPoly:
 
         Every product is added into one dict, so no partial sum is built as a
         polynomial.  The common denominator grows to the lcm only when a
-        product's denominator does not divide it, rescaling the sum so far."""
-        acc: dict[Exponents, int] = {}
+        product's denominator does not divide it, rescaling the sum so far.
+        A product's key is the sum of its factors' keys, checked by `_in_range`."""
+        acc: dict[int, int] = {}
+        get = acc.get
         den = 1
         for c, a, b in terms:
             product_den = a._den * b._den
             if den % product_den:
                 scale = product_den // math.gcd(den, product_den)
-                for exponents in acc:
-                    acc[exponents] *= scale
+                for key in acc:
+                    acc[key] *= scale
                 den *= scale
             c *= den // product_den
-            for (a0, a1, a2, a3), coeff_a in a._num.items():
+            for key_a, coeff_a in a._num.items():
                 coeff_a *= c
-                for (b0, b1, b2, b3), coeff_b in b._num.items():
-                    key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                    acc[key] = acc.get(key, 0) + coeff_a * coeff_b
-        return cls._trusted(acc, den)
+                for key_b, coeff_b in b._num.items():
+                    key = key_a + key_b
+                    acc[key] = get(key, 0) + coeff_a * coeff_b
+        return cls._trusted(_in_range(acc), den)
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -251,11 +283,11 @@ class MPoly:
         """Simultaneously substitute the bound variables; others stay formal.
 
         A binding to 0, an integer or one integer term c*monomial is folded
-        straight into each term's exponents and coefficient.  The terms are
-        grouped by their exponents of the variables bound to anything else (a
-        longer polynomial or one with a denominator), so each product of
-        powers of those is formed once, for `sum_of_products`."""
-        folds: list[tuple[int, list[tuple[int, int]], int]] = []
+        into each term's key and coefficient.  The terms are grouped by their
+        exponents of the variables bound to anything else (a longer polynomial
+        or one with a denominator), so each product of their powers, each
+        power from one running product, is formed once for `sum_of_products`."""
+        folds: list[tuple[int, int, int]] = []
         replacements: dict[int, MPoly] = {}
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
@@ -266,39 +298,36 @@ class MPoly:
             index = _VAR_INDEX[name]
             if len(bound._num) > 1 or bound._den != 1:  # grouped below, folded here as a binding to 1
                 replacements[index], bound = bound, MPoly.one()
-            monomial, num = next(iter(bound._num.items()), (_ORIGIN, 0))
-            shift = [m - (i == index) for i, m in enumerate(monomial)]  # the bound exponent leaves the key
-            folds.append((index, [(i, m) for i, m in enumerate(shift) if m], num))
-        groups: dict[tuple[int, ...], dict[Exponents, int]] = {}
-        for exponents, coeff in self._num.items():
-            key = list(exponents)
-            for index, shift, num in folds:
-                e = exponents[index]
+            monomial, num = next(iter(bound._num.items()), (0, 0))  # e of the variable leave a key, e of this join
+            folds.append((_SHIFTS[index], monomial - _UNITS[index], num))
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, coeff in self._num.items():
+            folded = key
+            for shift, step, num in folds:
+                e = key >> shift & _MASK
                 if e:
-                    for i, m in shift:
-                        key[i] += e * m
+                    folded += e * step
                     coeff *= num**e
             if coeff:
-                residual = groups.setdefault(tuple(exponents[index] for index in replacements), {})
-                key = tuple(key)
-                residual[key] = residual.get(key, 0) + coeff
+                residual = groups.setdefault(tuple(key >> _SHIFTS[index] & _MASK for index in replacements), {})
+                residual[folded] = residual.get(folded, 0) + coeff
         if not replacements:
-            return MPoly._trusted(groups.get((), {}), self._den)
-        power = functools.cache(lambda index, exponent: replacements[index] ** exponent)
+            return MPoly._trusted(_in_range(groups.get((), {})), self._den)
+        tops = map(max, zip(*groups))  # the highest power of each replaced variable
+        powers = [[*accumulate(repeat(r, e), mul, initial=MPoly.one())] for r, e in zip(replacements.values(), tops)]
         total = MPoly.sum_of_products(
-            (1, MPoly._trusted(residual), math.prod(map(power, replacements, part), start=MPoly.one()))
+            (1, MPoly._trusted(_in_range(residual)), functools.reduce(mul, map(getitem, powers, part)))
             for part, residual in groups.items()
         )
         return MPoly._trusted(total._num, total._den * self._den)
 
     def derivative_x(self) -> "MPoly":
-        """Formal partial derivative with respect to x."""
-        derived: dict[Exponents, int] = {}
-        for exponents, coeff in self._num.items():
-            e_x = exponents[2]
+        """Formal partial derivative with respect to x; keys only shrink, so they stay in range."""
+        derived: dict[int, int] = {}
+        for key, coeff in self._num.items():
+            e_x = key >> _SHIFTS[2] & _MASK
             if e_x:
-                key = (exponents[0], exponents[1], e_x - 1, exponents[3])
-                derived[key] = coeff * e_x
+                derived[key - _UNITS[2]] = coeff * e_x
         return MPoly._trusted(derived, self._den)
 
     def eval_exact(self, values: Mapping[str, Scalar]) -> Fraction:
@@ -308,9 +337,9 @@ class MPoly:
             raise ValueError(f"eval_exact needs a value for every variable; missing {missing}")
         point = tuple(Fraction(values[name]) for name in VARIABLES)
         total = Fraction(0)
-        for exponents, coeff in self._num.items():
+        for key, coeff in self._num.items():
             term = Fraction(coeff)
-            for value, exponent in zip(point, exponents):
+            for value, exponent in zip(point, _unpack(key)):
                 if exponent:
                     term *= value**exponent
             total += term
@@ -325,7 +354,8 @@ class MPoly:
                 "coeff": f"{num}/{den}",
                 "pow": {"lambda": e[0], "L": e[1], "x": e[2], "y": e[3]},
             }
-            for e, num, den in self._reduced_terms()
+            for key, num, den in self._reduced_terms()
+            for e in (_unpack(key),)
         ]
 
     def pretty(self) -> str:
@@ -333,8 +363,8 @@ class MPoly:
         if not self._num:
             return "0"
         pieces: list[str] = []
-        for exponents, num, den in self._reduced_terms():
-            monomial = _monomial_text(exponents)
+        for key, num, den in self._reduced_terms():
+            monomial = _monomial_text(key)
             magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if monomial and magnitude == "1":
                 body = monomial

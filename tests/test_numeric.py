@@ -22,6 +22,7 @@ from degenbell.numeric import (
     _check_x,
     _falling_row,
     _scaled_inner_row,
+    _weighted_sum,
 )
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
@@ -284,6 +285,46 @@ def test_rows_match_their_defining_loops():
             ]
             assert list(map(repr, _falling_row(n, lam, 30))) == list(map(repr, falling))
             assert list(map(repr, _scaled_inner_row(n, lam, 30))) == list(map(repr, inner))
+
+
+def weighted_sum_loop(xl, row, series):
+    """The per-term loop the cached weights replaced, as written."""
+    weight = 1.0
+    partials = []
+    for k, value in enumerate(row):
+        if k:
+            weight *= xl / k
+        term = weight * value
+        if not math.isfinite(term):
+            raise OverflowError(f"{series} term {k} overflows")
+        partials.append(term)
+    return math.fsum(partials)
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_weighted_sum_matches_its_defining_loop():
+    # Shared weights, and the search for a term out of range made only when
+    # the sum is not finite: the same value or the same error, with 0.0 and
+    # -0.0 sharing one cached row and an fsum that overflows on finite terms.
+    rows = [
+        (1.0, -2.0, 3.5, 0.25),
+        (-0.0, 0.0, -0.0),
+        (1e308, 1e308),
+        (1e308, 1e308, math.inf),
+        (math.inf, -math.inf),
+        (1.0, math.nan),
+        (1e300,) * 40,
+        (2.0, 1e308, 1e308, -math.inf),
+    ]
+    for xl in (0.0, -0.0, 1.0, -2.5, 300.0, 1e300, math.inf):
+        for row in rows:
+            assert outcome(_weighted_sum, xl, row, "S") == outcome(weighted_sum_loop, xl, row, "S"), (xl, row)
 
 
 

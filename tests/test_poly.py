@@ -90,6 +90,46 @@ def test_outside_input_is_validated():
         MPoly({(1, 2, 3): Fraction(1)})
 
 
+def test_integer_terms_build_the_same_polynomial_and_are_checked():
+    terms = {(2, 0, 1, 0): 3, (0, 1, 1, 0): -1, (0, 0, 0, 0): 0, (0, 0, 0, 5): 7}
+    assert MPoly.from_ints(terms) == MPoly(terms)
+    assert MPoly.from_ints({}) == MPoly.zero()
+    with pytest.raises(ValueError):
+        MPoly.from_ints({(0, 1, -1, 0): 1})
+    with pytest.raises(TypeError):
+        MPoly.from_ints({(1.0, 0, 0, 0): 1})
+    with pytest.raises(TypeError):
+        MPoly.from_ints({(1, 2, 3): 1})
+    with pytest.raises(TypeError):
+        MPoly.from_ints({(1, 0, 0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="32768"):
+        MPoly.from_ints({(0, 2**15, 0, 0): 1})
+
+
+def test_exponents_out_of_range_raise_and_name_the_exponent():
+    # An exponent, or a total degree, of 2^15 would set a guard bit of its
+    # packed key: construction refuses it, and a product or a substitution
+    # that would reach it raises instead of carrying into the next field.
+    with pytest.raises(ValueError, match="32768"):
+        MPoly({(0, 0, 2**15, 0): 1})
+    with pytest.raises(ValueError, match=r"\(16384, 0, 0, 16384\)"):
+        MPoly({(2**14, 0, 0, 2**14): 1})
+    top = MPoly({(2**15 - 1, 0, 0, 0): 1})
+    assert dict(top.items()) == {(2**15 - 1, 0, 0, 0): 1}
+    with pytest.raises(OverflowError, match="32768"):
+        top * LAM
+    with pytest.raises(OverflowError, match="40000"):
+        MPoly.sum_of_products([(1, MPoly({(0, 20000, 0, 0): 1}), MPoly({(0, 20000, 0, 0): 1}))])
+    with pytest.raises(OverflowError, match="40000"):
+        MPoly({(0, 0, 20000, 0): 1}).substitute({"x": X * Y})
+    with pytest.raises(OverflowError):  # far past the field: the degree still tells
+        MPoly({(0, 0, 30000, 0): 1}).substitute({"x": Y**3})
+    with pytest.raises(OverflowError, match="32768"):
+        MPoly({(2**15 - 2, 0, 0, 1): 1}).substitute({"y": X + LAM**2})
+    assert (top * 0).substitute({"lambda": LAM**2}) == MPoly.zero()
+    assert MPoly({(0, 0, 20000, 0): 1}).substitute({"x": 2}) == 2**20000
+
+
 # -- multiplication ----------------------------------------------------------
 
 
@@ -330,15 +370,24 @@ def test_mixed_substitution_commutes_with_eval(p, q, vals):
         assert result.eval_exact(vals) == p.eval_exact(shifted)
 
 
+# Bit 15 of each of the five 16-bit fields of a packed key.
+GUARD_BITS = sum(1 << (16 * field + 15) for field in range(5))
+
+
 def _assert_canonical(p):
     # Integer numerators over one positive denominator, no zero terms and
-    # no common factor, exactly what full validation would produce.
+    # no common factor, exactly what full validation would produce.  Each
+    # key packs its exponents under their total degree with no guard bit
+    # set, and the keys sort as the terms' graded lex order.
     assert type(p._den) is int and p._den > 0
-    for exponents, coeff in p._num.items():
-        assert type(exponents) is tuple and len(exponents) == 4
+    for (key, coeff), (exponents, _) in zip(sorted(p._num.items(), reverse=True), p.items(), strict=True):
+        assert type(key) is int and key & GUARD_BITS == 0
         assert all(type(e) is int and e >= 0 for e in exponents)
+        assert key == sum(e << shift for e, shift in zip((sum(exponents), *exponents), (64, 48, 32, 16, 0)))
         assert type(coeff) is int and coeff != 0
     assert math.gcd(p._den, *p._num.values()) == 1
+    exponents = [e for e, _ in p.items()]
+    assert exponents == sorted(exponents, key=lambda e: (sum(e), e), reverse=True)
     assert p == MPoly(dict(p.items()))
 
 
@@ -427,13 +476,16 @@ def test_equal_polynomials_hash_equal(p, q, c):
 )
 def test_sum_of_products_matches_the_naive_loop(terms):
     # Mixed denominators (the common one must grow and the sum so far be
-    # rescaled), cancellation to zero, the empty sum and c = 0.
-    naive = MPoly.zero()
+    # rescaled), cancellation to zero, the empty sum and c = 0, against a
+    # reference over exponent tuples and Fractions that shares no code with
+    # the kernel.
+    naive = {}
     for c, a, b in terms:
-        naive = naive + c * a * b
+        for exponents, coeff in _ref_mul(dict(a.items()), dict(b.items())).items():
+            naive[exponents] = naive.get(exponents, 0) + c * coeff
     result = MPoly.sum_of_products(iter(terms))
     _assert_canonical(result)
-    assert result == naive
+    assert dict(result.items()) == {exponents: coeff for exponents, coeff in naive.items() if coeff}
     cancelled = MPoly.sum_of_products(terms + [(-c, a, b) for c, a, b in terms])
     _assert_canonical(cancelled)
     assert not cancelled

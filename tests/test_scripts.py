@@ -1,7 +1,8 @@
 """The lambda -> 0 convergence sweep, a smoke test for the
 `python -m degenbell` entry point and checks of the package's imports:
-standard library only, no private names across modules, and the
-package modules each layer may import."""
+standard library only, no private names across modules, the package
+modules each layer may import, and no module but `poly` touching a
+polynomial's packed layout."""
 
 import ast
 import os
@@ -98,3 +99,16 @@ def test_package_imports_stay_within_each_layer():
     src = ROOT / "src" / "degenbell"
     extra = {name: package_imports(src / name) - allowed for name, allowed in LAYER_IMPORTS.items()}
     assert extra == {name: set() for name in LAYER_IMPORTS}
+
+
+def test_only_poly_touches_the_packed_layout():
+    # A polynomial's keys pack its exponents in a layout private to poly:
+    # every other module builds polynomials from exponent tuples with
+    # MPoly(...) and reads them through the public methods.
+    private = {"_num", "_den", "_trusted"}
+    found = []
+    for path in sorted((ROOT / "src" / "degenbell").glob("*.py")):
+        if path.name != "poly.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
+    assert found == []

@@ -2,14 +2,17 @@
 row of its table makes its report FAIL with that n as the first failure,
 and so does the shared binomial convolution.  `exact_reports` builds each
 table once.  The float grid's shared rows give the per-point checks bit
-for bit, are built once, and can fail."""
+for bit, are built once, and can fail.  Threads that run both from cold
+caches at once get the serial results."""
 
 import hashlib
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
-from degenbell import cli, degenerate, numeric, suite
+from degenbell import classical, cli, degenerate, numeric, suite
 from degenbell.numeric import classical_dobinski_check, dobinski_check, scaled_bell_series_check
 from degenbell.poly import LAM, X
 from degenbell.series import oracle_degenerate_stirling2_table
@@ -120,8 +123,12 @@ def test_exact_reports_build_each_table_once(monkeypatch):
     )
     for name in tables:
         monkeypatch.setattr(suite, name, counted(suite, name))
+    degenerate.degenerate_stirling2.cache_clear()
     assert all(report.passed for report in suite.exact_reports(8))
     assert calls == {"degenerate_bell": 9, **dict.fromkeys(tables, 1)}
+    # Each closed-form S2(n,m|lambda), n <= 8, is built once for the
+    # canonical rows and read again by the Stirling report.
+    assert degenerate.degenerate_stirling2.cache_info().misses == 45
 
 
 # SHA-256 of `verify --n-max 6` stdout, which exits 1, with S2(5,2|λ) + λ in
@@ -197,9 +204,49 @@ def test_perturbed_inner_row_fails_its_three_checks(monkeypatch):
 
 
 def test_numeric_checks_build_each_row_once():
-    # One row per (n, lambda), shared by every x.
-    rows = [numeric._falling_row, numeric._scaled_inner_row]
+    # One row per (n, lambda), shared by every x, and one row of weights per
+    # (lambda, x), shared by every n and both series.
+    rows = [numeric._falling_row, numeric._scaled_inner_row, numeric._weights]
     for row in rows:
         row.cache_clear()
     suite.numeric_checks(8)
-    assert [row.cache_info().misses for row in rows] == [27, 27]
+    assert [row.cache_info().misses for row in rows] == [27, 27, 9]
+
+
+def test_concurrent_cold_runs_equal_a_serial_run(monkeypatch):
+    # Four threads run the float grid and the exact sweeps at once from cold
+    # caches while the interpreter switches threads as often as it can; each
+    # result must be the serial one.
+    caches = [numeric._falling_row, numeric._scaled_inner_row, numeric._weights, degenerate.degenerate_stirling2]
+
+    def cold():
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(classical, "_S1_ROWS", [[1]])
+        monkeypatch.setattr(classical, "_S2_ROWS", [[1]])
+
+    cold()
+    expected = (suite.numeric_checks(8), suite.exact_reports(6))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            cold()
+            seen, errors = [], []
+
+            def run():
+                try:
+                    seen.append((suite.numeric_checks(8), suite.exact_reports(6)))
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert seen == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
