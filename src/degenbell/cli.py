@@ -21,7 +21,7 @@ import math
 import sys
 from json.encoder import encode_basestring
 
-from .classical import bell_polynomial, stirling1, stirling2
+from .classical import bell_polynomial, stirling_rows
 from .degenerate import degenerate_bell, degenerate_stirling2
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
 from .suite import run_full_suite
@@ -247,8 +247,8 @@ def run_table(ns: argparse.Namespace) -> int:
         else:
             text = _csv_text([[*index, poly.pretty()] for index, poly in entries], [*keys, "poly"])
     else:
-        entry = stirling1 if ns.family == "stirling1" else stirling2
-        rows = [[entry(n, k) for k in range(n + 1)] for n in n_range]
+        s1_rows, s2_rows = stirling_rows(ns.n_max)
+        rows = (s1_rows if ns.family == "stirling1" else s2_rows)[: ns.n_max + 1]
         if ns.fmt == "text":
             text = "".join(f"n={n}: {' '.join(map(str, row))}\n" for n, row in enumerate(rows))
         elif ns.fmt == "json":
@@ -263,34 +263,34 @@ def run_table(ns: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------
 
 
+def _csv_row(obj: dict) -> list:
+    """A result's `to_json_obj()` object projected onto `CSV_HEADER`: a
+    report's n is its range, "lo..hi", a missing key reads None, which csv
+    writes as an empty cell, and csv writes a float as its repr."""
+    cells = {**obj, "n": "{}..{}".format(*obj["range"])} if "range" in obj else obj
+    return [cells.get(key) for key in CSV_HEADER]
+
+
 def run_verify(ns: argparse.Namespace) -> int:
     result = run_full_suite(ns.n_max, ns.terms, ns.tol)
+    objs = [item.to_json_obj() for item in (*result.reports, *result.checks)]
     if ns.fmt == "json":
-        text = _json_text([item.to_json_obj() for item in (*result.reports, *result.checks)])
+        text = _json_text(objs)
     elif ns.fmt == "csv":
-        rows = [
-            [r.identity_name, f"{r.n_range[0]}..{r.n_range[1]}", "", "", "", "", "", "", r.passed]
-            for r in result.reports
-        ]
-        rows.extend(c.to_csv_row() for c in result.checks)
-        text = _csv_text(rows, CSV_HEADER)
+        text = _csv_text([_csv_row(obj) for obj in objs], CSV_HEADER)
     else:
         lines = []
-        for r in result.reports:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"{status} {r.identity_name} n={r.n_range[0]}..{r.n_range[1]}"
-            if r.first_failure is not None:
-                line += f" (first failure at n={r.first_failure[0]})"
-            lines.append(line)
-        for c in result.checks:
-            status = "PASS" if c.passed else "FAIL"
-            where = f"n={c.n}" + ("" if c.lam is None else f" lambda={c.lam} x={c.x}")
-            lines.append(f"{status} {c.identity_name} {where} terms={c.terms} abs_error={c.abs_error:.3e}")
-        total = len(result.reports) + len(result.checks)
-        failed = sum(not item.passed for item in (*result.reports, *result.checks))
-        lines.append(
-            f"{total} checks, {failed} failed" if failed else f"{total} checks, all passed"
-        )
+        for obj in objs:
+            head = f"{'PASS' if obj['passed'] else 'FAIL'} {obj['identity']}"
+            if "range" in obj:
+                failure = obj["first_failure"]
+                tail = "" if failure is None else f" (first failure at n={failure['n']})"
+                lines.append(f"{head} n={obj['range'][0]}..{obj['range'][1]}{tail}")
+            else:
+                where = "" if obj["lambda"] is None else f" lambda={obj['lambda']} x={obj['x']}"
+                lines.append(f"{head} n={obj['n']}{where} terms={obj['terms']} abs_error={obj['abs_error']:.3e}")
+        failed = sum(not obj["passed"] for obj in objs)
+        lines.append(f"{len(objs)} checks, {failed} failed" if failed else f"{len(objs)} checks, all passed")
         text = "\n".join(lines) + "\n"
     _emit(text, ns.output)
     return 0 if result.passed else 1
@@ -319,10 +319,10 @@ def run_eval(ns: argparse.Namespace) -> int:
         text = _json_text(payload)
     elif ns.fmt == "csv":
         if check is not None:
-            rows = [check.to_csv_row()]
+            obj = check.to_json_obj()
         else:
-            rows = [["bell_degenerate_value", ns.n_max, repr(ns.lam), repr(ns.x), "", repr(value), "", "", ""]]
-        text = _csv_text(rows, CSV_HEADER)
+            obj = {"identity": "bell_degenerate_value", "n": ns.n_max, "lambda": ns.lam, "x": ns.x, "lhs": value}
+        text = _csv_text([_csv_row(obj)], CSV_HEADER)
     elif check is None:
         text = f"{value!r}\n"
     else:

@@ -60,19 +60,6 @@ class NumericCheck(NamedTuple):
             "passed": self.passed,
         }
 
-    def to_csv_row(self) -> list:
-        return [
-            self.identity_name,
-            self.n,
-            "" if self.lam is None else repr(self.lam),
-            "" if self.x is None else repr(self.x),
-            self.terms,
-            repr(self.lhs),
-            repr(self.rhs),
-            repr(self.abs_error),
-            self.passed,
-        ]
-
 
 def _check_lambda(lam: float) -> float:
     """Validate lambda and return L = log(1+lambda)/lambda."""

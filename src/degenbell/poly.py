@@ -221,13 +221,14 @@ class MPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        one = MPoly.one()
+        return MPoly.sum_of_products(((1, self, one), (-1, rhs, one)))
 
     def __rsub__(self, other: object) -> "MPoly":
         lhs = self._coerce(other)
         if lhs is None:
             return NotImplemented
-        return lhs + (-self)
+        return lhs - self
 
     def __mul__(self, other: object) -> "MPoly":
         if type(other) is int:

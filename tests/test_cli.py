@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -111,6 +112,50 @@ def test_verify_csv_header(capsys):
     code, out = run_cli(["verify", "--n-max", "1", "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "identity,n,lambda,x,terms,lhs,rhs,abs_error,passed"
+
+
+# A result's float, or None where it has none: csv must write each as the
+# hand-built rows did, a float as its repr and None as an empty cell.
+EDGE_FLOATS = [None, math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-300, 0.37]
+
+
+def test_csv_rows_project_like_the_rows_built_by_hand():
+    # The reference rows follow the rule of the rows the CLI built by hand
+    # before it projected `to_json_obj()`: repr of a float, "" for None.
+    floats = EDGE_FLOATS[1:]
+    checks = [
+        numeric.NumericCheck("demo", 3, lam, x, 10, lhs, rhs, 1e-9)
+        for lam, x, lhs, rhs in itertools.product(EDGE_FLOATS, EDGE_FLOATS, floats, floats)
+    ]
+    reports = [
+        VerificationReport("synthetic", (0, 5)),
+        VerificationReport("synthetic", (2, 30), (3, MPoly.one(), MPoly.zero())),
+    ]
+
+    def cell(value):
+        return "" if value is None else repr(value)
+
+    expected = [
+        *([r.identity_name, f"{r.n_range[0]}..{r.n_range[1]}", "", "", "", "", "", "", r.passed] for r in reports),
+        *(
+            [c.identity_name, c.n, cell(c.lam), cell(c.x), c.terms, repr(c.lhs), repr(c.rhs), repr(c.abs_error), c.passed]
+            for c in checks
+        ),
+    ]
+    for item, row in zip([*reports, *checks], expected, strict=True):
+        projected = cli._csv_row(item.to_json_obj())
+        assert len(projected) == len(cli.CSV_HEADER)
+        assert cli._csv_text([projected], cli.CSV_HEADER) == cli._csv_text([row], cli.CSV_HEADER), item
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS[1:])
+def test_eval_csv_value_row_matches_the_row_built_by_hand(value, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "eval_bel_numeric", lambda n, lam, x: value)
+    for x in ("-0.0", "0.0", "1e-300", "2"):
+        code, out = run_cli(["eval", "--n", "3", "--lambda", "-0.5", "--x", x, "--format", "csv"], capsys)
+        assert code == 0
+        row = ["bell_degenerate_value", 3, repr(-0.5), repr(float(x)), "", repr(value), "", "", ""]
+        assert out == cli._csv_text([row], cli.CSV_HEADER)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -476,6 +521,8 @@ PINNED_STDOUT = {
     "table --family stirling2 --n-max 30 --format json": "5b5524352a16e65510c54b4f4d2d7726b1de1231bbfe62aa9f06ceebc8fca0ca",
     "verify --n-max 12 --format json": "c4a50c818c27d0cdd3e38aadfa1d1984782ef2d3a5875d77a2b17fa52b832b66",
     "verify --n-max 30 --format json": "f05d88a62aae7835e6f99789255a997dd07ccb00abbac38196aeed545b0e895b",
+    "eval --n 7 --lambda 0.5 --x 2 --format csv": "136b750aa5d26aee9fb63a7da6c7d71b0033f54b003db3a3e78df17747ef19b9",
+    "eval --n 7 --lambda 0.5 --x 2 --format json": "e80b0c134f9bdc209fa71e5beb3a54f8d3d39d5ceccf5a49a81d13a40d5d13e0",
 }
 
 
@@ -488,11 +535,14 @@ def test_stdout_bytes_are_pinned(command, capsys):
 
 # SHA-256 of stdout for commands that exit 1: the Dobinski sum at x = 1000
 # underflows to 0.0, a false FAIL of the float check that a fix of the check
-# will change on purpose.
+# will change on purpose; with one term per series, 57 of the float checks of
+# `verify --n-max 2` fail, which pins the FAIL form of their lines and rows.
 PINNED_FAILING_STDOUT = {
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format text": "4ac77fac7140c8693d89ef229116d3a0c7c7619540c714e88c708819e1f81ffa",
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format json": "a52dad65641290c59d1e8cd07b9b1dd54e2453de7310b245244cef103dfd4bd9",
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format csv": "8e5a09507d35c9ace9af1ad85d5a81ad72b5a34a4f673a8ba5144eec7106ad3c",
+    "verify --n-max 2 --terms 1 --format text": "916b1f41e33fde257e5506a577abacd535489340b39a139e9d6a91b6fcf74f1d",
+    "verify --n-max 2 --terms 1 --format csv": "8bbabe546c00aef36045abada401e2f321d28523d7b423f4f346f1d5800e1504",
 }
 
 

@@ -2,6 +2,8 @@
 Dobinski-type series, the scaled two-sided series identity, and the
 lambda -> 0 sweep."""
 
+import csv
+import io
 import math
 import random
 from fractions import Fraction
@@ -403,11 +405,17 @@ def test_limit_sweep_rejects_non_finite_input(lam, x):
         limit_sweep(3, x, [lam])
 
 
+def csv_cells(check):
+    """The cells of the CLI's CSV row for `check`, as a CSV reader reads them."""
+    _, row = csv.reader(io.StringIO(cli._csv_text([cli._csv_row(check.to_json_obj())], cli.CSV_HEADER)))
+    return row
+
+
 def test_numeric_check_passed_invariant():
     check = NumericCheck("demo", 1, 0.5, 1.0, 10, 1.0, 1.5, 0.1)
     assert check.abs_error == 0.5
     assert not check.passed
-    row = check.to_csv_row()
+    row = csv_cells(check)
     assert row[0] == "demo"
     assert len(row) == 9
 
@@ -431,4 +439,4 @@ def test_numeric_check_negative_zero_behaves_as_zero(lhs, rhs):
     assert repr(check.abs_error) == "0.0"
     assert check.passed
     assert check.to_json_obj()["abs_error"] == 0.0
-    assert check.to_csv_row()[7] == "0.0"
+    assert csv_cells(check)[7] == "0.0"

@@ -415,6 +415,14 @@ def test_arithmetic_results_are_canonical(p, q, c):
     assert not (p - p)
 
 
+@given("polys", "polys", "coeffs")
+def test_subtraction_equals_adding_the_negated_operand(p, q, c):
+    # Subtraction is one kernel pass of its own, not negate-then-add.
+    for difference, expected in ((p - q, p + (-1) * q), (c - p, -(p - c)), (3 - p, -(p - 3))):
+        assert difference == expected
+        _assert_canonical(difference)
+
+
 # -- the integer representation against plain Fraction dicts --------------------
 
 
