@@ -8,13 +8,7 @@ and validates the infinite-series identities numerically.
 """
 
 from .poly import L, LAM, MPoly, X, Y
-from .classical import (
-    bell_polynomial,
-    binomial,
-    falling_factorials,
-    stirling1,
-    stirling2,
-)
+from .classical import bell_polynomial, falling_factorials, stirling_rows
 from .series import (
     degenerate_exp_minus_one,
     oracle_degenerate_bell_table,
@@ -56,7 +50,6 @@ __all__ = [
     "X",
     "Y",
     "bell_polynomial",
-    "binomial",
     "classical_dobinski_check",
     "composition_coefficient",
     "dbell_classical_bell_table",
@@ -78,8 +71,7 @@ __all__ = [
     "run_full_suite",
     "scaled_bell_series_check",
     "series_mul",
-    "stirling1",
-    "stirling2",
+    "stirling_rows",
     "verify_addition",
     "verify_derivative",
 ]

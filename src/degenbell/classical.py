@@ -1,74 +1,40 @@
-"""Classical integer combinatorics: binomials, both kinds of Stirling
-numbers, Bell polynomials, and rows of lambda-step falling factorials."""
+"""Classical integer combinatorics: both kinds of Stirling numbers, Bell
+polynomials, and rows of lambda-step falling factorials."""
 
 from __future__ import annotations
 
-import math
-import threading
+import functools
 from itertools import accumulate
 from operator import mul
 
 from .poly import LAM, MPoly, Scalar
 
-# Triangular caches, grown on demand.  Row n holds entries for k = 0..n.
-# Rows are appended whole, under _GROW_LOCK, and never changed after; a
-# reader that finds its row present takes no lock.
-_S1_ROWS: list[list[int]] = [[1]]
-_S2_ROWS: list[list[int]] = [[1]]
-_GROW_LOCK = threading.Lock()
 
-
-def binomial(n: int, k: int) -> int:
-    """n choose k, with 0 outside the triangle (k < 0 or k > n)."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def _check_pair(n: int, k: int) -> None:
-    if n < 0 or k < 0:
-        raise ValueError(f"Stirling numbers need n, k >= 0, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"Stirling numbers need k <= n, got n={n}, k={k}")
-
-
-def stirling1(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind: coefficient of z^k in
-    the falling factorial z(z-1)...(z-n+1)."""
-    _check_pair(n, k)
-    return stirling_rows(n)[0][n][k]
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind: k-block set partitions of an n-set."""
-    _check_pair(n, k)
-    return stirling_rows(n)[1][n][k]
-
-
-def stirling_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Both caches, grown through row n: (stirling1 rows, stirling2 rows),
-    row m holding k = 0..m.  For callers that read whole rows; never change
-    them.
+@functools.cache
+def stirling_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Rows 0..n of both triangles, (stirling1 rows, stirling2 rows), row m
+    the tuple of k = 0..m: the signed first kind, the coefficients of
+    z(z-1)...(z-m+1), and the second kind, k-block set partitions of an m-set.
 
     Row m of each triangle comes from row m - 1:
     s1(m, k) = s1(m-1, k-1) + (1 - m) s1(m-1, k), since
     (z)_m = (z - (m-1)) (z)_{m-1}, and s2(m, k) = s2(m-1, k-1) + k s2(m-1, k).
-    Both grow together, the stirling2 row last, so a stirling2 cache longer
-    than n means both hold row n.  The length is tested again under the
-    lock, so two threads never build the same row.
+    A miss at n first calls stirling_rows(m) for m = 0..n-1 in order, each
+    finding m - 1 cached, so no call nests more than two deep; each n's
+    entry shares the row tuples of the entries before it.  Two threads may
+    each build the same new n; their results are equal and immutable, and
+    the cache keeps one.
     """
-    _check_pair(n, 0)
-    s1_rows, s2_rows = _S1_ROWS, _S2_ROWS
-    if len(s2_rows) <= n:
-        with _GROW_LOCK:
-            while len(s2_rows) <= n:
-                m = len(s2_rows)
-                s1, s2 = s1_rows[-1] + [0], s2_rows[-1] + [0]
-                s1_rows.append([0] + [s1[k - 1] + (1 - m) * s1[k] for k in range(1, m + 1)])
-                s2_rows.append([0] + [s2[k - 1] + k * s2[k] for k in range(1, m + 1)])
-    return s1_rows, s2_rows
+    if n < 0:
+        raise ValueError(f"Stirling rows need n >= 0, got {n}")
+    if n == 0:
+        return ((1,),), ((1,),)
+    for m in range(n):
+        s1_rows, s2_rows = stirling_rows(m)
+    s1, s2 = s1_rows[-1] + (0,), s2_rows[-1] + (0,)
+    s1_row = (0, *[s1[k - 1] + (1 - n) * s1[k] for k in range(1, n + 1)])
+    s2_row = (0, *[s2[k - 1] + k * s2[k] for k in range(1, n + 1)])
+    return (*s1_rows, s1_row), (*s2_rows, s2_row)
 
 
 def bell_polynomial(n: int) -> MPoly:
@@ -93,9 +59,6 @@ def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
 
 __all__ = [
     "bell_polynomial",
-    "binomial",
     "falling_factorials",
-    "stirling1",
-    "stirling2",
     "stirling_rows",
 ]

@@ -248,11 +248,11 @@ def run_table(ns: argparse.Namespace) -> int:
             text = _csv_text([[*index, poly.pretty()] for index, poly in entries], [*keys, "poly"])
     else:
         s1_rows, s2_rows = stirling_rows(ns.n_max)
-        rows = (s1_rows if ns.family == "stirling1" else s2_rows)[: ns.n_max + 1]
+        rows = s1_rows if ns.family == "stirling1" else s2_rows
         if ns.fmt == "text":
             text = "".join(f"n={n}: {' '.join(map(str, row))}\n" for n, row in enumerate(rows))
         elif ns.fmt == "json":
-            text = _json_text([{"n": n, "row": row} for n, row in enumerate(rows)])
+            text = _json_text([{"n": n, "row": list(row)} for n, row in enumerate(rows)])
         else:
             cells = [[n, k, value] for n, row in enumerate(rows) for k, value in enumerate(row)]
             text = _csv_text(cells, ["n", "k", "value"])
@@ -299,36 +299,34 @@ def run_verify(ns: argparse.Namespace) -> int:
 # -- eval -----------------------------------------------------------------
 
 
+# eval's JSON names, in print order, each with the key of the result's object
+# it reads; a name is printed only when the object has that key.
+EVAL_JSON_KEYS = {
+    "n": "n", "lambda": "lambda", "x": "x", "value": "lhs", "dobinski": "rhs",
+    "terms": "terms", "abs_error": "abs_error", "passed": "passed",
+}
+
+
 def run_eval(ns: argparse.Namespace) -> int:
     try:
         if ns.dobinski:
-            check = dobinski_check(ns.n_max, ns.lam, ns.x, ns.terms, ns.tol)
-            value = check.lhs
+            obj = dobinski_check(ns.n_max, ns.lam, ns.x, ns.terms, ns.tol).to_json_obj()
         else:
-            check = None
             value = eval_bel_numeric(ns.n_max, ns.lam, ns.x)
+            obj = {"identity": "bell_degenerate_value", "n": ns.n_max, "lambda": ns.lam, "x": ns.x, "lhs": value}
     except OverflowError as exc:
         where = f"n={ns.n_max}, lambda={ns.lam!r}, x={ns.x!r}"
         raise UsageError(f"the value at {where} is out of float range ({exc})") from exc
     if ns.fmt == "json":
-        payload = {"n": ns.n_max, "lambda": ns.lam, "x": ns.x, "value": value}
-        if check is not None:
-            payload.update(
-                dobinski=check.rhs, terms=check.terms, abs_error=check.abs_error, passed=check.passed
-            )
-        text = _json_text(payload)
+        text = _json_text({name: obj[key] for name, key in EVAL_JSON_KEYS.items() if key in obj})
     elif ns.fmt == "csv":
-        if check is not None:
-            obj = check.to_json_obj()
-        else:
-            obj = {"identity": "bell_degenerate_value", "n": ns.n_max, "lambda": ns.lam, "x": ns.x, "lhs": value}
         text = _csv_text([_csv_row(obj)], CSV_HEADER)
-    elif check is None:
-        text = f"{value!r}\n"
+    elif "rhs" in obj:
+        text = f"value {obj['lhs']!r}\ndobinski {obj['rhs']!r}\nabs_error {obj['abs_error']!r}\n"
     else:
-        text = f"value {value!r}\ndobinski {check.rhs!r}\nabs_error {check.abs_error!r}\n"
+        text = f"{obj['lhs']!r}\n"
     _emit(text, ns.output)
-    return 0 if check is None or check.passed else 1
+    return 0 if obj.get("passed", True) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

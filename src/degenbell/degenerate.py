@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
-from .classical import bell_polynomial, binomial, falling_factorials, stirling1, stirling_rows
+from .classical import bell_polynomial, falling_factorials, stirling_rows
 
 
 class VerificationReport(NamedTuple):
@@ -94,7 +94,7 @@ def dbell_via_stirling_pair(n: int) -> MPoly:
 
 def binomial_convolution(a: Sequence[MPoly], b: Sequence[MPoly], n: int) -> MPoly:
     """The binomial convolution: sum of C(n, k) a[k] b[n-k] for k = 0..n."""
-    return MPoly.sum_of_products((binomial(n, k), a[k], b[n - k]) for k in range(n + 1))
+    return MPoly.sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1))
 
 
 def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
@@ -108,14 +108,15 @@ def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    s1 = stirling_rows(n_max)[0]
     rescaled: list[MPoly] = []
     inner: list[MPoly] = []
     one = MPoly.one()
     table = [one]
     for n in range(1, n_max + 1):
         rescaled.append(bell_polynomial(n - 1).substitute({"x": X * L}))
-        inner.append(MPoly.sum_of_products((binomial(n - 1, j), rescaled[j], one) for j in range(n)))
-        acc = MPoly.sum_of_products((stirling1(n, k), LAM ** (n - k), inner[k - 1]) for k in range(1, n + 1))
+        inner.append(MPoly.sum_of_products((comb(n - 1, j), rescaled[j], one) for j in range(n)))
+        acc = MPoly.sum_of_products((s1[n][k], LAM ** (n - k), inner[k - 1]) for k in range(1, n + 1))
         table.append(L * X * acc)
     return table
 
@@ -132,7 +133,7 @@ def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly]) -> MPoly:
         raise ValueError(f"composita needs n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n:
         return MPoly.zero()
-    signed = (((-1) ** (k - j) * binomial(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
+    signed = (((-1) ** (k - j) * comb(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
     return MPoly.sum_of_products(signed) * Fraction(1, factorial(n))
 
 

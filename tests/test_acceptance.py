@@ -7,8 +7,9 @@ configuration.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 
-from degenbell.classical import bell_polynomial, binomial, falling_factorials
+from degenbell.classical import bell_polynomial, falling_factorials
 from degenbell.degenerate import (
     composition_coefficient,
     dbell_classical_bell_table,
@@ -139,16 +140,16 @@ def test_criterion_8_recurrences():
         for n in range(13):
             convolution = MPoly.zero()
             for j in range(n + 1):
-                convolution = convolution + binomial(n, j) * bell_polynomial(j)
+                convolution = convolution + comb(n, j) * bell_polynomial(j)
             assert bell_polynomial(n + 1) == X * convolution
         falling = falling_factorials(1 - LAM, 10)
         for n in range(11):
             step = MPoly.zero()
             for k in range(n + 1):
-                step = step + binomial(n, k) * degenerate_bell(k) * falling[n - k]
+                step = step + comb(n, k) * degenerate_bell(k) * falling[n - k]
             degenerate_side = limit_lambda_zero(X * L * step)
             classical_side = MPoly.zero()
             for j in range(n + 1):
-                classical_side = classical_side + binomial(n, j) * bell_polynomial(j)
+                classical_side = classical_side + comb(n, j) * bell_polynomial(j)
             assert degenerate_side == X * classical_side
             assert degenerate_side == bell_polynomial(n + 1)

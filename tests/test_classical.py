@@ -6,23 +6,19 @@ direct product expansion for Stirling numbers of the first kind, and
 brute-force set partition counting for the second kind.
 """
 
+import math
+import subprocess
 import sys
+import textwrap
 import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from degenbell import classical
-from degenbell.classical import (
-    bell_polynomial,
-    binomial,
-    falling_factorials,
-    stirling1,
-    stirling2,
-    stirling_rows,
-)
+from degenbell.classical import bell_polynomial, falling_factorials, stirling_rows
 from degenbell.poly import LAM, MPoly, X
+from test_scripts import src_env
 
 
 # -- independent oracles ----------------------------------------------------
@@ -69,106 +65,98 @@ def expand_integer_falling_factorial(n):
 
 
 def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(6, 3) == 20
+    # The closed forms take their binomials from math.comb, inside the triangle.
+    assert math.comb(5, 2) == 10
+    assert math.comb(6, 3) == 20
     for n in (0, 1, 7, 30):
-        assert binomial(n, 0) == 1
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
+        assert math.comb(n, 0) == 1
+    assert math.comb(4, 5) == 0
 
 
 def test_binomial_matches_pascal():
     rows = pascal_triangle(12)
     for n in range(13):
         for k in range(n + 1):
-            assert binomial(n, k) == rows[n][k]
+            assert math.comb(n, k) == rows[n][k]
 
 
 # -- Stirling, first kind -------------------------------------------------------
 
 
 def test_stirling1_from_product_expansion():
+    s1 = stirling_rows(12)[0]
     for n in range(13):
-        expanded = expand_integer_falling_factorial(n)
-        for k in range(n + 1):
-            assert stirling1(n, k) == expanded[k]
+        assert list(s1[n]) == expand_integer_falling_factorial(n)
 
 
 def test_stirling1_hand_values():
+    s1 = stirling_rows(9)[0]
     # x(x-1)(x-2) = x^3 - 3x^2 + 2x
-    assert stirling1(3, 2) == -3
-    assert stirling1(3, 1) == 2
+    assert s1[3][2] == -3
+    assert s1[3][1] == 2
     for n in range(10):
-        assert stirling1(n, n) == 1
+        assert s1[n][n] == 1
         if n >= 1:
-            assert stirling1(n, 0) == 0
+            assert s1[n][0] == 0
 
 
 def test_stirling1_sign_pattern():
-    for n in range(13):
-        for k in range(n + 1):
-            value = stirling1(n, k)
+    for n, row in enumerate(stirling_rows(12)[0]):
+        for k, value in enumerate(row):
             if value:
                 assert value * (-1) ** (n - k) > 0
 
 
 def test_stirling_rejects_out_of_range():
     with pytest.raises(ValueError):
-        stirling1(3, 4)
-    with pytest.raises(ValueError):
-        stirling1(-1, 0)
-    with pytest.raises(ValueError):
-        stirling2(2, 3)
-    with pytest.raises(ValueError):
-        stirling2(2, -1)
+        stirling_rows(-1)
 
 
 # -- Stirling, second kind --------------------------------------------------------
 
 
 def test_stirling2_counts_set_partitions():
+    s2 = stirling_rows(7)[1]
     for n in range(8):
-        for k in range(n + 1):
-            assert stirling2(n, k) == count_partitions_with_blocks(n, k)
+        assert list(s2[n]) == [count_partitions_with_blocks(n, k) for k in range(n + 1)]
 
 
 def test_stirling2_hand_values():
-    assert stirling2(3, 2) == 3
+    s2 = stirling_rows(9)[1]
+    assert s2[3][2] == 3
     # 2-block partitions of a 6-set: 2^5 - 1 = 31
-    assert stirling2(6, 2) == 31
-    assert stirling2(6, 2) == count_partitions_with_blocks(6, 2)
+    assert s2[6][2] == 31
+    assert s2[6][2] == count_partitions_with_blocks(6, 2)
     for n in range(10):
-        assert stirling2(n, n) == 1
+        assert s2[n][n] == 1
         if n >= 1:
-            assert stirling2(n, 0) == 0
+            assert s2[n][0] == 0
 
 
 def test_inversion_pair():
+    s1, s2 = stirling_rows(12)
     for n in range(13):
         for m in range(n + 1):
-            total = sum(stirling1(n, l) * stirling2(l, m) for l in range(m, n + 1))
+            total = sum(s1[n][l] * s2[l][m] for l in range(m, n + 1))
             assert total == (1 if n == m else 0)
 
 
-def test_stirling_caches_survive_concurrent_first_use(monkeypatch):
-    # Four threads fill cold caches at once while the interpreter switches
-    # threads as often as it can.  Growth without a lock appended rows
-    # built from a stale last row, or raised IndexError, in about a third
-    # of such trials.
+def test_stirling_caches_survive_concurrent_first_use():
+    # Four threads fill a cold cache at once while the interpreter switches
+    # threads as often as it can; each must read the serial rows.
     n_max = 60
-    expected = [([stirling1(n, k) for k in range(n + 1)], [stirling2(n, k) for k in range(n + 1)])
-                for n in range(n_max + 1)]
+    stirling_rows.cache_clear()
+    expected = [stirling_rows(n) for n in range(n_max + 1)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):
-            monkeypatch.setattr(classical, "_S1_ROWS", [[1]])
-            monkeypatch.setattr(classical, "_S2_ROWS", [[1]])
+            stirling_rows.cache_clear()
             seen, errors = [], []
 
             def fill():
                 try:
-                    seen.append([(stirling1(n, n // 2), stirling2(n, n // 2)) for n in range(n_max + 1)])
+                    seen.append([stirling_rows(n) for n in range(n_max, -1, -7)])
                 except Exception as exc:
                     errors.append(exc)
 
@@ -179,25 +167,41 @@ def test_stirling_caches_survive_concurrent_first_use(monkeypatch):
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
-            assert classical._S1_ROWS == [first for first, _ in expected]
-            assert classical._S2_ROWS == [second for _, second in expected]
-            assert seen == [[(first[n // 2], second[n // 2]) for n, (first, second) in enumerate(expected)]] * 4
+            assert seen == [expected[::-7]] * 4
+            assert [stirling_rows(n) for n in range(n_max + 1)] == expected
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_stirling_rows_grow_the_caches_bound_at_call_time(monkeypatch):
-    # Whole-row readers see the caches through the module globals, so a
-    # fresh cache installed later is the one they grow.
-    monkeypatch.setattr(classical, "_S1_ROWS", [[1]])
-    monkeypatch.setattr(classical, "_S2_ROWS", [[1]])
+def test_stirling_rows_hold_exactly_rows_0_to_n_as_tuples():
+    stirling_rows(30)
+    s1_rows, s2_rows = stirling_rows(3)
+    assert len(s1_rows) == len(s2_rows) == 4
+    assert all(type(row) is tuple for row in (*s1_rows, *s2_rows))
     s1_rows, s2_rows = stirling_rows(6)
-    assert s1_rows is classical._S1_ROWS and s2_rows is classical._S2_ROWS
-    assert len(s1_rows) == len(s2_rows) == 7
-    assert s1_rows[6] == [0, -120, 274, -225, 85, -15, 1]
-    assert s2_rows[6] == [0, 1, 31, 90, 65, 15, 1]
-    with pytest.raises(ValueError):
-        stirling_rows(-1)
+    assert s1_rows[6] == (0, -120, 274, -225, 85, -15, 1)
+    assert s2_rows[6] == (0, 1, 31, 90, 65, 15, 1)
+
+
+def test_cold_stirling_rows_nest_at_most_two_calls_deep():
+    # A cold call reads every earlier n first, each one level below it, so
+    # n = 400 returns under a recursion limit of 100.
+    script = textwrap.dedent(
+        """
+        import sys
+        from degenbell.classical import stirling_rows
+
+        sys.setrecursionlimit(100)
+        s1, s2 = stirling_rows(400)
+        assert len(s1) == len(s2) == 401 and len(s1[400]) == len(s2[400]) == 401
+        for n in (399, 400):
+            a, b = s1[n - 1] + (0,), s2[n - 1] + (0,)
+            assert s1[n] == (0, *(a[k - 1] + (1 - n) * a[k] for k in range(1, n + 1)))
+            assert s2[n] == (0, *(b[k - 1] + k * b[k] for k in range(1, n + 1)))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- Bell polynomials ----------------------------------------------------------------
@@ -225,7 +229,7 @@ def test_bell_recurrence():
     for n in range(13):
         convolution = MPoly.zero()
         for j in range(n + 1):
-            convolution = convolution + binomial(n, j) * bell_polynomial(j)
+            convolution = convolution + math.comb(n, j) * bell_polynomial(j)
         assert bell_polynomial(n + 1) == X * convolution
 
 
@@ -260,10 +264,11 @@ def test_falling_factorial_rows_are_the_products():
 def test_falling_factorial_homogenizes_stirling1():
     # The coefficient of lambda^(n-k) x^k in x(x - lambda)...(x - (n-1)lambda)
     # is the signed first-kind number.
+    s1 = stirling_rows(12)[0]
     for n, entry in enumerate(falling_factorials(X, 12)):
         terms = dict(entry.items())
         for k in range(n + 1):
-            assert terms.get((n - k, 0, k, 0), 0) == stirling1(n, k)
+            assert terms.get((n - k, 0, k, 0), 0) == s1[n][k]
 
 
 def test_falling_factorial_rejects_negative():

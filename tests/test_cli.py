@@ -523,6 +523,19 @@ PINNED_STDOUT = {
     "verify --n-max 30 --format json": "f05d88a62aae7835e6f99789255a997dd07ccb00abbac38196aeed545b0e895b",
     "eval --n 7 --lambda 0.5 --x 2 --format csv": "136b750aa5d26aee9fb63a7da6c7d71b0033f54b003db3a3e78df17747ef19b9",
     "eval --n 7 --lambda 0.5 --x 2 --format json": "e80b0c134f9bdc209fa71e5beb3a54f8d3d39d5ceccf5a49a81d13a40d5d13e0",
+    "table --family stirling1 --n-max 30 --format text": "83e0fc3f5726a4bbf8b3106412bbb5d59024a732b429028a63e4c25b9e10a440",
+    "table --family stirling1 --n-max 30 --format json": "bd8dfa3cb718a68e294d660ef158e32e9553520463dc9e385075df402be14298",
+    "table --family stirling1 --n-max 30 --format csv": "4a473950d652201df02bc7d6df8e8000505f6c7c772826ef8374598174034b1d",
+    "table --family stirling2 --n-max 30 --format text": "c9d8dce994184f74cdb05a9c6f52b0ad226ff7bba0f05277ba8679c423e9258f",
+    "table --family stirling2 --n-max 30 --format csv": "8f631b035ef321398f2752b827dd4ca9d30d8cca59362c087245295ee14f8964",
+    "table --family stirling1 --n-max 0 --format text": "38a4b76c364b3f7950b302d1be6049ccfe4c9ff582707e5eb0a15bb361ae27c4",
+    "table --family stirling1 --n-max 0 --format json": "9f6b8215ce453c71874a3824bca5829ce526be47b2892e82fd033ca70c8cf6b7",
+    "table --family stirling1 --n-max 0 --format csv": "845bb376704bbbde8317abf312488cae685abb09cfb95ba75b652c6a6fd59d3b",
+    "table --family stirling2 --n-max 0 --format text": "38a4b76c364b3f7950b302d1be6049ccfe4c9ff582707e5eb0a15bb361ae27c4",
+    "table --family stirling2 --n-max 0 --format json": "9f6b8215ce453c71874a3824bca5829ce526be47b2892e82fd033ca70c8cf6b7",
+    "table --family stirling2 --n-max 0 --format csv": "845bb376704bbbde8317abf312488cae685abb09cfb95ba75b652c6a6fd59d3b",
+    "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format text": "73478796168692a7ac433a24ed840498943e55eb8154052b57f369cd0773b214",
+    "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format csv": "91ebb9fe9b0b9c175af9f35b94c12b0e3268f773db8ec6259bd48fdb997a71f2",
 }
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from degenbell import cli
-from degenbell.classical import bell_polynomial, stirling1, stirling2
+from degenbell.classical import bell_polynomial, stirling_rows
 from degenbell.degenerate import dbell_via_stirling_pair, degenerate_bell
 from degenbell.numeric import (
     NumericCheck,
@@ -103,16 +103,17 @@ def test_eval_matches_substituted_polynomial_bytes():
 
 
 def _per_entry_eval(n, lam, x):
-    """The evaluator as it stood before it read whole Stirling rows: the
-    same integer N_m, one validated stirling2(k, m) call per entry."""
+    """The evaluator as it stood before it summed one stirling2 row at a
+    time: the same integer N_m, summed one column m at a time."""
     big_l = math.log1p(lam) / lam
     p, q = Fraction(lam).as_integer_ratio()
     r, s = Fraction(x).as_integer_ratio()
-    weights = [stirling1(n, k) * p ** (n - k) * q**k for k in range(n + 1)]
+    s1, s2 = stirling_rows(n)
+    weights = [s1[n][k] * p ** (n - k) * q**k for k in range(n + 1)]
     q_n = q**n
     value = 0.0
     for m in range(n, -1, -1):
-        exact = sum(weights[k] * stirling2(k, m) for k in range(m, n + 1))
+        exact = sum(weights[k] * s2[k][m] for k in range(m, n + 1))
         value = value * big_l + exact * r**m / (q_n * s**m)
     return value
 
@@ -281,8 +282,9 @@ def test_rows_match_their_defining_loops():
                 for i in range(n):
                     out *= float(l) - i * lam
                 falling.append(out)
+            s1 = stirling_rows(n)[0][n]
             inner = [
-                math.fsum(float(k) ** l * lam ** (n - l) * stirling1(n, l) for l in range(n + 1))
+                math.fsum(float(k) ** l * lam ** (n - l) * s1[l] for l in range(n + 1))
                 for k in range(31)
             ]
             assert list(map(repr, _falling_row(n, lam, 30))) == list(map(repr, falling))

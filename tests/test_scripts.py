@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import degenbell
 from degenbell import cli
 from test_numeric import limit_sweep
 
@@ -112,3 +113,17 @@ def test_only_poly_touches_the_packed_layout():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found += [(path.name, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
     assert found == []
+
+
+def test_every_export_is_read_inside_the_package():
+    # No dead exports: each name in degenbell.__all__ is read by some module
+    # of the package other than the one that re-exports it.
+    read = set()
+    for path in sorted((ROOT / "src" / "degenbell").glob("*.py")):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert sorted(set(degenbell.__all__) - read) == []

@@ -213,17 +213,21 @@ def test_numeric_checks_build_each_row_once():
     assert [row.cache_info().misses for row in rows] == [27, 27, 9]
 
 
-def test_concurrent_cold_runs_equal_a_serial_run(monkeypatch):
+def test_concurrent_cold_runs_equal_a_serial_run():
     # Four threads run the float grid and the exact sweeps at once from cold
     # caches while the interpreter switches threads as often as it can; each
     # result must be the serial one.
-    caches = [numeric._falling_row, numeric._scaled_inner_row, numeric._weights, degenerate.degenerate_stirling2]
+    caches = [
+        numeric._falling_row,
+        numeric._scaled_inner_row,
+        numeric._weights,
+        degenerate.degenerate_stirling2,
+        classical.stirling_rows,
+    ]
 
     def cold():
         for cache in caches:
             cache.cache_clear()
-        monkeypatch.setattr(classical, "_S1_ROWS", [[1]])
-        monkeypatch.setattr(classical, "_S2_ROWS", [[1]])
 
     cold()
     expected = (suite.numeric_checks(8), suite.exact_reports(6))
