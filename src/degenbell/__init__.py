@@ -36,7 +36,6 @@ from .numeric import (
     dobinski_classical,
     dobinski_degenerate,
     eval_bel_numeric,
-    scaled_bell_series_check,
 )
 from .suite import SuiteResult, run_full_suite
 
@@ -69,7 +68,6 @@ __all__ = [
     "oracle_degenerate_bell_table",
     "oracle_degenerate_stirling2_table",
     "run_full_suite",
-    "scaled_bell_series_check",
     "series_mul",
     "stirling_rows",
     "verify_addition",

@@ -10,9 +10,10 @@ the classical limit use the exact classical constructors instead.
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import accumulate, repeat
+from collections.abc import Iterator, Sequence
+from functools import reduce
+from itertools import accumulate, count, islice, repeat
 from operator import mul, sub, truediv
 from typing import NamedTuple
 
@@ -73,40 +74,56 @@ def _check_x(x: float) -> None:
         raise ValueError(f"x must be finite, got {x}")
 
 
-# One cached entry per row builder is enough: the float grid asks for each
-# (n, lambda) row for every x in turn.  The weights keep an entry for each
-# (lambda, x) of a grid of up to 16 points (verify's has 9), met at every n.
-# Rows are tuples, so no caller can change what the next one reads.
+def _falling_rows(lam: float, terms: int) -> Iterator[list[float]]:
+    """Rows ((l | lambda)_n for l = 0..terms), n = 0, 1, ...: row n is row n - 1 times l - (n - 1) lambda."""
+    ls, row = list(map(float, range(terms + 1))), [1.0] * (terms + 1)
+    for i in count():
+        yield row
+        row = list(map(mul, row, map(sub, ls, repeat(i * lam))))
 
 
-@functools.lru_cache(maxsize=1)
-def _falling_row(n: int, lam: float, terms: int) -> tuple[float, ...]:
-    """((l | lambda)_n for l = 0..terms), each l (l - lambda) ... (l - (n-1) lambda)."""
-    steps = [i * lam for i in range(n)]
-    return tuple(math.prod(map(sub, repeat(l, n), steps), start=1.0) for l in range(terms + 1))
+def _power_columns(n: int, terms: int) -> list[list[float]]:
+    """(float(k) ** l for k = 0..terms) for l = 0..n."""
+    return [list(map(pow, map(float, range(terms + 1)), repeat(l))) for l in range(n + 1)]
 
 
-@functools.lru_cache(maxsize=1)
-def _scaled_inner_row(n: int, lam: float, terms: int) -> tuple[float, ...]:
-    """(fsum over l of (k^l lambda^(n-l)) stirling1(n, l) for k = 0..terms);
-    the columns are lazy, so zip forms the products k by k, l by l."""
-    columns = [
-        map(mul, map(mul, map(pow, map(float, range(terms + 1)), repeat(l)), repeat(lam ** (n - l))), repeat(s1))
-        for l, s1 in enumerate(stirling_rows(n)[0][n])
-    ]
-    return tuple(map(math.fsum, zip(*columns)))
+def _scaled_inner_row(n: int, lam: float, powers: list[list[float]]) -> list[float]:
+    """(fsum over l of (k^l lambda^(n-l)) stirling1(n, l) for k = 0..terms), k^l from the power columns."""
+    s1_row = stirling_rows(n)[0][n]
+    columns = [map(mul, map(mul, powers[l], repeat(lam ** (n - l))), repeat(s1)) for l, s1 in enumerate(s1_row)]
+    return list(map(math.fsum, zip(*columns)))
 
 
-@functools.lru_cache(maxsize=16)
-def _weights(xl: float, terms: int) -> tuple[float, ...]:
-    """((x L)^k / k! for k = 0..terms), each the one before times x L / k.
-    0.0 and -0.0 share an entry: fsum does not see the signs of zero weights."""
-    return tuple(accumulate((xl / k for k in range(1, terms + 1)), mul, initial=1.0))
+def _bell_coefficients(n: int, lam: float) -> list[int]:
+    """N_m = sum over k of stirling1(n,k) stirling2(k,m) p^(n-k) q^k for m = 0..n, lambda = p/q."""
+    p, q = lam.as_integer_ratio()
+    s1_rows, s2_rows = stirling_rows(n)
+    p_pows, q_pows = list(accumulate(repeat(p, n), mul, initial=1)), accumulate(repeat(q, n), mul, initial=1)
+    coeffs = [0] * (n + 1)
+    for k, s1, q_k in zip(count(), s1_rows[n], q_pows):  # summed one stirling2 row k at a time
+        weight = s1 * p_pows[n - k] * q_k
+        for m, s2 in enumerate(s2_rows[k]):
+            coeffs[m] += weight * s2
+    return coeffs
 
 
-def _weighted_sum(xl: float, row: tuple[float, ...], series: str) -> float:
-    """fsum of (x L)^k / k! * row[k]; OverflowError names the first term out of float range."""
-    terms = list(map(mul, _weights(xl, len(row) - 1), row))
+def _horner(coeffs: list[int], lam: float, big_l: float, x: float) -> float:
+    """Sum over m of N_m r^m / (q^n s^m) L^m, x = r/s, in one Horner pass in L."""
+    n, q, (r, s) = len(coeffs) - 1, lam.as_integer_ratio()[1], x.as_integer_ratio()
+    r_m = accumulate(repeat(r, n), mul, initial=1)  # r**m, one factor more per m
+    den_m = accumulate(repeat(s, n), mul, initial=q**n)  # q**n s**m
+    terms = [c * r_pow / den for c, r_pow, den in zip(coeffs, r_m, den_m)]  # each rounded once
+    return reduce(lambda value, term: value * big_l + term, reversed(terms), 0.0)
+
+
+def _weights(xl: float, terms: int) -> list[float]:
+    """((x L)^k / k! for k = 0..terms), each the one before times x L / k."""
+    return list(accumulate(map(truediv, repeat(xl), range(1, terms + 1)), mul, initial=1.0))
+
+
+def _weighted_sum(weights: list[float], row: list[float], series: str) -> float:
+    """fsum of weights[k] * row[k]; OverflowError names the first term out of float range."""
+    terms = list(map(mul, weights, row))
     try:
         total = math.fsum(terms)  # not finite only when some term is not
         if math.isfinite(total):
@@ -118,43 +135,52 @@ def _weighted_sum(xl: float, row: tuple[float, ...], series: str) -> float:
     raise OverflowError(f"{series} term {k} overflows")
 
 
+def _dobinski_sum(weights: list[float], row: list[float], xl: float) -> float:
+    """exp(-x L) times the weighted falling row, never inf or nan."""
+    total = _weighted_sum(weights, row, "Dobinski series")
+    try:
+        value = math.exp(-xl) * total
+    except OverflowError:  # exp(-x L) alone is out of range
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError("Dobinski series sum overflows")
+    return value
+
+
+def _left_terms(n: int) -> list[tuple[int, int, int]]:
+    """The non-zero (stirling1(n,k) stirling2(k,m), n - k, m), each c rounded by the product that reads it."""
+    s1, s2 = stirling_rows(n)
+    return [(c, n - k, m) for k in range(n + 1) for m in range(k + 1) if (c := s1[n][k] * s2[k][m])]
+
+
+def _scaled_left(left: list[tuple[int, int, int]], n: int, lam: float, big_l: float, x: float) -> float:
+    """exp(x L) times the fsum of c lambda^j L^m x^m over the left terms."""
+    try:  # a coefficient, exp and ** raise OverflowError, fsum raises ValueError on inf - inf
+        lam_pows = [lam**j for j in range(max(n, 1))]  # lambda^n has no non-zero coefficient when n > 0
+        l_pows, x_pows = [big_l**m for m in range(n + 1)], [x**m for m in range(n + 1)]
+        lhs = math.exp(x * big_l) * math.fsum(c * (lam_pows[j] * l_pows[m] * x_pows[m]) for c, j, m in left)
+    except (OverflowError, ValueError):
+        lhs = math.nan
+    if not math.isfinite(lhs):
+        raise OverflowError("scaled series left side overflows")
+    return lhs
+
+
 def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     """Closed-form degenerate Bell value at real lambda and x.
 
-    Bel_{n,lambda}(x) is the sum over m of S2(n,m|lambda) (x L)^m, with
-    S2(n,m|lambda) the sum over k of stirling1(n,k) stirling2(k,m)
-    lambda^(n-k).  lambda = p/q and x = r/s are bound exactly (every float
-    is a rational), so the coefficient of L^m is N_m r^m / (q^n s^m) with
-    the integer N_m = sum over k of stirling1(n,k) stirling2(k,m)
-    p^(n-k) q^k, rounded once by a correctly rounded integer division.
-    No polynomial is built: the work is about n^2/2 products of exact
-    integers, read from whole rows of the cached Stirling triangles.  Only
-    the single transcendental L = log1p(lambda)/lambda is bound in
-    floating point, in one Horner pass, which keeps the large cancellations
-    among the lambda terms exact.
-
+    Bel_{n,lambda}(x) is the sum over m of S2(n,m|lambda) (x L)^m.  With
+    lambda = p/q and x = r/s bound exactly, the coefficient of L^m is the
+    integer N_m times r^m / (q^n s^m), rounded once; only L is a float, bound
+    in one Horner pass, so the cancellations among the lambda terms are exact.
     Raises ValueError for n < 0, lambda outside (-1, 0) and (0, inf) or a
-    non-finite x, and OverflowError when a coefficient of L^m is too large
-    for a float.
+    non-finite x, and OverflowError for a coefficient of L^m out of float range.
     """
     big_l = _check_lambda(lam)
     _check_x(x)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    p, q = lam.as_integer_ratio()
-    r, s = x.as_integer_ratio()
-    s1_rows, s2_rows = stirling_rows(n)
-    coeffs = [0] * (n + 1)  # N_m, summed one stirling2 row k at a time
-    for k, s1 in enumerate(s1_rows[n]):
-        weight = s1 * p ** (n - k) * q**k
-        for m, s2 in enumerate(s2_rows[k]):
-            coeffs[m] += weight * s2
-    r_m = accumulate(repeat(r, n), mul, initial=1)  # r**m, one factor more per m
-    den_m = accumulate(repeat(s, n), mul, initial=q**n)  # q**n s**m
-    value = 0.0
-    for term in reversed([c * r_pow / den for c, r_pow, den in zip(coeffs, r_m, den_m)]):
-        value = value * big_l + term
-    return value
+    return _horner(_bell_coefficients(n, lam), lam, big_l, x)
 
 
 def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS) -> float:
@@ -171,14 +197,7 @@ def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS
         raise ValueError(f"need n >= 0, got {n}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    total = _weighted_sum(x * big_l, _falling_row(n, lam, terms), "Dobinski series")
-    try:
-        value = math.exp(-x * big_l) * total
-    except OverflowError:  # exp(-x L) alone is out of range
-        value = math.inf
-    if not math.isfinite(value):
-        raise OverflowError("Dobinski series sum overflows")
-    return value
+    return _dobinski_sum(_weights(x * big_l, terms), next(islice(_falling_rows(lam, terms), n, None)), x * big_l)
 
 
 def dobinski_classical(n: int, terms: int = 60) -> float:
@@ -225,21 +244,32 @@ def scaled_bell_series_check(
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    s1, s2 = stirling_rows(n)
-    try:  # float, exp and ** raise OverflowError, fsum raises ValueError on inf - inf
-        lam_pows = [lam**j for j in range(max(n, 1))]  # lambda^n has no non-zero coefficient when n > 0
-        l_pows, x_pows = [big_l**m for m in range(n + 1)], [x**m for m in range(n + 1)]
-        closed = math.fsum(
-            float(c) * (lam_pows[n - k] * l_pows[m] * x_pows[m])
-            for k in range(n + 1) for m in range(k + 1) if (c := s1[n][k] * s2[k][m])
-        )
-        lhs = math.exp(x * big_l) * closed
-    except (OverflowError, ValueError):
-        lhs = math.nan
-    if not math.isfinite(lhs):
-        raise OverflowError("scaled series left side overflows")
-    rhs = _weighted_sum(x * big_l, _scaled_inner_row(n, lam, terms), "scaled series")
+    lhs = _scaled_left(_left_terms(n), n, lam, big_l, x)
+    inner = _scaled_inner_row(n, lam, _power_columns(n, terms))
+    rhs = _weighted_sum(_weights(x * big_l, terms), inner, "scaled series")
     return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
+
+
+def grid_checks(n_max: int, lams: Sequence[float], xs: Sequence[float], terms: int, tol: float) -> list[NumericCheck]:
+    """dobinski_check then scaled_bell_series_check at each n = 0..n_max, lambda in lams
+    and x in xs, bit for bit, from one pass that builds each row once where it is read."""
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    big_ls = [_check_lambda(lam) for lam in lams]
+    for x in xs:
+        _check_x(x)
+    weights = [[_weights(x * big_l, terms) for x in xs] for big_l in big_ls]
+    falling, powers, checks = [_falling_rows(lam, terms) for lam in lams], _power_columns(n_max, terms), []
+    for n in range(n_max + 1):
+        left = _left_terms(n)
+        for lam, big_l, rows, lam_weights in zip(lams, big_ls, falling, weights):
+            row, inner, coeffs = next(rows), _scaled_inner_row(n, lam, powers), _bell_coefficients(n, lam)
+            for x, w in zip(xs, lam_weights):
+                lhs, rhs = _horner(coeffs, lam, big_l, x), _dobinski_sum(w, row, x * big_l)
+                checks.append(NumericCheck("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol))
+                lhs, rhs = _scaled_left(left, n, lam, big_l, x), _weighted_sum(w, inner, "scaled series")
+                checks.append(NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol))
+    return checks
 
 
 __all__ = [
@@ -251,5 +281,6 @@ __all__ = [
     "dobinski_classical",
     "dobinski_degenerate",
     "eval_bel_numeric",
+    "grid_checks",
     "scaled_bell_series_check",
 ]

@@ -26,8 +26,7 @@ from .numeric import (
     DEFAULT_TOL,
     NumericCheck,
     classical_dobinski_check,
-    dobinski_check,
-    scaled_bell_series_check,
+    grid_checks,
 )
 from .series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
 
@@ -121,17 +120,9 @@ def exact_reports(n_max: int) -> list[VerificationReport]:
     return reports
 
 
-def numeric_checks(
-    n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
-) -> list[NumericCheck]:
-    checks: list[NumericCheck] = []
-    for n in range(min(n_max, NUMERIC_N_CAP) + 1):
-        for lam in GRID_LAMBDAS:
-            for x in GRID_XS:
-                checks.append(dobinski_check(n, lam, x, terms, tol))
-                checks.append(scaled_bell_series_check(n, lam, x, terms, tol))
-    for n in range(min(n_max, CLASSICAL_BELL_MAX) + 1):
-        checks.append(classical_dobinski_check(n, terms, tol))
+def numeric_checks(n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> list[NumericCheck]:
+    checks = grid_checks(min(n_max, NUMERIC_N_CAP), GRID_LAMBDAS, GRID_XS, terms, tol)
+    checks.extend(classical_dobinski_check(n, terms, tol) for n in range(min(n_max, CLASSICAL_BELL_MAX) + 1))
     return checks
 
 

@@ -536,6 +536,8 @@ PINNED_STDOUT = {
     "table --family stirling2 --n-max 0 --format csv": "845bb376704bbbde8317abf312488cae685abb09cfb95ba75b652c6a6fd59d3b",
     "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format text": "73478796168692a7ac433a24ed840498943e55eb8154052b57f369cd0773b214",
     "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format csv": "91ebb9fe9b0b9c175af9f35b94c12b0e3268f773db8ec6259bd48fdb997a71f2",
+    "eval --n 30 --lambda 0.3 --x 0.5 --dobinski --format text": "8884479e7a2b63a2f729cc6dad6b69f2aec6a0131268e74ae28180980019f7fb",
+    "eval --n 30 --lambda 0.3 --x 0.5 --dobinski --format json": "d878a94f26727a0c2f113a0a658d78861a93340df61d5a1b679e3ed24cb625d0",
 }
 
 
@@ -550,12 +552,18 @@ def test_stdout_bytes_are_pinned(command, capsys):
 # underflows to 0.0, a false FAIL of the float check that a fix of the check
 # will change on purpose; with one term per series, 57 of the float checks of
 # `verify --n-max 2` fail, which pins the FAIL form of their lines and rows.
+# At n = 30, lambda = -0.7, x = 3.5 the two sides differ by 4.2e24 on values
+# of 4.8e39, and with three terms 168 of 179 checks of `verify --n-max 8`
+# fail: both pin the float bits of large-n rows and of the FAIL lines.
 PINNED_FAILING_STDOUT = {
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format text": "4ac77fac7140c8693d89ef229116d3a0c7c7619540c714e88c708819e1f81ffa",
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format json": "a52dad65641290c59d1e8cd07b9b1dd54e2453de7310b245244cef103dfd4bd9",
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format csv": "8e5a09507d35c9ace9af1ad85d5a81ad72b5a34a4f673a8ba5144eec7106ad3c",
     "verify --n-max 2 --terms 1 --format text": "916b1f41e33fde257e5506a577abacd535489340b39a139e9d6a91b6fcf74f1d",
     "verify --n-max 2 --terms 1 --format csv": "8bbabe546c00aef36045abada401e2f321d28523d7b423f4f346f1d5800e1504",
+    "eval --n 30 --lambda -0.7 --x 3.5 --dobinski --format text": "e74a2beb40c82a825da967c0851fcaabc6bcf3e0dbd1271872978dedaf0b1684",
+    "eval --n 30 --lambda -0.7 --x 3.5 --dobinski --format json": "d939d97a095334fcd68a8ce184291bf7ca4583f0f7331d226c6804de240423bd",
+    "verify --n-max 8 --terms 3 --format text": "da5f64e47c797e13777e49642081b5cdce48ea43222d8ca39cf5181bc5919bb6",
 }
 
 

@@ -20,11 +20,14 @@ from degenbell.numeric import (
     dobinski_classical,
     dobinski_degenerate,
     eval_bel_numeric,
+    grid_checks,
     scaled_bell_series_check,
     _check_x,
-    _falling_row,
+    _falling_rows,
+    _power_columns,
     _scaled_inner_row,
     _weighted_sum,
+    _weights,
 )
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
@@ -270,29 +273,72 @@ def test_series_overflow_names_what_left_float_range(check, x, message):
         check(3, 0.5, x)
 
 
+def falling_loop(n, lam, terms):
+    """The falling row (l | lambda)_n for l = 0..terms as the per-point loop
+    built it, one product per l."""
+    falling = []
+    for l in range(terms + 1):
+        out = 1.0
+        for i in range(n):
+            out *= float(l) - i * lam
+        falling.append(out)
+    return falling
+
+
 def test_rows_match_their_defining_loops():
     # The per-point loops the rows replaced, as written: the same float
-    # operations in the same order, so the same bits.
+    # operations in the same order, so the same bits, out to the n = 30
+    # rows that `eval --n 30 --dobinski` grows.
     rng = random.Random(20150708)
     for lam in [-0.5, 0.1, 3.0] + [rng.uniform(-0.95, 2.0) for _ in range(3)]:
-        for n in range(13):
-            falling = []
-            for l in range(31):
-                out = 1.0
-                for i in range(n):
-                    out *= float(l) - i * lam
-                falling.append(out)
+        grown = _falling_rows(lam, 80)
+        for n in range(31):
+            falling = falling_loop(n, lam, 80)
             s1 = stirling_rows(n)[0][n]
             inner = [
                 math.fsum(float(k) ** l * lam ** (n - l) * s1[l] for l in range(n + 1))
-                for k in range(31)
+                for k in range(81)
             ]
-            assert list(map(repr, _falling_row(n, lam, 30))) == list(map(repr, falling))
-            assert list(map(repr, _scaled_inner_row(n, lam, 30))) == list(map(repr, inner))
+            assert list(map(repr, next(grown))) == list(map(repr, falling))
+            assert list(map(repr, _scaled_inner_row(n, lam, _power_columns(n, 80)))) == list(map(repr, inner))
+
+
+def test_grid_pass_equals_the_per_point_checks():
+    # The one pass over drawn lambda and x lists, with negative values and
+    # signed zeros, against the public per-point functions, repr for repr.
+    # The pass and the one-off rows grow the falling rows the same way, so
+    # the drawn rows are also held to the loop as written.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lams = st.floats(-0.95, -0.05) | st.floats(0.05, 3.0)
+    xs = st.floats(-40.0, 40.0) | st.sampled_from([0.0, -0.0])
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 12),
+        st.lists(lams, min_size=1, max_size=3),
+        st.lists(xs, min_size=1, max_size=3),
+        st.sampled_from([1, 2, 80]),
+    )
+    @hypothesis.example(12, [-0.7, 0.5], [-0.0, 0.0, -3.5], 80)
+    def check(n_max, lam_list, x_list, terms):
+        expected = []
+        for n in range(n_max + 1):
+            for lam in lam_list:
+                for x in x_list:
+                    expected.append(dobinski_check(n, lam, x, terms, 1e-9))
+                    expected.append(scaled_bell_series_check(n, lam, x, terms, 1e-9))
+        got = grid_checks(n_max, lam_list, x_list, terms, 1e-9)
+        assert list(map(repr, got)) == list(map(repr, expected))
+        for lam in lam_list:
+            for n, row in zip(range(n_max + 1), _falling_rows(lam, terms)):
+                assert list(map(repr, row)) == list(map(repr, falling_loop(n, lam, terms))), (n, lam)
+
+    check()
 
 
 def weighted_sum_loop(xl, row, series):
-    """The per-term loop the cached weights replaced, as written."""
+    """The per-term loop the weight rows replaced, as written."""
     weight = 1.0
     partials = []
     for k, value in enumerate(row):
@@ -313,9 +359,9 @@ def outcome(f, *args):
 
 
 def test_weighted_sum_matches_its_defining_loop():
-    # Shared weights, and the search for a term out of range made only when
-    # the sum is not finite: the same value or the same error, with 0.0 and
-    # -0.0 sharing one cached row and an fsum that overflows on finite terms.
+    # A row of weights, and the search for a term out of range made only
+    # when the sum is not finite: the same value or the same error, with
+    # 0.0 and -0.0 and an fsum that overflows on finite terms.
     rows = [
         (1.0, -2.0, 3.5, 0.25),
         (-0.0, 0.0, -0.0),
@@ -328,7 +374,8 @@ def test_weighted_sum_matches_its_defining_loop():
     ]
     for xl in (0.0, -0.0, 1.0, -2.5, 300.0, 1e300, math.inf):
         for row in rows:
-            assert outcome(_weighted_sum, xl, row, "S") == outcome(weighted_sum_loop, xl, row, "S"), (xl, row)
+            weights = _weights(xl, len(row) - 1)
+            assert outcome(_weighted_sum, weights, row, "S") == outcome(weighted_sum_loop, xl, row, "S"), (xl, row)
 
 
 

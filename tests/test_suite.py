@@ -192,10 +192,10 @@ def test_numeric_checks_equal_per_point_checks(n_max, terms):
 def test_perturbed_inner_row_fails_its_three_checks(monkeypatch):
     original = numeric._scaled_inner_row
 
-    def perturbed(n, lam, terms):
-        row = original(n, lam, terms)
+    def perturbed(n, lam, powers):
+        row = original(n, lam, powers)
         if (n, lam) == (4, 0.5):
-            row = row[:3] + (row[3] + 1.0,) + row[4:]
+            row[3] += 1.0
         return row
 
     monkeypatch.setattr(numeric, "_scaled_inner_row", perturbed)
@@ -203,27 +203,50 @@ def test_perturbed_inner_row_fails_its_three_checks(monkeypatch):
     assert failed == [("scaled_bell_series", 4, 0.5)] * len(suite.GRID_XS)
 
 
-def test_numeric_checks_build_each_row_once():
-    # One row per (n, lambda), shared by every x, and one row of weights per
-    # (lambda, x), shared by every n and both series.
-    rows = [numeric._falling_row, numeric._scaled_inner_row, numeric._weights]
-    for row in rows:
-        row.cache_clear()
+def test_numeric_checks_build_each_row_once(monkeypatch):
+    # One growth pass per lambda, advanced one row per n; one inner row and
+    # one coefficient row per (n, lambda), shared by every x; one row of
+    # weights per (lambda, x), shared by every n and both series; one set of
+    # power columns and one list of left-side terms per n.
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(numeric, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    def counted_rows(lam, terms):
+        calls["_falling_rows"] += 1
+        for row in original_rows(lam, terms):
+            calls["falling row"] += 1
+            yield row
+
+    original_rows = numeric._falling_rows
+    monkeypatch.setattr(numeric, "_falling_rows", counted_rows)
+    built = ["_scaled_inner_row", "_bell_coefficients", "_weights", "_power_columns", "_left_terms"]
+    for name in built:
+        monkeypatch.setattr(numeric, name, counted(name))
     suite.numeric_checks(8)
-    assert [row.cache_info().misses for row in rows] == [27, 27, 9]
+    assert calls == {
+        "_falling_rows": 3,
+        "falling row": 27,
+        "_scaled_inner_row": 27,
+        "_bell_coefficients": 27,
+        "_weights": 9,
+        "_power_columns": 1,
+        "_left_terms": 9,
+    }
 
 
 def test_concurrent_cold_runs_equal_a_serial_run():
     # Four threads run the float grid and the exact sweeps at once from cold
     # caches while the interpreter switches threads as often as it can; each
     # result must be the serial one.
-    caches = [
-        numeric._falling_row,
-        numeric._scaled_inner_row,
-        numeric._weights,
-        degenerate.degenerate_stirling2,
-        classical.stirling_rows,
-    ]
+    caches = [degenerate.degenerate_stirling2, classical.stirling_rows]
 
     def cold():
         for cache in caches:
