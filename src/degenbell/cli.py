@@ -29,6 +29,11 @@ from .suite import run_full_suite
 FAMILIES = ("bell", "stirling1", "stirling2", "dstirling", "dbell")
 FORMATS = ("text", "json", "csv")
 CSV_HEADER = ["identity", "n", "lambda", "x", "terms", "lhs", "rhs", "abs_error", "passed"]
+# The largest --terms.  The weights (x L)^k / k! reach 0.0 by k = 2571 for every
+# |x L| <= 709, and past that they or exp(-x L) leave float range, so further
+# terms add exact zeros; 10 000 leaves room and bounds `verify --n-max 8` near
+# 0.5 s and 25 MB, where --terms 10^6 took about a minute and 1 GB.
+MAX_TERMS = 10_000
 
 
 class UsageError(Exception):
@@ -126,6 +131,8 @@ def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
     if ns.command != "table":
         if ns.terms < 1:
             _build_parser().error("--terms must be >= 1")
+        if ns.terms > MAX_TERMS:
+            _build_parser().error(f"--terms must be <= {MAX_TERMS}")
         if not ns.tol > 0:  # NaN too: it would fail every float check
             _build_parser().error("--tol must be > 0")
         if math.isinf(ns.tol):

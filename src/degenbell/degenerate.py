@@ -12,8 +12,9 @@ mismatching n if any.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import L, LAM, MPoly, X, Y
@@ -105,19 +106,21 @@ def dbell_classical_bell_table(n_max: int) -> list[MPoly]:
     Row n is x L times the sum over k of stirling1(n,k) lambda^(n-k) c_k,
     where c_k, the sum of C(k-1, j-1) Bel_{j-1}(x L) over j = 1..k, does
     not depend on n: each n appends one rescaled Bell polynomial and one c_n.
+    The monomials x L and lambda^e x L are built once for the table.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     s1 = stirling_rows(n_max)[0]
+    xl = MPoly.from_ints({(0, 1, 1, 0): 1})
+    lam_xl = [MPoly.from_ints({(e, 1, 1, 0): 1}) for e in range(n_max)]
     rescaled: list[MPoly] = []
     inner: list[MPoly] = []
     one = MPoly.one()
     table = [one]
     for n in range(1, n_max + 1):
-        rescaled.append(bell_polynomial(n - 1).substitute({"x": X * L}))
+        rescaled.append(bell_polynomial(n - 1).substitute({"x": xl}))
         inner.append(MPoly.sum_of_products((comb(n - 1, j), rescaled[j], one) for j in range(n)))
-        acc = MPoly.sum_of_products((s1[n][k], LAM ** (n - k), inner[k - 1]) for k in range(1, n + 1))
-        table.append(L * X * acc)
+        table.append(MPoly.sum_of_products((s1[n][k], lam_xl[n - k], inner[k - 1]) for k in range(1, n + 1)))
     return table
 
 
@@ -127,14 +130,15 @@ def degenerate_exp_composita(n: int, k: int, falling: Sequence[MPoly]) -> MPoly:
     Computed by the alternating binomial closed form over the lambda-step
     falling factorials (j | lambda)_n, which `falling` holds at index j - 1
     for j = 1..k at least, so a caller that takes every k at one n builds
-    them once; k > n gives 0 because the series has no constant term.
+    them once; k > n gives 0 because the series has no constant term.  The
+    1/n! is the constant factor of every product in the one kernel pass.
     """
     if n < 1 or k < 1:
         raise ValueError(f"composita needs n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n:
         return MPoly.zero()
-    signed = (((-1) ** (k - j) * comb(k, j), falling[j - 1], MPoly.one()) for j in range(1, k + 1))
-    return MPoly.sum_of_products(signed) * Fraction(1, factorial(n))
+    inv_fact = MPoly.from_ints({(0, 0, 0, 0): 1}, factorial(n))
+    return MPoly.sum_of_products(((-1) ** (k - j) * comb(k, j), falling[j - 1], inv_fact) for j in range(1, k + 1))
 
 
 def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
@@ -146,7 +150,7 @@ def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
     restores the n! to land on the degenerate Bell polynomial itself.
     """
     return MPoly.sum_of_products(
-        (1, degenerate_exp_composita(n, k, falling), MPoly({(0, k, k, 0): Fraction(1, factorial(k))}))
+        (1, degenerate_exp_composita(n, k, falling), MPoly.from_ints({(0, k, k, 0): 1}, factorial(k)))
         for k in range(1, n + 1)
     )
 
@@ -155,13 +159,13 @@ def dbell_composita_table(n_max: int) -> list[MPoly]:
     """Rows 0..n_max of the degenerate Bell polynomial assembled from the
     composita of the inner series: n! times the ordinary composition
     coefficient.  Each n grows every (j | lambda)_n by one factor
-    (j - (n-1) lambda)."""
+    (j - (n-1) lambda), built as one term map."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     falling = [MPoly.one()] * n_max  # (j | lambda)_0 for j = 1..n_max
     table = [MPoly.one()]
     for n in range(1, n_max + 1):
-        falling = [f * (j - (n - 1) * LAM) for j, f in enumerate(falling, 1)]
+        falling = [f * MPoly.from_ints({(0, 0, 0, 0): j, (1, 0, 0, 0): 1 - n}) for j, f in enumerate(falling, 1)]
         table.append(composition_coefficient(n, falling) * factorial(n))
     return table
 
@@ -173,9 +177,10 @@ def dbell_recurrence_table(n_max: int) -> list[MPoly]:
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     falling = falling_factorials(1 - LAM, n_max)
+    xl = MPoly.from_ints({(0, 1, 1, 0): 1})
     bells = [MPoly.one()]
     for m in range(n_max):
-        bells.append(X * L * binomial_convolution(bells, falling, m))
+        bells.append(xl * binomial_convolution(bells, falling, m))
     return bells
 
 
@@ -191,9 +196,15 @@ def limit_lambda_zero(p: MPoly) -> MPoly:
 def verify_addition(bells: list[MPoly]) -> VerificationReport:
     """Binomial addition law in Q[lambda, L, x, y], given bells[n] =
     Bel_n for n = 0..n_max: the polynomial at x+y against the binomial
-    convolution of the polynomials at x and at y."""
+    convolution of the polynomials at x and at y.  The powers of x + y come
+    from one running product, built once for every substitution."""
     at_y = [bell.substitute({"x": Y}) for bell in bells]
-    sides = ((n, bell.substitute({"x": X + Y}), binomial_convolution(bells, at_y, n)) for n, bell in enumerate(bells))
+    shift = X + Y
+    powers = list(accumulate(repeat(shift, len(bells) - 1), mul, initial=MPoly.one()))
+    sides = (
+        (n, bell.substitute({"x": shift}, {"x": powers}), binomial_convolution(bells, at_y, n))
+        for n, bell in enumerate(bells)
+    )
     return sweep_identity("addition", 0, len(bells) - 1, sides)
 
 

@@ -226,33 +226,12 @@ def classical_dobinski_check(n: int, terms: int = 60, tol: float = DEFAULT_TOL) 
     return NumericCheck("dobinski_classical", n, None, None, terms, dobinski_classical(n, terms), exact, tol)
 
 
-def scaled_bell_series_check(
-    n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
-) -> NumericCheck:
-    """Two-sided series identity for the exponentially scaled Bell value.
-
-    Left side: exp(x L) times the double-Stirling closed form, the fsum
-    of stirling1(n,k) stirling2(k,m) lambda^(n-k) (L x)^m over its non-zero
-    integer coefficients, each rounded once to a float.  Right side: the
-    truncated series sum over k of (x^k / k!) L^k * sum over l of
-    k^l lambda^(n-l) stirling1(n, l), each inner sum an fsum of its float
-    products.  Raises OverflowError naming the side or term out of range.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    big_l = _check_lambda(lam)
-    _check_x(x)
-    lhs = _scaled_left(_left_terms(n), n, lam, big_l, x)
-    inner = _scaled_inner_row(n, lam, _power_columns(n, terms))
-    rhs = _weighted_sum(_weights(x * big_l, terms), inner, "scaled series")
-    return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
-
-
 def grid_checks(n_max: int, lams: Sequence[float], xs: Sequence[float], terms: int, tol: float) -> list[NumericCheck]:
-    """dobinski_check then scaled_bell_series_check at each n = 0..n_max, lambda in lams
-    and x in xs, bit for bit, from one pass that builds each row once where it is read."""
+    """dobinski_check, then the scaled series identity, exp(x L) times the closed form
+    against the truncated sum over k of (x L)^k/k! times the fsum over l of
+    k^l lambda^(n-l) stirling1(n,l), at each n = 0..n_max, lambda in lams and x in xs,
+    from one pass that builds each row once where it is read.  Raises OverflowError
+    naming the side or term out of float range."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_ls = [_check_lambda(lam) for lam in lams]
@@ -282,5 +261,4 @@ __all__ = [
     "dobinski_degenerate",
     "eval_bel_numeric",
     "grid_checks",
-    "scaled_bell_series_check",
 ]

@@ -27,8 +27,8 @@ and arithmetic on the integer coefficients the Bell and Stirling
 constructors produce never leaves the integers.  Every sum, product and
 sum of products in the package goes through one multiply-accumulate
 kernel, `MPoly.sum_of_products`, which adds each c*a*b into one map and
-grows the denominator only by lcm.  `items()` gives each term's value,
-and `eval_exact()` the polynomial's, as a reduced `fractions.Fraction`.
+grows the denominator only by lcm.  `items()` gives each term's value
+as a reduced `fractions.Fraction`.
 Wherever an ordering of terms is needed (JSON serialization, pretty
 printing) the graded lexicographic order with the largest term first,
 the order of the keys, is used.
@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import getitem, index as as_int, mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, int, int, int]
 Scalar = Union[int, Fraction]
@@ -116,9 +116,12 @@ class MPoly:
         self._den = den
 
     @classmethod
-    def from_ints(cls, terms: Mapping[Exponents, int]) -> "MPoly":
-        """Integer coefficients keyed by exponent 4-tuples, without the rational arithmetic of `MPoly(...)`."""
-        return cls._trusted({_pack(*exponents): as_int(coeff) for exponents, coeff in terms.items()})
+    def from_ints(cls, terms: Mapping[Exponents, int], den: int = 1) -> "MPoly":
+        """Integer numerators keyed by exponent 4-tuples over the common denominator
+        `den`, an int >= 1, without the rational arithmetic of `MPoly(...)`."""
+        if as_int(den) < 1:
+            raise ValueError(f"the denominator must be >= 1, got {den}")
+        return cls._trusted({_pack(*exponents): as_int(coeff) for exponents, coeff in terms.items()}, den)
 
     @classmethod
     def _trusted(cls, num: dict[int, int], den: int = 1) -> "MPoly":
@@ -278,16 +281,21 @@ class MPoly:
                     acc[key] = get(key, 0) + coeff_a * coeff_b
         return cls._trusted(_in_range(acc), den)
 
-    # -- calculus and evaluation ----------------------------------------
+    # -- calculus ---------------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, "MPoly | Scalar"]) -> "MPoly":
+    def substitute(
+        self, bindings: Mapping[str, "MPoly | Scalar"], powers: Mapping[str, Sequence["MPoly"]] | None = None
+    ) -> "MPoly":
         """Simultaneously substitute the bound variables; others stay formal.
 
         A binding to 0, an integer or one integer term c*monomial is folded
         into each term's key and coefficient.  The terms are grouped by their
         exponents of the variables bound to anything else (a longer polynomial
-        or one with a denominator), so each product of their powers, each
-        power from one running product, is formed once for `sum_of_products`."""
+        or one with a denominator), so each product of their powers is formed
+        once for `sum_of_products`.  The powers [1, v, v^2, ...] of such a
+        binding v come from `powers[name]` when given, up to at least the
+        variable's highest exponent, so a caller substituting v into many
+        polynomials builds them once; otherwise from one running product."""
         folds: list[tuple[int, int, int]] = []
         replacements: dict[int, MPoly] = {}
         for name, value in bindings.items():
@@ -315,9 +323,13 @@ class MPoly:
         if not replacements:
             return MPoly._trusted(_in_range(groups.get((), {})), self._den)
         tops = map(max, zip(*groups))  # the highest power of each replaced variable
-        powers = [[*accumulate(repeat(r, e), mul, initial=MPoly.one())] for r, e in zip(replacements.values(), tops)]
+        given = powers or {}
+        rows = [
+            given.get(VARIABLES[index]) or [*accumulate(repeat(r, e), mul, initial=MPoly.one())]
+            for (index, r), e in zip(replacements.items(), tops)
+        ]
         total = MPoly.sum_of_products(
-            (1, MPoly._trusted(_in_range(residual)), functools.reduce(mul, map(getitem, powers, part)))
+            (1, MPoly._trusted(_in_range(residual)), functools.reduce(mul, map(getitem, rows, part)))
             for part, residual in groups.items()
         )
         return MPoly._trusted(total._num, total._den * self._den)
@@ -330,21 +342,6 @@ class MPoly:
             if e_x:
                 derived[key - _UNITS[2]] = coeff * e_x
         return MPoly._trusted(derived, self._den)
-
-    def eval_exact(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Exact rational evaluation; all four variables must be bound."""
-        missing = [name for name in VARIABLES if name not in values]
-        if missing:
-            raise ValueError(f"eval_exact needs a value for every variable; missing {missing}")
-        point = tuple(Fraction(values[name]) for name in VARIABLES)
-        total = Fraction(0)
-        for key, coeff in self._num.items():
-            term = Fraction(coeff)
-            for value, exponent in zip(point, _unpack(key)):
-                if exponent:
-                    term *= value**exponent
-            total += term
-        return total / self._den
 
     # -- rendering -------------------------------------------------------
 

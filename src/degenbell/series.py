@@ -16,11 +16,11 @@ lives on ordinary coefficients while Bell-style values are exponential.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import factorial
+from operator import mul
 
-from .poly import L, LAM, MPoly, X
+from .poly import L, MPoly, X
 
 
 def series_mul(a: tuple[MPoly, ...], b: tuple[MPoly, ...]) -> tuple[MPoly, ...]:
@@ -39,15 +39,16 @@ def degenerate_exp_minus_one(order: int) -> tuple[MPoly, ...]:
 
     Its exponential coefficients are the lambda-step falling factorials of
     1, so the stored ordinary coefficient of t^n is (1 | lambda)_n / n!,
-    the one before times (1 - (n-1) lambda) / n.  The oracle builds this
-    running product itself, so it shares no row with the closed forms.
+    the one before times (1 - (n-1) lambda) / n, one term map over n.
+    The oracle builds this running product itself, so it shares no row
+    with the closed forms.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [MPoly.zero()]
     c = MPoly.one()
     for n in range(1, order + 1):
-        c = c * (1 - (n - 1) * LAM) * Fraction(1, n)
+        c = c * MPoly.from_ints({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1 - n}, n)
         coeffs.append(c)
     return tuple(coeffs)
 
@@ -63,9 +64,9 @@ def oracle_degenerate_bell_table(rows: list[list[MPoly]]) -> list[MPoly]:
     n!/m! times the coefficient of t^n in f(t)^m.  The Stirling oracle's
     rows hold exactly those numbers, so both oracles come from its one
     expansion of the powers of f.  Each entry is a polynomial in lambda,
-    L and x.
+    L and x.  The powers (x L)^m come from one running product.
     """
-    xl_powers = [(X * L) ** m for m in range(len(rows))]
+    xl_powers = list(accumulate(repeat(X * L, len(rows) - 1), mul, initial=MPoly.one()))
     return [MPoly.sum_of_products(zip(repeat(1), row, xl_powers)) for row in rows]
 
 

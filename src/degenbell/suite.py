@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poly import L, LAM, MPoly, X
-from .classical import bell_polynomial, falling_factorials
+from .poly import MPoly, X
+from .classical import bell_polynomial
 from .degenerate import (
     VerificationReport,
     binomial_convolution,
@@ -47,10 +47,14 @@ class SuiteResult(NamedTuple):
         return all(r.passed for r in self.reports) and all(c.passed for c in self.checks)
 
 
-def constructor_reports(rows: list[list[MPoly]], bells: list[MPoly]) -> list[VerificationReport]:
+def constructor_reports(
+    rows: list[list[MPoly]], bells: list[MPoly], recurrence: list[MPoly]
+) -> list[VerificationReport]:
     """Each closed form's rows against the series oracle for n up to n_max,
-    given the rows `oracle_degenerate_stirling2_table(n_max)` and the
-    canonical rows bells[n] = degenerate_bell(n)."""
+    given the rows `oracle_degenerate_stirling2_table(n_max)`, the
+    canonical rows bells[n] = degenerate_bell(n) and the rows of
+    `dbell_recurrence_table` through n_max at least; rows past n_max are
+    not read."""
     n_max = len(rows) - 1
     oracle = oracle_degenerate_bell_table(rows)
     tables = [
@@ -58,7 +62,7 @@ def constructor_reports(rows: list[list[MPoly]], bells: list[MPoly]) -> list[Ver
         ("degenerate_stirling_sum_vs_oracle", 0, bells),
         ("classical_bell_expansion_vs_oracle", 1, dbell_classical_bell_table(n_max)),
         ("composita_vs_oracle", 0, dbell_composita_table(n_max)),
-        ("recurrence_vs_oracle", 0, dbell_recurrence_table(n_max)),
+        ("recurrence_vs_oracle", 0, recurrence),
     ]
     return [
         sweep_identity(name, lo, n_max, zip(range(lo, n_max + 1), table[lo:], oracle[lo:]))
@@ -89,25 +93,26 @@ def classical_recurrence_report(classical: list[MPoly], steps: list[MPoly]) -> V
     return sweep_identity("classical_recurrence", 0, len(steps) - 1, sides)
 
 
-def recurrence_limit_report(bells: list[MPoly], steps: list[MPoly]) -> VerificationReport:
-    """The degenerate one-step recurrence over bells[n] = degenerate_bell(n)
-    collapses under lambda -> 0, L -> 1 to the classical step row steps[n]."""
-    falling = falling_factorials(1 - LAM, len(bells) - 1)
-    sides = (
-        (n, limit_lambda_zero(X * L * binomial_convolution(bells, falling, n)), step) for n, step in enumerate(steps)
-    )
+def recurrence_limit_report(recurrence: list[MPoly], steps: list[MPoly]) -> VerificationReport:
+    """The degenerate one-step recurrence collapses under lambda -> 0,
+    L -> 1 to the classical one: row n + 1 of `dbell_recurrence_table`,
+    given through n_max + 1, tends to the classical step row steps[n]."""
+    sides = ((n, limit_lambda_zero(recurrence[n + 1]), step) for n, step in enumerate(steps))
     return sweep_identity("recurrence_classical_limit", 0, len(steps) - 1, sides)
 
 
 def exact_reports(n_max: int) -> list[VerificationReport]:
     """Every exact sweep for n up to n_max.  The oracle rows, the canonical
-    rows degenerate_bell(n), the classical Bell polynomials through
-    n_max + 1 and the classical step row are built once here, each just
-    before the first report that reads it, and passed to every report that
-    reads them."""
+    rows degenerate_bell(n), the recurrence table and the classical Bell
+    polynomials (both through n_max + 1) and the classical step row are
+    built once here, each just before the first report that reads it, and
+    passed to every report that reads them.  The recurrence table's rows
+    0..n_max are swept against the oracle, and its row n + 1 stands for
+    the degenerate step at n in the limit report."""
     rows = oracle_degenerate_stirling2_table(n_max)
     bells = [degenerate_bell(n) for n in range(n_max + 1)]
-    reports = constructor_reports(rows, bells)
+    recurrence = dbell_recurrence_table(n_max + 1)
+    reports = constructor_reports(rows, bells, recurrence)
     reports.append(degenerate_stirling_report(rows))
     reports.append(verify_addition(bells))
     reports.append(verify_derivative(bells))
@@ -116,7 +121,7 @@ def exact_reports(n_max: int) -> list[VerificationReport]:
     ones = [MPoly.one()] * (n_max + 1)
     steps = [X * binomial_convolution(classical, ones, n) for n in range(n_max + 1)]
     reports.append(classical_recurrence_report(classical, steps))
-    reports.append(recurrence_limit_report(bells, steps))
+    reports.append(recurrence_limit_report(recurrence, steps))
     return reports
 
 

@@ -26,10 +26,10 @@ from degenbell.numeric import (
     dobinski_classical,
     eval_bel_numeric,
     dobinski_degenerate,
-    scaled_bell_series_check,
 )
 from degenbell.poly import L, LAM, MPoly, X
 from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
+from references import scaled_bell_series_check
 
 GRID_N = range(9)
 GRID_LAMBDAS = (0.1, 0.5, 1.0)

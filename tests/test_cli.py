@@ -246,6 +246,9 @@ EVAL = ["eval", "--n", "2", "--lambda", "0.5", "--x", "1"]
         ([*EVAL, "--dobinski", "--tol", "nan"], "--tol must be > 0"),
         (["verify", "--n-max", "1", "--tol", "inf"], "--tol must be finite"),
         ([*EVAL, "--dobinski", "--tol", "inf"], "--tol must be finite"),
+        # Past MAX_TERMS every weight of the series is 0.0 or out of float range.
+        (["verify", "--n-max", "1", "--terms", "10001"], "--terms must be <= 10000"),
+        ([*EVAL, "--dobinski", "--terms", "10001"], "--terms must be <= 10000"),
     ],
 )
 def test_usage_errors(argv, message, capsys):
@@ -253,6 +256,12 @@ def test_usage_errors(argv, message, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"degenbell: error: {message}"
+
+
+def test_terms_at_the_limit_are_accepted(capsys):
+    assert cli.MAX_TERMS == 10_000
+    assert cli.main([*EVAL, "--dobinski", "--terms", str(cli.MAX_TERMS)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "abs_error 0.0"
 
 
 def test_eval_float_overflow_is_usage_error(capsys):

@@ -1,9 +1,11 @@
 """The oracle sweeps can fail: a constructor perturbed by one term in one
 row of its table makes its report FAIL with that n as the first failure,
-and so does the shared binomial convolution.  `exact_reports` builds each
-table once.  The float grid's shared rows give the per-point checks bit
-for bit, are built once, and can fail.  Threads that run both from cold
-caches at once get the serial results."""
+and so does the shared binomial convolution; the recurrence table fails
+both reports that read it.  `exact_reports` builds each table, and the
+powers of x + y, once, within a budget of kernel calls.  The float
+grid's shared rows give the per-point checks bit for bit, are built
+once, and can fail.  Threads that run both from cold caches at once get
+the serial results."""
 
 import hashlib
 import sys
@@ -13,9 +15,10 @@ from collections import Counter
 import pytest
 
 from degenbell import classical, cli, degenerate, numeric, suite
-from degenbell.numeric import classical_dobinski_check, dobinski_check, scaled_bell_series_check
-from degenbell.poly import LAM, X
+from degenbell.numeric import classical_dobinski_check, dobinski_check
+from degenbell.poly import LAM, MPoly, X, Y
 from degenbell.series import oracle_degenerate_stirling2_table
+from references import scaled_bell_series_check
 
 PERTURBATION = LAM * X**2
 ORACLE_ROWS = oracle_degenerate_stirling2_table(6)
@@ -53,7 +56,8 @@ def test_perturbed_constructor_fails_at_its_n(monkeypatch, identity, constructor
 
     monkeypatch.setattr(suite, constructor, perturbed)
     bells = [suite.degenerate_bell(n) for n in range(len(ORACLE_ROWS))]
-    reports = {report.identity_name: report for report in suite.constructor_reports(ORACLE_ROWS, bells)}
+    recurrence = suite.dbell_recurrence_table(len(ORACLE_ROWS))
+    reports = {report.identity_name: report for report in suite.constructor_reports(ORACLE_ROWS, bells, recurrence)}
     assert set(reports) == CONSTRUCTOR_IDENTITIES
     for name, report in reports.items():
         if name == identity:
@@ -65,9 +69,33 @@ def test_perturbed_constructor_fails_at_its_n(monkeypatch, identity, constructor
             assert report.passed
 
 
+def test_perturbed_recurrence_row_fails_both_reports_that_read_it(monkeypatch):
+    # The recurrence table feeds its oracle sweep and, one row on, the
+    # limit report.  x^2 survives lambda -> 0, L -> 1, so row k fails the
+    # oracle sweep at k and the limit of the step at k - 1.
+    k = 4
+    original = suite.dbell_recurrence_table
+
+    def perturbed(n_max):
+        table = original(n_max)
+        table[k] = table[k] + X**2
+        return table
+
+    monkeypatch.setattr(suite, "dbell_recurrence_table", perturbed)
+    failures = {r.identity_name: r.first_failure for r in suite.exact_reports(6) if not r.passed}
+    assert {name: failure[0] for name, failure in failures.items()} == {
+        "recurrence_vs_oracle": k,
+        "recurrence_classical_limit": k - 1,
+    }
+    _, lhs, rhs = failures["recurrence_classical_limit"]
+    assert lhs - rhs == X**2
+
+
 def test_perturbed_convolution_fails_every_report_that_reads_it(monkeypatch):
     # One wrong convolution at n = k.  The reports that convolve at n fail
-    # at k; the recurrence builds row k + 1 from the convolution at k.
+    # at k; the recurrence builds row k + 1 from the convolution at k, and
+    # the limit report, which reads row n + 1 at n, fails through the step
+    # row, whose convolution at k carries the perturbation past the limit.
     k = 4
     original = degenerate.binomial_convolution
 
@@ -110,11 +138,31 @@ def test_exact_reports_build_each_table_once(monkeypatch):
 
         return wrapper
 
+    # The recurrence table is built once, through row n_max + 1 for the
+    # limit report, and the powers of x + y once for every substitution.
+    recurrence_sizes = []
+    recurrence = suite.dbell_recurrence_table
+
+    def sized(n_max):
+        recurrence_sizes.append(n_max)
+        return recurrence(n_max)
+
+    shift = X + Y
+    multiply = MPoly.__mul__
+
+    def counted_mul(a, b):
+        if a == shift or b == shift:
+            calls["x + y products"] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted_mul)
+
     # `verify_addition` and `verify_derivative` live in `degenerate` and
     # would call its binding, so both modules count through one wrapper.
     bell = counted(degenerate, "degenerate_bell")
     monkeypatch.setattr(degenerate, "degenerate_bell", bell)
     monkeypatch.setattr(suite, "degenerate_bell", bell)
+    monkeypatch.setattr(suite, "dbell_recurrence_table", sized)
     tables = (
         "oracle_degenerate_stirling2_table",
         "dbell_classical_bell_table",
@@ -125,10 +173,27 @@ def test_exact_reports_build_each_table_once(monkeypatch):
         monkeypatch.setattr(suite, name, counted(suite, name))
     degenerate.degenerate_stirling2.cache_clear()
     assert all(report.passed for report in suite.exact_reports(8))
-    assert calls == {"degenerate_bell": 9, **dict.fromkeys(tables, 1)}
+    assert calls == {"degenerate_bell": 9, "x + y products": 8, **dict.fromkeys(tables, 1)}
+    assert recurrence_sizes == [9]
     # Each closed-form S2(n,m|lambda), n <= 8, is built once for the
     # canonical rows and read again by the Stirling report.
     assert degenerate.degenerate_stirling2.cache_info().misses == 45
+
+
+@pytest.mark.parametrize("n_max, budget", [(10, 600), (30, 3500)])
+def test_exact_reports_stay_within_their_kernel_calls(monkeypatch, n_max, budget):
+    # Each shared row built once, and no extra pass per table entry: 962
+    # and 7269 calls when every report built its own rows.
+    kernel = MPoly.sum_of_products.__func__
+    calls = []
+
+    def counted(cls, terms):
+        calls.append(1)
+        return kernel(cls, terms)
+
+    monkeypatch.setattr(MPoly, "sum_of_products", classmethod(counted))
+    assert all(report.passed for report in suite.exact_reports(n_max))
+    assert len(calls) <= budget
 
 
 # SHA-256 of `verify --n-max 6` stdout, which exits 1, with S2(5,2|λ) + λ in
@@ -169,7 +234,8 @@ def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
 
 def test_unperturbed_oracle_sweeps_pass():
     bells = [suite.degenerate_bell(n) for n in range(len(ORACLE_ROWS))]
-    assert all(report.passed for report in suite.constructor_reports(ORACLE_ROWS, bells))
+    recurrence = suite.dbell_recurrence_table(len(ORACLE_ROWS))
+    assert all(report.passed for report in suite.constructor_reports(ORACLE_ROWS, bells, recurrence))
     assert suite.degenerate_stirling_report(ORACLE_ROWS).passed
 
 
