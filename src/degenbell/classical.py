@@ -4,8 +4,6 @@ polynomials, and rows of lambda-step falling factorials."""
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
-from operator import mul
 
 from .poly import LAM, MPoly, Scalar
 
@@ -47,14 +45,19 @@ def bell_polynomial(n: int) -> MPoly:
 def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
     """The row [(z | lambda)_0, ..., (z | lambda)_n] of lambda-step falling
     factorials (z | lambda)_k = z (z - lambda) ... (z - (k-1) lambda), from
-    one running product: each entry is the one before times (z - (k-1) lambda).
+    one running product: entry k + 1 is the one kernel pass
+    (z | lambda)_k * z - k (z | lambda)_k * lambda.
 
     (z | lambda)_0 is the empty product 1.  The step is the formal variable
     lambda, so with z an integer each entry is a polynomial in lambda.
     """
     if n < 0:
         raise ValueError(f"falling factorials need n >= 0, got {n}")
-    return list(accumulate((z - k * LAM for k in range(n)), mul, initial=MPoly.one()))
+    z = z if isinstance(z, MPoly) else MPoly({(0, 0, 0, 0): z})
+    row = [MPoly.one()]
+    for k in range(n):
+        row.append(MPoly.sum_of_products(((1, row[k], z), (-k, row[k], LAM))))
+    return row
 
 
 __all__ = [

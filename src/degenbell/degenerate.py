@@ -158,16 +158,14 @@ def composition_coefficient(n: int, falling: Sequence[MPoly]) -> MPoly:
 def dbell_composita_table(n_max: int) -> list[MPoly]:
     """Rows 0..n_max of the degenerate Bell polynomial assembled from the
     composita of the inner series: n! times the ordinary composition
-    coefficient.  Each n grows every (j | lambda)_n by one factor
-    (j - (n-1) lambda), built as one term map."""
+    coefficient.  The (j | lambda)_n are read from the rows
+    `falling_factorials(j, n_max)` for j = 1..n_max, one column per n."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    falling = [MPoly.one()] * n_max  # (j | lambda)_0 for j = 1..n_max
-    table = [MPoly.one()]
-    for n in range(1, n_max + 1):
-        falling = [f * MPoly.from_ints({(0, 0, 0, 0): j, (1, 0, 0, 0): 1 - n}) for j, f in enumerate(falling, 1)]
-        table.append(composition_coefficient(n, falling) * factorial(n))
-    return table
+    rows = [falling_factorials(j, n_max) for j in range(1, n_max + 1)]
+    return [MPoly.one()] + [
+        composition_coefficient(n, [row[n] for row in rows]) * factorial(n) for n in range(1, n_max + 1)
+    ]
 
 
 def dbell_recurrence_table(n_max: int) -> list[MPoly]:

@@ -200,7 +200,7 @@ def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS
     return _dobinski_sum(_weights(x * big_l, terms), next(islice(_falling_rows(lam, terms), n, None)), x * big_l)
 
 
-def dobinski_classical(n: int, terms: int = 60) -> float:
+def dobinski_classical(n: int, terms: int = DEFAULT_TERMS) -> float:
     """Truncated classical Dobinski sum (1/e) * sum of k^n / k!."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -219,7 +219,7 @@ def dobinski_check(
     return NumericCheck("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol)
 
 
-def classical_dobinski_check(n: int, terms: int = 60, tol: float = DEFAULT_TOL) -> NumericCheck:
+def classical_dobinski_check(n: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> NumericCheck:
     """Truncated classical Dobinski sum against the exact Bell number, the
     sum of the stirling2 row n."""
     exact = float(sum(stirling_rows(n)[1][n]))

@@ -96,29 +96,22 @@ class MPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
+        """The rational front of `from_ints`: each coefficient through `Fraction`,
+        then the numerators over the lcm of the denominators."""
         values: dict[Exponents, Fraction] = {}
-        if terms:
-            for exponents, coeff in terms.items():
-                if (
-                    not isinstance(exponents, tuple)
-                    or len(exponents) != 4
-                    or not all(isinstance(e, int) and e >= 0 for e in exponents)
-                    or sum(exponents) >= _LIMIT
-                ):
-                    raise ValueError(f"exponents must be 4 ints >= 0, of total degree below 2^15, got {exponents!r}")
-                value = Fraction(coeff)
-                if value:
-                    values[exponents] = value
-        # Over the lcm of the reduced denominators the numerators share no
-        # factor with it, so the result is already canonical.
+        for exponents, coeff in (terms or {}).items():
+            if not isinstance(exponents, tuple) or len(exponents) != 4 or not all(isinstance(e, int) for e in exponents):
+                raise ValueError(f"exponents must be a 4-tuple of ints, got {exponents!r}")
+            values[exponents] = Fraction(coeff)
         den = math.lcm(*(value.denominator for value in values.values()))
-        self._num = MPoly.from_ints({e: v.numerator * (den // v.denominator) for e, v in values.items()})._num
-        self._den = den
+        poly = MPoly.from_ints({e: v.numerator * (den // v.denominator) for e, v in values.items()}, den)
+        self._num, self._den = poly._num, poly._den
 
     @classmethod
     def from_ints(cls, terms: Mapping[Exponents, int], den: int = 1) -> "MPoly":
         """Integer numerators keyed by exponent 4-tuples over the common denominator
-        `den`, an int >= 1, without the rational arithmetic of `MPoly(...)`."""
+        `den`, an int >= 1, without the rational arithmetic of `MPoly(...)`;
+        `_pack` checks each exponent vector."""
         if as_int(den) < 1:
             raise ValueError(f"the denominator must be >= 1, got {den}")
         return cls._trusted({_pack(*exponents): as_int(coeff) for exponents, coeff in terms.items()}, den)
@@ -131,7 +124,7 @@ class MPoly:
         ints and `den` a positive int; zero numerators are dropped and, when
         `den` is not 1, the common factor of `den` and the numerators is
         divided out.  Input from outside the package goes through
-        `__init__` or `from_ints`, which check everything.
+        `from_ints`, directly or from `MPoly(...)`, which checks everything.
         The polynomial may keep `num` itself, so the caller must not change
         it afterwards.
         """
@@ -177,9 +170,6 @@ class MPoly:
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
         return tuple((_unpack(key), Fraction(num, den)) for key, num, den in self._reduced_terms())
-
-    def __bool__(self) -> bool:
-        return bool(self._num)
 
     def __len__(self) -> int:
         return len(self._num)

@@ -262,6 +262,24 @@ def test_falling_factorial_rows_are_the_products():
                 assert entry == product
 
 
+@pytest.mark.parametrize("z", [1, 1 - LAM])
+def test_falling_factorial_entry_is_one_kernel_pass(monkeypatch, z):
+    # Each entry is (z | lambda)_k * z - k (z | lambda)_k * lambda in one
+    # sum_of_products, with no separate pass forming z - k lambda.
+    kernel = MPoly.sum_of_products.__func__
+    calls = []
+
+    def counted(cls, terms):
+        calls.append(1)
+        return kernel(cls, terms)
+
+    monkeypatch.setattr(MPoly, "sum_of_products", classmethod(counted))
+    for n in (0, 1, 7):
+        calls.clear()
+        falling_factorials(z, n)
+        assert len(calls) == n
+
+
 def test_falling_factorial_homogenizes_stirling1():
     # The coefficient of lambda^(n-k) x^k in x(x - lambda)...(x - (n-1)lambda)
     # is the signed first-kind number.

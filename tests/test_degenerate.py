@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenbell import degenerate
 from degenbell.classical import falling_factorials
 from degenbell.degenerate import (
     VerificationReport,
@@ -94,6 +95,20 @@ def test_classical_bell_table_rejects_negative_order():
 
 def test_composita_form_small():
     assert dbell_composita_table(2) == [MPoly.one(), L * X, BEL2]
+
+
+def test_composita_reads_its_falling_factorials_from_the_one_row_builder(monkeypatch):
+    # One falling_factorials(j, n_max) row for each j = 1..n_max, and no
+    # factor (j - (n-1) lambda) built beside them.
+    calls = []
+
+    def counted(z, n):
+        calls.append((z, n))
+        return falling_factorials(z, n)
+
+    monkeypatch.setattr(degenerate, "falling_factorials", counted)
+    assert dbell_composita_table(6) == [degenerate_bell(n) for n in range(7)]
+    assert calls == [(j, 6) for j in range(1, 7)]
 
 
 def test_composita_normalization_control():

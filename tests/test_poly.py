@@ -85,10 +85,21 @@ def test_normalize_reduces_fractions():
 def test_outside_input_is_validated():
     with pytest.raises(ValueError):
         MPoly({(1, 2): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 0, -1, 0\)"):
         MPoly({(0, 0, -1, 0): 1})
+    with pytest.raises(ValueError, match=r"\(2, -1, 0, 0\)"):  # refused even with a zero coefficient
+        MPoly({(2, -1, 0, 0): 0})
     with pytest.raises(ValueError):
         MPoly({(1, 2, 3): Fraction(1)})
+    with pytest.raises(ValueError):
+        MPoly({(0, 0, 1.0, 0): 1})
+
+
+def test_truthiness_is_nonzero():
+    assert bool(MPoly.zero()) is False
+    assert bool(MPoly({E_X: 0})) is False
+    assert bool(X) is True
+    assert bool(MPoly({E_ZERO: Fraction(-1, 3)})) is True
 
 
 def test_integer_terms_build_the_same_polynomial_and_are_checked():
