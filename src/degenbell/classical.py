@@ -53,7 +53,7 @@ def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
     """
     if n < 0:
         raise ValueError(f"falling factorials need n >= 0, got {n}")
-    z = z if isinstance(z, MPoly) else MPoly({(0, 0, 0, 0): z})
+    z = z if isinstance(z, MPoly) else MPoly.one() * z
     row = [MPoly.one()]
     for k in range(n):
         row.append(MPoly.sum_of_products(((1, row[k], z), (-k, row[k], LAM))))

@@ -346,7 +346,3 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"degenbell: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -95,7 +95,8 @@ def _scaled_inner_row(n: int, lam: float, powers: list[list[float]]) -> list[flo
 
 
 def _bell_coefficients(n: int, lam: float) -> list[int]:
-    """N_m = sum over k of stirling1(n,k) stirling2(k,m) p^(n-k) q^k for m = 0..n, lambda = p/q."""
+    """N_m = sum over k of stirling1(n,k) stirling2(k,m) p^(n-k) q^k for m = 0..n, lambda = p/q; not summed from
+    `_left_terms`, since stirling1(n,k) p^(n-k) q^k is formed once per k: one big-int product per term, not two."""
     p, q = lam.as_integer_ratio()
     s1_rows, s2_rows = stirling_rows(n)
     p_pows, q_pows = list(accumulate(repeat(p, n), mul, initial=1)), accumulate(repeat(q, n), mul, initial=1)

@@ -150,12 +150,6 @@ class MPoly:
     def one(cls) -> "MPoly":
         return cls._trusted({0: 1})
 
-    @classmethod
-    def variable(cls, name: str) -> "MPoly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-        return cls._trusted({_UNITS[_VAR_INDEX[name]]: 1})
-
     # -- inspection ----------------------------------------------------
 
     def _reduced_terms(self) -> Iterator[tuple[int, int, int]]:
@@ -365,10 +359,7 @@ class MPoly:
         return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
-LAM = MPoly.variable("lambda")
-L = MPoly.variable("L")
-X = MPoly.variable("x")
-Y = MPoly.variable("y")
+LAM, L, X, Y = (MPoly._trusted({unit: 1}) for unit in _UNITS)
 
 __all__ = [
     "L",

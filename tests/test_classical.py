@@ -251,7 +251,7 @@ def test_falling_factorial_polynomial_argument():
 
 def test_falling_factorial_rows_are_the_products():
     # Every entry against its product written out, for n = 0 too.
-    for z in (0, 1, 1 - LAM, X + LAM):
+    for z in (0, 1, Fraction(1, 2), 1 - LAM, X + LAM):
         for n in range(9):
             row = falling_factorials(z, n)
             assert len(row) == n + 1
@@ -260,6 +260,12 @@ def test_falling_factorial_rows_are_the_products():
                 for i in range(k):
                     product = product * (z - i * LAM)
                 assert entry == product
+
+
+def test_falling_factorial_refuses_a_float():
+    # A scalar z is an int or a Fraction; a float is not taken through Fraction.
+    with pytest.raises(TypeError):
+        falling_factorials(0.5, 2)
 
 
 @pytest.mark.parametrize("z", [1, 1 - LAM])

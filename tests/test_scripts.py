@@ -1,14 +1,19 @@
 """The lambda -> 0 convergence sweep, a smoke test for the
-`python -m degenbell` entry point and checks of the package's imports:
+`python -m degenbell` entry point, checks of the package's imports:
 standard library only, no private names across modules, the package
 modules each layer may import, and no module but `poly` touching a
-polynomial's packed layout."""
+polynomial's packed layout, and a trace showing that the commands enter
+every function of the package but a listed few."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import degenbell
 from degenbell import cli
@@ -105,7 +110,7 @@ def test_package_imports_stay_within_each_layer():
 def test_only_poly_touches_the_packed_layout():
     # A polynomial's keys pack its exponents in a layout private to poly:
     # every other module builds polynomials from exponent tuples with
-    # MPoly(...) and reads them through the public methods.
+    # MPoly.from_ints and reads them through the public methods.
     private = {"_num", "_den", "_trusted"}
     found = []
     for path in sorted((ROOT / "src" / "degenbell").glob("*.py")):
@@ -127,3 +132,72 @@ def test_every_export_is_read_inside_the_package():
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
     assert sorted(set(degenbell.__all__) - read) == []
+
+
+# The functions of the package that no command enters, each with the reason it stays.
+NOT_RUN_BY_COMMANDS = {
+    "MPoly.__init__": "the Fraction front of from_ints, for library callers and the tests",
+    "MPoly.items": "read by the tests' audit and the benchmark tracer",
+    "MPoly.__len__": "read by the tests' audit and the benchmark tracer",
+    "MPoly.__hash__": "the ring's operator API",
+    "MPoly.__repr__": "the ring's operator API",
+    "MPoly.__neg__": "the ring's operator API",
+    "MPoly.__pow__": "the ring's operator API",
+}
+
+
+def package_functions(code: types.CodeType, prefix: str = "") -> dict[tuple[str, int], str]:
+    """The qualified name of every function compiled into `code`, keyed by
+    (file, first line), which the code object of the imported function shares."""
+    found = {}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):  # not a comprehension or lambda
+            name = prefix + const.co_name
+            if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
+                found[const.co_filename, const.co_firstlineno] = name
+            found |= package_functions(const, name + ".")
+    return found
+
+
+def test_commands_enter_every_function_but_the_listed_ones(tmp_path):
+    # One command of every shape, run in process under a profiler that records
+    # each function entered; src/ holds only what some command runs, apart from
+    # NOT_RUN_BY_COMMANDS.  Every cache is emptied first: a hit never enters
+    # the cached function.
+    src = Path(degenbell.__file__).parent
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        defined |= package_functions(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    for module in [module for name, module in sys.modules.items() if name.split(".")[0] == "degenbell"]:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    point = ["--n", "5", "--lambda", "0.5", "--x", "1.5"]
+    commands = [["table", "--family", family, "--n-max", "4", "--format", fmt] for family in cli.FAMILIES for fmt in cli.FORMATS]
+    for fmt in cli.FORMATS:
+        commands += [["verify", "--n-max", "3", "--format", fmt], ["eval", *point, "--format", fmt], ["eval", *point, "--dobinski", "--format", fmt]]
+    commands += [
+        ["eval", "--n", "4", "--lambda", "-0.3", "--x", "-50"],
+        ["eval", "--n", "2", "--lambda", "0.5", "--x", "1000", "--dobinski"],
+        ["eval", "--n", "2", "--lambda", "0.5", "--x", "1e10", "--dobinski"],
+        ["table", "--family", "bell", "--output", str(tmp_path)],
+    ]
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    codes = []
+    sys.setprofile(record)
+    try:
+        codes += [cli.main(argv) for argv in commands]
+        for argv in (["table", "--bogus"], ["-h"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            codes.append(exit_info.value.code)
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * (len(commands) - 3) + [1, 2, 2, 2, 0]
+    never = {name for (file, line), name in defined.items() if (file, line) not in entered}
+    assert sorted(never) == sorted(NOT_RUN_BY_COMMANDS)
