@@ -18,12 +18,14 @@ import csv
 import functools
 import io
 import math
+import os
 import sys
 from json.encoder import encode_basestring
 
 from .classical import bell_polynomial, stirling_rows
 from .degenerate import degenerate_bell, degenerate_stirling2
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
+from .poly import VARIABLES, Exponents, MPoly
 from .suite import run_full_suite
 
 FAMILIES = ("bell", "stirling1", "stirling2", "dstirling", "dbell")
@@ -147,7 +149,14 @@ def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a full disk, a closed pipe: leave nothing buffered for the exit flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write standard output: {exc.strerror}") from exc
     else:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -161,15 +170,18 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_text(payload: object) -> str:
-    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"`, from one walk.
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"`, from one walk,
+    with an `MPoly` leaf written as its `to_json_obj()`.
 
     `indent` sends `json.dumps` to its pure-Python encoder.  Here leaves go
-    through the C string encoder and `int`/`float.__repr__`, and each key's
-    text, with its comma and indent, is made once per depth.  Dicts need str
-    keys; a type `json` has no form for raises `TypeError`."""
+    through the C string encoder and `int`/`float.__repr__`, each key's text,
+    with its comma and indent, is made once per depth, and so is the text
+    after a term's coefficient for each exponent vector of `MPoly.terms()`.
+    Dicts need str keys; a type `json` has no form for raises `TypeError`."""
     chunks: list[str] = []
     append = chunks.append
     levels: list[tuple[dict[str, str], str, str]] = []  # per depth: key texts, separator, closing indent
+    polys: dict[int, tuple[dict[Exponents, str], str]] = {}  # per depth: a term's text after and before its coefficient
 
     def walk(value: object, depth: int) -> None:
         kind = type(value)
@@ -182,13 +194,31 @@ def _json_text(payload: object) -> str:
             append(_JSON_FLOATS.get(text, text))
         elif value is None or kind is bool:
             append(_JSON_CONSTANTS[value])
+        elif kind is MPoly:
+            if depth not in polys:
+                polys[depth] = ({}, f',\n{"  " * (depth + 1)}{{\n{"  " * (depth + 2)}"coeff": "')
+            tails, head = polys[depth]
+            start = len(chunks)
+            for exponents, num, den in value.terms():
+                tail = tails.get(exponents)
+                if tail is None:  # the term dict {"pow": ...} after its "{", taken back out of chunks
+                    mark = len(chunks)
+                    walk({"pow": dict(zip(VARIABLES, exponents))}, depth + 1)
+                    tail = tails[exponents] = '",' + "".join(chunks[mark:])[1:]
+                    del chunks[mark:]
+                append(f"{head}{num}/{den}{tail}")
+            if len(chunks) == start:
+                append("[]")
+            else:
+                chunks[start] = "[" + chunks[start][1:]
+                append(f"\n{'  ' * depth}]")
         elif kind is not dict and kind is not list:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         elif not value:
             append("{}" if kind is dict else "[]")
         else:
-            if depth == len(levels):
-                indent = "\n" + "  " * depth
+            while depth >= len(levels):
+                indent = "\n" + "  " * len(levels)
                 levels.append(({}, f",{indent}  ", indent))
             keys, separator, close = levels[depth]
             start = len(chunks)  # the first separator gives up its comma to the bracket
@@ -249,8 +279,7 @@ def run_table(ns: argparse.Namespace) -> int:
         if ns.fmt == "text":
             text = "".join(f"{label.format(*index)} = {poly.pretty()}\n" for index, poly in entries)
         elif ns.fmt == "json":
-            objs = [dict(zip(keys, index), poly=poly.to_json_obj()) for index, poly in entries]
-            text = _json_text(objs)
+            text = _json_text([dict(zip(keys, index), poly=poly) for index, poly in entries])
         else:
             text = _csv_text([[*index, poly.pretty()] for index, poly in entries], [*keys, "poly"])
     else:

@@ -27,11 +27,12 @@ and arithmetic on the integer coefficients the Bell and Stirling
 constructors produce never leaves the integers.  Every sum, product and
 sum of products in the package goes through one multiply-accumulate
 kernel, `MPoly.sum_of_products`, which adds each c*a*b into one map and
-grows the denominator only by lcm.  `items()` gives each term's value
-as a reduced `fractions.Fraction`.
-Wherever an ordering of terms is needed (JSON serialization, pretty
-printing) the graded lexicographic order with the largest term first,
-the order of the keys, is used.
+grows the denominator only by lcm.  `terms()` gives each term as its
+exponent 4-tuple and reduced numerator and denominator, the stream that
+`items()`, `to_json_obj()` and the CLI's JSON renderer read; `pretty()`
+reads the same terms by packed key, for its cache of monomial texts.
+Terms come in the graded lexicographic order with the largest term
+first, the order of the keys.
 """
 
 from __future__ import annotations
@@ -161,9 +162,14 @@ class MPoly:
             common = 1 if den == 1 else math.gcd(coeff, den)
             yield key, coeff // common, den // common
 
+    def terms(self) -> Iterator[tuple[Exponents, int, int]]:
+        """(exponents, numerator, denominator) of each term's reduced value, in
+        canonical order: the terms as read outside this module."""
+        return ((_unpack(key), num, den) for key, num, den in self._reduced_terms())
+
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
-        return tuple((_unpack(key), Fraction(num, den)) for key, num, den in self._reduced_terms())
+        return tuple((exponents, Fraction(num, den)) for exponents, num, den in self.terms())
 
     def __len__(self) -> int:
         return len(self._num)
@@ -332,12 +338,8 @@ class MPoly:
     def to_json_obj(self) -> list[dict]:
         """JSON output form: canonical term list with "p/q" coefficients."""
         return [
-            {
-                "coeff": f"{num}/{den}",
-                "pow": {"lambda": e[0], "L": e[1], "x": e[2], "y": e[3]},
-            }
-            for key, num, den in self._reduced_terms()
-            for e in (_unpack(key),)
+            {"coeff": f"{num}/{den}", "pow": dict(zip(VARIABLES, exponents))}
+            for exponents, num, den in self.terms()
         ]
 
     def pretty(self) -> str:

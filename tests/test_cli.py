@@ -2,13 +2,16 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 from fractions import Fraction
 
@@ -321,6 +324,32 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", ["full_disk", "closed_pipe"])
+def test_unwritable_stdout_is_usage_error(sink, unbuffered):
+    # Unbuffered, the write itself fails; buffered, only a flush would, and
+    # left to the interpreter's exit flush that failure exits 120.
+    env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "degenbell", "table", "--family", "bell", "--n-max", "3"]
+    if sink == "full_disk":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as stdout:
+            proc = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+        reason = "No space left on device"
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        reason = "Broken pipe"
+    assert (proc.returncode, proc.stderr.decode()) == (2, f"degenbell: error: cannot write standard output: {reason}\n")
+
+
 def test_eval_dobinski_evaluates_closed_form_once(monkeypatch, capsys):
     calls = []
     original = numeric.eval_bel_numeric
@@ -586,8 +615,16 @@ def test_failing_stdout_bytes_are_pinned(command, capsys):
 # -- the JSON renderer ------------------------------------------------------------
 
 
+def poly_terms(value):
+    # json.dumps's hook for an object it has no form for: an MPoly is its
+    # to_json_obj(), anything else stays a TypeError.
+    if isinstance(value, MPoly):
+        return value.to_json_obj()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def json_reference(payload):
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(payload, indent=2, ensure_ascii=False, default=poly_terms) + "\n"
 
 
 def assert_same_text(text, expected):
@@ -651,10 +688,21 @@ def test_failing_report_json_equals_json_dumps(monkeypatch, capsys):
     assert run_cli_json(["verify", "--n-max", "6", "--format", "json"], monkeypatch, capsys) == 1
 
 
-def test_json_text_equals_json_dumps_on_generated_payloads():
+# One polynomial at depths 1 and 3, terms whose reduced denominators differ
+# (over the common denominator 6), a negative coefficient, a y exponent and
+# the zero polynomial.
+POLY = MPoly({(0, 0, 1, 2): Fraction(1, 2), (1, 0, 0, 0): Fraction(-1, 3), (0, 0, 0, 0): 5})
+POLY_PAYLOAD = {"p": POLY, "q": [[POLY, MPoly.zero()]], "n": 1}
+
+
+def check_json_text_on_generated_payloads(render, settings):
+    """Hypothesis: `render` writes what `json_reference` writes, over nested
+    payloads whose leaves include polynomials, one of them possibly at several depths."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     text = st.text(max_size=6) | st.text(st.sampled_from('aλ"\\/\n\t\x00\x1f\x7f é'), max_size=6)
+    coefficients = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+    polys = st.builds(MPoly, st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), coefficients, max_size=4))
     leaves = (
         st.none()
         | st.booleans()
@@ -662,18 +710,55 @@ def test_json_text_equals_json_dumps_on_generated_payloads():
         | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
         | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
         | text
+        | polys
+        | st.shared(polys, key="poly")
     )
     payloads = st.recursive(
         leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4), max_leaves=40
     )
 
-    @hypothesis.settings(max_examples=300, deadline=None)
+    @settings
     @hypothesis.given(payloads)
     @hypothesis.example({"λ": [{}, [], {"": [[]]}], 'a"\\': {"λ": "\x01"}})
+    @hypothesis.example(POLY_PAYLOAD)
     def check(payload):
-        assert_renders_like_json(cli._json_text, payload)
+        assert_renders_like_json(render, payload)
 
     check()
+
+
+def test_json_text_equals_json_dumps_on_generated_payloads():
+    hypothesis = pytest.importorskip("hypothesis")
+    check_json_text_on_generated_payloads(cli._json_text, hypothesis.settings(max_examples=300, deadline=None))
+
+
+def unreduced_terms(poly):
+    """A polynomial's terms with each numerator over the common denominator, unreduced."""
+    terms = list(MPoly.terms(poly))
+    den = math.lcm(*(den for _, _, den in terms))
+    return ((exponents, num * (den // term_den), den) for exponents, num, term_den in terms)
+
+
+def json_text_mutant(old, new):
+    """`cli._json_text` compiled from its source with `old` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(cli._json_text))
+    assert source.count(old) == 1
+    namespace = dict(vars(cli))
+    exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
+    return namespace["_json_text"]
+
+
+@pytest.mark.parametrize("mutant", ["pow_text_shared_by_depths", "unreduced_coefficients"])
+def test_generated_payload_check_fails_on_mutant_renderers(mutant):
+    hypothesis = pytest.importorskip("hypothesis")
+    if mutant == "pow_text_shared_by_depths":  # the first depth's pow texts serve every depth
+        render = json_text_mutant("tails, head = polys[depth]", "tails, head = polys[min(polys)][0], polys[depth][1]")
+    else:
+        render = json_text_mutant("value.terms()", "unreduced_terms(value)")
+        render.__globals__["unreduced_terms"] = unreduced_terms
+    settings = hypothesis.settings(max_examples=300, deadline=None, database=None, report_multiple_bugs=False)
+    with pytest.raises(AssertionError):
+        check_json_text_on_generated_payloads(render, settings)
 
 
 LAMBDA_PAYLOAD = [{"λ": [1, "λ", {"n": 2.5}]}, {"n": None}]

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import degenbell
-from degenbell import cli
+from degenbell import cli, suite
+from degenbell.poly import LAM
 from test_numeric import limit_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,11 +160,12 @@ def package_functions(code: types.CodeType, prefix: str = "") -> dict[tuple[str,
     return found
 
 
-def test_commands_enter_every_function_but_the_listed_ones(tmp_path):
+def test_commands_enter_every_function_but_the_listed_ones(tmp_path, monkeypatch):
     # One command of every shape, run in process under a profiler that records
     # each function entered; src/ holds only what some command runs, apart from
     # NOT_RUN_BY_COMMANDS.  Every cache is emptied first: a hit never enters
-    # the cached function.
+    # the cached function.  The last verify fails, with S2(5,2|λ) given an
+    # extra λ, so a report prints its first failure's polynomials.
     src = Path(degenbell.__file__).parent
     defined = {}
     for path in sorted(src.glob("*.py")):
@@ -188,6 +190,11 @@ def test_commands_enter_every_function_but_the_listed_ones(tmp_path):
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+    original = suite.degenerate_stirling2
+
+    def mutated(n, m):
+        return original(n, m) + LAM if (n, m) == (5, 2) else original(n, m)
+
     codes = []
     sys.setprofile(record)
     try:
@@ -196,8 +203,11 @@ def test_commands_enter_every_function_but_the_listed_ones(tmp_path):
             with pytest.raises(SystemExit) as exit_info:
                 cli.main(argv)
             codes.append(exit_info.value.code)
+        with monkeypatch.context() as patch:
+            patch.setattr(suite, "degenerate_stirling2", mutated)
+            codes.append(cli.main(["verify", "--n-max", "5", "--format", "json"]))
     finally:
         sys.setprofile(None)
-    assert codes == [0] * (len(commands) - 3) + [1, 2, 2, 2, 0]
+    assert codes == [0] * (len(commands) - 3) + [1, 2, 2, 2, 0, 1]
     never = {name for (file, line), name in defined.items() if (file, line) not in entered}
     assert sorted(never) == sorted(NOT_RUN_BY_COMMANDS)
