@@ -23,7 +23,7 @@ import sys
 from json.encoder import encode_basestring
 
 from .classical import bell_polynomial, stirling_rows
-from .degenerate import degenerate_bell, degenerate_stirling2
+from .degenerate import dbell_via_stirling_pair, degenerate_stirling2
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
 from .poly import VARIABLES, Exponents, MPoly
 from .suite import run_full_suite
@@ -101,11 +101,22 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
     return None if missing else argparse.Namespace(**values)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its help written by `_emit`, so that a failed
+    write to standard output is a usage error, not swallowed."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of `FLAGS`, built on first use for help, errors and
     what `_fast_parse` declines; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degenbell",
         description="Exact tables, identity verification and numeric evaluation "
         "for degenerate Bell polynomials and degenerate Stirling numbers.",
@@ -176,12 +187,14 @@ def _json_text(payload: object) -> str:
     `indent` sends `json.dumps` to its pure-Python encoder.  Here leaves go
     through the C string encoder and `int`/`float.__repr__`, each key's text,
     with its comma and indent, is made once per depth, and so is the text
-    after a term's coefficient for each exponent vector of `MPoly.terms()`.
+    after a term's coefficient (its "pow" object and closing brace) for each
+    exponent vector of `MPoly.terms()`, filled into one template per depth.
     Dicts need str keys; a type `json` has no form for raises `TypeError`."""
     chunks: list[str] = []
     append = chunks.append
     levels: list[tuple[dict[str, str], str, str]] = []  # per depth: key texts, separator, closing indent
     polys: dict[int, tuple[dict[Exponents, str], str]] = {}  # per depth: a term's text after and before its coefficient
+    pow_texts: dict[int, str] = {}  # per depth: the text after a coefficient, "%d" for each exponent
 
     def walk(value: object, depth: int) -> None:
         kind = type(value)
@@ -196,16 +209,16 @@ def _json_text(payload: object) -> str:
             append(_JSON_CONSTANTS[value])
         elif kind is MPoly:
             if depth not in polys:
-                polys[depth] = ({}, f',\n{"  " * (depth + 1)}{{\n{"  " * (depth + 2)}"coeff": "')
+                pad = "  " * (depth + 2)
+                fields = ",".join(f"\n{pad}  {encode_basestring(name)}: %d" for name in VARIABLES)
+                pow_texts[depth] = f'",\n{pad}"pow": {{{fields}\n{pad}}}\n{pad[2:]}}}'
+                polys[depth] = ({}, f',\n{pad[2:]}{{\n{pad}"coeff": "')
             tails, head = polys[depth]
             start = len(chunks)
             for exponents, num, den in value.terms():
                 tail = tails.get(exponents)
-                if tail is None:  # the term dict {"pow": ...} after its "{", taken back out of chunks
-                    mark = len(chunks)
-                    walk({"pow": dict(zip(VARIABLES, exponents))}, depth + 1)
-                    tail = tails[exponents] = '",' + "".join(chunks[mark:])[1:]
-                    del chunks[mark:]
+                if tail is None:
+                    tail = tails[exponents] = pow_texts[depth] % exponents
                 append(f"{head}{num}/{den}{tail}")
             if len(chunks) == start:
                 append("[]")
@@ -260,7 +273,7 @@ def _csv_text(rows: list[list], header: list[str]) -> str:
 # family -> (index names, text label, builder) for the tables of polynomials
 POLY_TABLES = {
     "bell": (("n",), "Bel_{}(x)", bell_polynomial),
-    "dbell": (("n",), "Bel_{{{},λ}}(x)", degenerate_bell),
+    "dbell": (("n",), "Bel_{{{},λ}}(x)", dbell_via_stirling_pair),
     "dstirling": (("n", "m"), "S2({},{}|λ)", degenerate_stirling2),
 }
 
@@ -368,10 +381,9 @@ def run_eval(ns: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    ns = parse_config(argv)
-    run = {"table": run_table, "verify": run_verify, "eval": run_eval}[ns.command]
     try:
-        return run(ns)
+        ns = parse_config(argv)  # -h writes its help through `_emit`
+        return {"table": run_table, "verify": run_verify, "eval": run_eval}[ns.command](ns)
     except UsageError as exc:
         print(f"degenbell: error: {exc}", file=sys.stderr)
         return 2

@@ -62,7 +62,7 @@ def sweep_identity(
 # -- constructors ---------------------------------------------------------
 
 
-# `degenerate_bell` and the suite's report read each entry: 4096 hold n <= 89.
+# `degenerate_bell`, the suite's report and the dstirling table read each entry: 4096 hold n <= 89.
 @functools.lru_cache(maxsize=1 << 12)
 def degenerate_stirling2(n: int, m: int) -> MPoly:
     """Closed form over the classical pair: sum of
@@ -75,7 +75,7 @@ def degenerate_stirling2(n: int, m: int) -> MPoly:
 
 def degenerate_bell(n: int) -> MPoly:
     """Canonical constructor: single sum of the degenerate Stirling numbers
-    against L^m x^m.  Cheapest form, used by the verifiers and the CLI."""
+    against L^m x^m.  The suite's canonical rows, which `verify` reads."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     terms = ((1, degenerate_stirling2(n, m), MPoly.from_ints({(0, m, m, 0): 1})) for m in range(n + 1))
@@ -84,12 +84,17 @@ def degenerate_bell(n: int) -> MPoly:
 
 def dbell_via_stirling_pair(n: int) -> MPoly:
     """Double sum over both classical Stirling kinds with lambda^(n-k)
-    weights and L^m x^m attached."""
+    weights and L^m x^m attached: the coefficient of lambda^j (L x)^m is
+    the integer stirling1(n, n-j) * stirling2(n-j, m), so each m gives one
+    lambda-row and no kernel pass is made.  `table --family dbell` reads it.
+    For n >= 1 the row m = 0 is zero (stirling2(k, 0) = 0 for k >= 1 and
+    stirling1(n, 0) = 0), so it is left out."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     s1, s2 = stirling_rows(n)
-    return MPoly.from_ints(
-        {(n - k, m, m, 0): s1[n][k] * s2[k][m] for k in range(n + 1) for m in range(k + 1)}
+    s1_n = s1[n]
+    return MPoly.from_lambda_rows(
+        {(0, m, m, 0): [s1_n[k] * s2[k][m] for k in range(n, m - 1, -1)] for m in range(1 if n else 0, n + 1)}
     )
 
 

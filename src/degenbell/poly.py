@@ -27,12 +27,18 @@ and arithmetic on the integer coefficients the Bell and Stirling
 constructors produce never leaves the integers.  Every sum, product and
 sum of products in the package goes through one multiply-accumulate
 kernel, `MPoly.sum_of_products`, which adds each c*a*b into one map and
-grows the denominator only by lcm.  `terms()` gives each term as its
+grows the denominator only by lcm.  Integer numerators come in by
+exponent 4-tuple through `from_ints`, or as λ-rows through
+`from_lambda_rows`: one base exponent vector, packed once, with the
+numerators of its successive powers of λ, the layout in which a
+Stirling-pair sum produces them.  `terms()` gives each term as its
 exponent 4-tuple and reduced numerator and denominator, the stream that
 `items()`, `to_json_obj()` and the CLI's JSON renderer read; `pretty()`
 reads the same terms by packed key, for its cache of monomial texts.
-Terms come in the graded lexicographic order with the largest term
-first, the order of the keys.
+Both read the columns of `_reduced_terms`, which over the denominator 1
+are the numerators themselves, with no gcd taken.  Terms come in the
+graded lexicographic order with the largest term first, the order of
+the keys.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import getitem, index as as_int, mul
+from operator import floordiv, getitem, index as as_int, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, int, int, int]
@@ -118,6 +124,28 @@ class MPoly:
         return cls._trusted({_pack(*exponents): as_int(coeff) for exponents, coeff in terms.items()}, den)
 
     @classmethod
+    def from_lambda_rows(cls, rows: Mapping[Exponents, Sequence[int]], den: int = 1) -> "MPoly":
+        """Integer numerators over `den`, an int >= 1, given as λ-rows: each
+        base exponent 4-tuple maps to the numerators of base·λ^0, base·λ^1, ...
+
+        Each base is packed once by `_pack`, and its row's keys step from it
+        by the key of λ.  Rows that share a key raise ValueError; a row whose
+        last term reaches total degree 2^15 raises OverflowError, as
+        arithmetic does.  The numerators are checked as `from_ints` checks them."""
+        if as_int(den) < 1:
+            raise ValueError(f"the denominator must be >= 1, got {den}")
+        num: dict[int, int] = {}
+        count = 0
+        unit = _UNITS[0]
+        for base, coeffs in rows.items():
+            key = _pack(*base)
+            num.update(zip(range(key, key + len(coeffs) * unit, unit), map(as_int, coeffs)))
+            count += len(coeffs)
+        if len(num) != count:
+            raise ValueError("λ-rows overlap: two of them give the same exponents")
+        return cls._trusted(_in_range(num), den)
+
+    @classmethod
     def _trusted(cls, num: dict[int, int], den: int = 1) -> "MPoly":
         """Wrap the result of internal arithmetic without re-validating it.
 
@@ -153,19 +181,24 @@ class MPoly:
 
     # -- inspection ----------------------------------------------------
 
-    def _reduced_terms(self) -> Iterator[tuple[int, int, int]]:
-        """(key, numerator, denominator) of each term's reduced value, in
-        canonical order (graded lex, largest first): the order of the keys."""
-        den = self._den
-        for key in sorted(self._num, reverse=True):
-            coeff = self._num[key]
-            common = 1 if den == 1 else math.gcd(coeff, den)
-            yield key, coeff // common, den // common
+    def _reduced_terms(self) -> tuple[list[int], Iterable[int], Iterable[int]]:
+        """The terms' keys in canonical order (graded lex, largest first, the
+        order of the keys) and, in the same order, the numerators and
+        denominators of their reduced values: three columns for `zip`.
+        Over the denominator 1 every numerator is already reduced."""
+        num, den = self._num, self._den
+        keys = sorted(num, reverse=True)
+        if den == 1:
+            return keys, map(num.__getitem__, keys), repeat(1)
+        coeffs = [num[key] for key in keys]
+        commons = [math.gcd(coeff, den) for coeff in coeffs]
+        return keys, map(floordiv, coeffs, commons), [den // common for common in commons]
 
     def terms(self) -> Iterator[tuple[Exponents, int, int]]:
         """(exponents, numerator, denominator) of each term's reduced value, in
         canonical order: the terms as read outside this module."""
-        return ((_unpack(key), num, den) for key, num, den in self._reduced_terms())
+        keys, nums, dens = self._reduced_terms()
+        return zip(map(_unpack, keys), nums, dens)
 
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
@@ -347,7 +380,7 @@ class MPoly:
         if not self._num:
             return "0"
         pieces: list[str] = []
-        for key, num, den in self._reduced_terms():
+        for key, num, den in zip(*self._reduced_terms()):
             monomial = _monomial_text(key)
             magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if monomial and magnitude == "1":

@@ -184,6 +184,17 @@ def test_stirling_rows_hold_exactly_rows_0_to_n_as_tuples():
     assert s2_rows[6] == (0, 1, 31, 90, 65, 15, 1)
 
 
+def test_cold_stirling_rows_make_linearly_many_calls():
+    # Each row is built once and finds the row below it cached: 31 misses and
+    # 29 hits at n = 30, where re-reading every lower row made 466 calls.
+    n = 30
+    stirling_rows.cache_clear()
+    stirling_rows(n)
+    info = stirling_rows.cache_info()
+    assert info.currsize == n + 1
+    assert info.hits + info.misses <= 2 * n + 2
+
+
 def test_cold_stirling_rows_nest_at_most_two_calls_deep():
     # A cold call reads every earlier n first, each one level below it, so
     # n = 400 returns under a recursion limit of 100.

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenbell import cli, numeric, suite
+from degenbell import cli, degenerate, numeric, suite
 from degenbell.degenerate import VerificationReport, degenerate_bell
 from degenbell.poly import LAM, MPoly
 from degenbell.series import oracle_degenerate_stirling2_table
@@ -324,15 +324,13 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("sink", ["full_disk", "closed_pipe"])
-def test_unwritable_stdout_is_usage_error(sink, unbuffered):
-    # Unbuffered, the write itself fails; buffered, only a flush would, and
-    # left to the interpreter's exit flush that failure exits 120.
+def run_into_unwritable_stdout(args, sink, unbuffered):
+    """(exit code, stderr) of a fresh `python -m degenbell` whose standard
+    output is /dev/full or a pipe with its read end closed."""
     env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    command = [sys.executable, "-m", "degenbell", "table", "--family", "bell", "--n-max", "3"]
+    command = [sys.executable, "-m", "degenbell", *args]
     if sink == "full_disk":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
@@ -347,7 +345,38 @@ def test_unwritable_stdout_is_usage_error(sink, unbuffered):
         finally:
             os.close(write_end)
         reason = "Broken pipe"
-    assert (proc.returncode, proc.stderr.decode()) == (2, f"degenbell: error: cannot write standard output: {reason}\n")
+    return (proc.returncode, proc.stderr.decode()), (2, f"degenbell: error: cannot write standard output: {reason}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", ["full_disk", "closed_pipe"])
+def test_unwritable_stdout_is_usage_error(sink, unbuffered):
+    # Unbuffered, the write itself fails; buffered, only a flush would, and
+    # left to the interpreter's exit flush that failure exits 120.
+    got, expected = run_into_unwritable_stdout(["table", "--family", "bell", "--n-max", "3"], sink, unbuffered)
+    assert got == expected
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", ["full_disk", "closed_pipe"])
+def test_unwritable_stdout_for_help_is_usage_error(sink, unbuffered):
+    # argparse's own printing swallows the OSError: exit 0 unbuffered, 120 buffered.
+    for args in (["-h"], ["table", "-h"], ["eval", "--n", "3", "--help"]):
+        got, expected = run_into_unwritable_stdout(args, sink, unbuffered)
+        assert got == expected, args
+
+
+def test_dbell_table_builds_from_the_stirling_rows_alone(monkeypatch, capsys):
+    # Each coefficient of Bel_n is one product of classical Stirling numbers:
+    # the table makes no kernel pass and builds no S2(n,m|λ).
+    kernel = MPoly.sum_of_products.__func__
+    calls = []
+    monkeypatch.setattr(MPoly, "sum_of_products", classmethod(lambda cls, terms: calls.append(1) or kernel(cls, terms)))
+    degenerate.degenerate_stirling2.cache_clear()
+    code, out = run_cli(["table", "--family", "dbell", "--n-max", "30"], capsys)
+    assert code == 0 and out.count("\n") == 31
+    assert calls == []
+    assert degenerate.degenerate_stirling2.cache_info().misses == 0
 
 
 def test_eval_dobinski_evaluates_closed_form_once(monkeypatch, capsys):
@@ -576,6 +605,9 @@ PINNED_STDOUT = {
     "eval --n 5 --lambda -0.3 --x 1.5 --dobinski --format csv": "91ebb9fe9b0b9c175af9f35b94c12b0e3268f773db8ec6259bd48fdb997a71f2",
     "eval --n 30 --lambda 0.3 --x 0.5 --dobinski --format text": "8884479e7a2b63a2f729cc6dad6b69f2aec6a0131268e74ae28180980019f7fb",
     "eval --n 30 --lambda 0.3 --x 0.5 --dobinski --format json": "d878a94f26727a0c2f113a0a658d78861a93340df61d5a1b679e3ed24cb625d0",
+    "table --family dbell --n-max 30 --format csv": "fd426bd17094d32dd6d51ba5519903e19f2465995f3198adcfd241545ce12ebe",
+    "table --family dstirling --n-max 30 --format text": "7931eb3004dddd336e3b6cd7762b58d48a79accc3883d6d2555b8a12255d8f87",
+    "table --family dbell --n-max 60 --format json": "21fd9c202d3c1d497fdc5e7facde6357e3e771bfcf6a3849c5a74b5a1fc8e684",
 }
 
 
