@@ -8,13 +8,6 @@ import functools
 from .poly import LAM, MPoly, Scalar
 
 
-# A miss at n up to this recurses to n - 1 directly, so a cold call nests at
-# most this many calls deep.  Above it, a miss first reads the cache's size:
-# `cache_info()` builds a named tuple, as costly as a dozen cache hits, which
-# made cold commands at n <= 12 4-9 % slower when every miss paid it.
-_NESTED_ROWS = 16
-
-
 @functools.cache
 def stirling_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Rows 0..n of both triangles, (stirling1 rows, stirling2 rows), row m
@@ -25,26 +18,29 @@ def stirling_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int,
     s1(m, k) = s1(m-1, k-1) + (1 - m) s1(m-1, k), since
     (z)_m = (z - (m-1)) (z)_{m-1}, and s2(m, k) = s2(m-1, k-1) + k s2(m-1, k).
     An entry n is cached only after every m < n, so the cache holds the
-    entries 0..size - 1, size being its `cache_info().currsize`.  A miss at
-    n <= _NESTED_ROWS calls stirling_rows(n - 1) alone, which nests one call
-    per missing row.  A miss at larger n reads size and calls
+    entries 0..size - 1, size being its current size.  A miss at n calls
     stirling_rows(m) in order for m = min(size, n - 1)..n - 1, each finding
-    m - 1 cached, so the nesting stays bounded.  A cold call at n makes at
-    most 2n calls; each n's entry shares the row tuples of the entries
-    before it.  Two threads may each build the same new n; their results
-    are equal and immutable, and the cache keeps one.
+    m - 1 cached, so no call nests more than two deep and a cold call at n
+    makes at most 2n calls; each n's entry shares the row tuples of the
+    entries before it.  Two threads may each build the same new n; their
+    results are equal and immutable, and the cache keeps one.
     """
     if n < 0:
         raise ValueError(f"Stirling rows need n >= 0, got {n}")
     if n == 0:
         return ((1,),), ((1,),)
-    first = n - 1 if n <= _NESTED_ROWS else min(stirling_rows.cache_info().currsize, n - 1)
-    for m in range(first, n):
+    for m in range(min(_rows_cache_info().currsize, n - 1), n):
         s1_rows, s2_rows = stirling_rows(m)
     s1, s2 = s1_rows[-1] + (0,), s2_rows[-1] + (0,)
     s1_row = (0, *[s1[k - 1] + (1 - n) * s1[k] for k in range(1, n + 1)])
     s2_row = (0, *[s2[k - 1] + k * s2[k] for k in range(1, n + 1)])
     return (*s1_rows, s1_row), (*s2_rows, s2_row)
+
+
+# `stirling_rows` reads its cache's size through this name, bound once here:
+# a wrapper rebound over the module's `stirling_rows` (a tracer's, say) need
+# not carry `cache_info`.
+_rows_cache_info = stirling_rows.cache_info
 
 
 def bell_polynomial(n: int) -> MPoly:

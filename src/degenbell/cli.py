@@ -106,10 +106,7 @@ class _Parser(argparse.ArgumentParser):
     write to standard output is a usage error, not swallowed."""
 
     def print_help(self, file=None) -> None:
-        if file is None:
-            _emit(self.format_help(), None)
-        else:
-            super().print_help(file)
+        _emit(self.format_help(), None)
 
 
 @functools.cache

@@ -85,16 +85,16 @@ def degenerate_bell(n: int) -> MPoly:
 def dbell_via_stirling_pair(n: int) -> MPoly:
     """Double sum over both classical Stirling kinds with lambda^(n-k)
     weights and L^m x^m attached: the coefficient of lambda^j (L x)^m is
-    the integer stirling1(n, n-j) * stirling2(n-j, m), so each m gives one
-    lambda-row and no kernel pass is made.  `table --family dbell` reads it.
-    For n >= 1 the row m = 0 is zero (stirling2(k, 0) = 0 for k >= 1 and
-    stirling1(n, 0) = 0), so it is left out."""
+    the integer stirling1(n, n-j) * stirling2(n-j, m), so no kernel pass is
+    made.  `table --family dbell` reads it.  For n >= 1 the terms m = 0 are
+    zero (stirling2(k, 0) = 0 for k >= 1 and stirling1(n, 0) = 0), so they
+    are left out."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     s1, s2 = stirling_rows(n)
     s1_n = s1[n]
-    return MPoly.from_lambda_rows(
-        {(0, m, m, 0): [s1_n[k] * s2[k][m] for k in range(n, m - 1, -1)] for m in range(1 if n else 0, n + 1)}
+    return MPoly.from_ints(
+        {(n - k, m, m, 0): s1_n[k] * s2[k][m] for k in range(n + 1) for m in range(1 if n else 0, k + 1)}
     )
 
 

@@ -27,11 +27,7 @@ and arithmetic on the integer coefficients the Bell and Stirling
 constructors produce never leaves the integers.  Every sum, product and
 sum of products in the package goes through one multiply-accumulate
 kernel, `MPoly.sum_of_products`, which adds each c*a*b into one map and
-grows the denominator only by lcm.  Integer numerators come in by
-exponent 4-tuple through `from_ints`, or as λ-rows through
-`from_lambda_rows`: one base exponent vector, packed once, with the
-numerators of its successive powers of λ, the layout in which a
-Stirling-pair sum produces them.  `terms()` gives each term as its
+grows the denominator only by lcm.  `terms()` gives each term as its
 exponent 4-tuple and reduced numerator and denominator, the stream that
 `items()`, `to_json_obj()` and the CLI's JSON renderer read; `pretty()`
 reads the same terms by packed key, for its cache of monomial texts.
@@ -122,28 +118,6 @@ class MPoly:
         if as_int(den) < 1:
             raise ValueError(f"the denominator must be >= 1, got {den}")
         return cls._trusted({_pack(*exponents): as_int(coeff) for exponents, coeff in terms.items()}, den)
-
-    @classmethod
-    def from_lambda_rows(cls, rows: Mapping[Exponents, Sequence[int]], den: int = 1) -> "MPoly":
-        """Integer numerators over `den`, an int >= 1, given as λ-rows: each
-        base exponent 4-tuple maps to the numerators of base·λ^0, base·λ^1, ...
-
-        Each base is packed once by `_pack`, and its row's keys step from it
-        by the key of λ.  Rows that share a key raise ValueError; a row whose
-        last term reaches total degree 2^15 raises OverflowError, as
-        arithmetic does.  The numerators are checked as `from_ints` checks them."""
-        if as_int(den) < 1:
-            raise ValueError(f"the denominator must be >= 1, got {den}")
-        num: dict[int, int] = {}
-        count = 0
-        unit = _UNITS[0]
-        for base, coeffs in rows.items():
-            key = _pack(*base)
-            num.update(zip(range(key, key + len(coeffs) * unit, unit), map(as_int, coeffs)))
-            count += len(coeffs)
-        if len(num) != count:
-            raise ValueError("λ-rows overlap: two of them give the same exponents")
-        return cls._trusted(_in_range(num), den)
 
     @classmethod
     def _trusted(cls, num: dict[int, int], den: int = 1) -> "MPoly":

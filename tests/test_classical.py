@@ -6,6 +6,7 @@ direct product expansion for Stirling numbers of the first kind, and
 brute-force set partition counting for the second kind.
 """
 
+import functools
 import math
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from itertools import product
 
 import pytest
 
+from degenbell import classical
 from degenbell.classical import bell_polynomial, falling_factorials, stirling_rows
 from degenbell.poly import LAM, MPoly, X
 from references import eval_exact
@@ -193,6 +195,24 @@ def test_cold_stirling_rows_make_linearly_many_calls():
     info = stirling_rows.cache_info()
     assert info.currsize == n + 1
     assert info.hits + info.misses <= 2 * n + 2
+
+
+def test_cold_stirling_rows_build_through_a_rebound_wrapper(monkeypatch):
+    # A tracer rebinds the module's name to a functools.wraps wrapper, which
+    # has no cache_info; the rows' own recursion then goes through it.
+    expected = stirling_rows(30)
+    calls = []
+
+    @functools.wraps(stirling_rows)
+    def traced(n):
+        calls.append(n)
+        return stirling_rows(n)
+
+    assert not hasattr(traced, "cache_info")
+    monkeypatch.setattr(classical, "stirling_rows", traced)
+    stirling_rows.cache_clear()
+    assert classical.stirling_rows(30) == expected
+    assert sorted(set(calls)) == list(range(31)) and len(calls) <= 2 * 30 + 2
 
 
 def test_cold_stirling_rows_nest_at_most_two_calls_deep():

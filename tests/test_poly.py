@@ -41,14 +41,6 @@ def strategies(st):
         ),
         small_ints=st.integers(0, 3),
         triples=st.lists(st.tuples(st.integers(-3, 3), polys, polys), max_size=5),
-        # λ-rows on distinct (L, x, y) exponents, so no two rows share a term,
-        # with zero, negative and multi-word numerators.
-        lambda_rows=st.dictionaries(
-            st.tuples(*(st.integers(0, 3) for _ in range(3))),
-            st.tuples(st.integers(0, 3), st.lists(st.integers(-(2**70), 2**70) | st.integers(-2, 2), max_size=5)),
-            max_size=5,
-        ).map(lambda rows: {(e_lam, *rest): coeffs for rest, (e_lam, coeffs) in rows.items()}),
-        dens=st.integers(1, 12),
     )
 
 
@@ -137,54 +129,6 @@ def test_integer_terms_over_a_denominator_are_canonical():
             MPoly.from_ints({(0, 0, 0, 0): 1}, den)
     with pytest.raises(TypeError):
         MPoly.from_ints({(0, 0, 0, 0): 1}, 2.0)
-
-
-def _row_terms(rows):
-    """The terms of λ-rows as exponent 4-tuples, the input of `from_ints`."""
-    return {(e_lam + j, *rest): c for (e_lam, *rest), coeffs in rows.items() for j, c in enumerate(coeffs)}
-
-
-@given(
-    "lambda_rows",
-    "dens",
-    examples=[
-        ({}, 1),
-        ({(0, 1, 1, 0): [], (0, 2, 2, 0): [0, 0]}, 5),
-        ({(0, 1, 1, 0): [6, 0, -12], (2, 0, 0, 0): [18 * 2**70]}, 12),  # 6 divides den and every numerator
-        ({(0, 0, 0, 0): [2**64 + 1, -(2**65)]}, 1),
-        ({(2**15 - 1, 0, 0, 0): [5], (0, 2**15 - 2, 0, 0): [1, -1]}, 1),  # terms of total degree 2^15 - 1
-        ({(0, 2**15 - 2, 0, 0): [1, -1, 1]}, 1),  # the last term reaches 2^15
-    ],
-)
-def test_lambda_rows_build_what_from_ints_builds(rows, den):
-    try:
-        expected = MPoly.from_ints(_row_terms(rows), den)
-    except ValueError:
-        with pytest.raises(OverflowError, match="32768"):
-            MPoly.from_lambda_rows(rows, den)
-    else:
-        result = MPoly.from_lambda_rows(rows, den)
-        _assert_canonical(result)
-        assert result == expected
-
-
-def test_lambda_rows_are_checked_as_from_ints_checks_terms():
-    for bad in (1.0, Fraction(1, 2), Fraction(2, 1)):
-        with pytest.raises(TypeError):
-            MPoly.from_ints({(1, 0, 0, 0): bad})
-        with pytest.raises(TypeError):
-            MPoly.from_lambda_rows({(0, 0, 0, 0): [1, bad]})
-    for den in (0, -2):
-        with pytest.raises(ValueError, match="denominator"):
-            MPoly.from_lambda_rows({(0, 0, 0, 0): [1]}, den)
-    with pytest.raises(TypeError):
-        MPoly.from_lambda_rows({(0, 0, 0, 0): [1]}, 2.0)
-    with pytest.raises(ValueError, match=r"\(0, 0, -1, 0\)"):
-        MPoly.from_lambda_rows({(0, 0, -1, 0): [1]})
-    with pytest.raises(TypeError):
-        MPoly.from_lambda_rows({(1.0, 0, 0, 0): [1]})
-    with pytest.raises(ValueError, match="overlap"):  # λ^1 x is in both rows
-        MPoly.from_lambda_rows({(0, 0, 1, 0): [1, 2], (1, 0, 1, 0): [3]})
 
 
 def test_exponents_out_of_range_raise_and_name_the_exponent():
