@@ -238,10 +238,16 @@ def _json_text(payload: object) -> str:
                     if text is None:
                         text = keys[key] = f"{separator}{encode_basestring(key)}: "
                     append(text)
-                    if type(item) is int:  # the commonest leaves, without a call
+                    item_kind = type(item)
+                    if item_kind is int:  # the leaves, without a call
                         append(int.__repr__(item))
-                    elif type(item) is str:
+                    elif item_kind is str:
                         append(encode_basestring(item))
+                    elif item_kind is float:
+                        leaf = float.__repr__(item)
+                        append(_JSON_FLOATS.get(leaf, leaf))
+                    elif item is None or item_kind is bool:
+                        append(_JSON_CONSTANTS[item])
                     else:
                         walk(item, depth + 1)
             else:

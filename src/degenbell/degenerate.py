@@ -25,12 +25,13 @@ class VerificationReport(NamedTuple):
     """Outcome of sweeping one identity over a range of n.
 
     `first_failure`, when present, carries (n, lhs, rhs) for the smallest
-    failing n; `passed` is true exactly when it is absent.
+    failing n, with both sides None when no triple of that n was read;
+    `passed` is true exactly when it is absent.
     """
 
     identity_name: str
     n_range: tuple[int, int]
-    first_failure: tuple[int, MPoly, MPoly] | None = None
+    first_failure: tuple[int, MPoly | None, MPoly | None] | None = None
 
     @property
     def passed(self) -> bool:
@@ -40,7 +41,8 @@ class VerificationReport(NamedTuple):
         failure = None
         if self.first_failure is not None:
             n, lhs, rhs = self.first_failure
-            failure = {"n": n, "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
+            sides = [None if side is None else side.to_json_obj() for side in (lhs, rhs)]
+            failure = {"n": n, "lhs": sides[0], "rhs": sides[1]}
         return {
             "identity": self.identity_name,
             "range": [self.n_range[0], self.n_range[1]],
@@ -54,9 +56,21 @@ def sweep_identity(
 ) -> VerificationReport:
     """Read the triples (n, lhs, rhs) of an identity for n = lo..hi in order,
     one at a time, and stop at the first exact mismatch, which is the
-    report's first failure.  An empty range passes vacuously."""
-    failure = next((triple for triple in sides if triple[1] != triple[2]), None)
-    return VerificationReport(name, (lo, hi), failure)
+    report's first failure.  An n may repeat in consecutive triples, but
+    their n's must run through lo, lo + 1, ..., hi exactly: at the first n
+    where they do not (one skipped or never reached, or one past hi) the
+    report fails with (n, None, None), since neither side was compared
+    there.  An empty range passes vacuously."""
+    expected = lo  # the next n of lo..hi not read yet
+    for triple in sides:
+        n = triple[0]
+        if n == expected <= hi:
+            expected += 1
+        elif n != expected - 1 or n < lo:
+            return VerificationReport(name, (lo, hi), (expected, None, None))
+        if triple[1] != triple[2]:
+            return VerificationReport(name, (lo, hi), triple)
+    return VerificationReport(name, (lo, hi), None if expected > hi else (expected, None, None))
 
 
 # -- constructors ---------------------------------------------------------

@@ -259,7 +259,10 @@ class MPoly:
         Every product is added into one dict, so no partial sum is built as a
         polynomial.  The common denominator grows to the lcm only when a
         product's denominator does not divide it, rescaling the sum so far.
-        A product's key is the sum of its factors' keys, checked by `_in_range`."""
+        A product's key is the sum of its factors' keys, checked by `_in_range`.
+        The outer loop runs over the factor with fewer terms: many products
+        have a one-term factor (a constant, a monomial), and an inner loop
+        costs more to start than one of its steps."""
         acc: dict[int, int] = {}
         get = acc.get
         den = 1
@@ -271,11 +274,14 @@ class MPoly:
                     acc[key] *= scale
                 den *= scale
             c *= den // product_den
-            for key_a, coeff_a in a._num.items():
-                coeff_a *= c
-                for key_b, coeff_b in b._num.items():
-                    key = key_a + key_b
-                    acc[key] = get(key, 0) + coeff_a * coeff_b
+            outer, inner = a._num, b._num
+            if len(inner) < len(outer):
+                outer, inner = inner, outer
+            for key_o, coeff_o in outer.items():
+                coeff_o *= c
+                for key_i, coeff_i in inner.items():
+                    key = key_o + key_i
+                    acc[key] = get(key, 0) + coeff_o * coeff_i
         return cls._trusted(_in_range(acc), den)
 
     # -- calculus ---------------------------------------------------------

@@ -1,9 +1,12 @@
 """Reference helpers that only the tests read: the exact value of a
-polynomial at a rational point, from its terms, and the one-point scaled
+polynomial at a rational point, from its terms, the one-point scaled
 series check, the per-point reference of the float grid, from the row
-helpers of `numeric`."""
+helpers of `numeric`, and mutants of a function compiled from its source."""
 
+import inspect
 import math
+import sys
+import textwrap
 from fractions import Fraction
 
 from degenbell import numeric
@@ -40,3 +43,16 @@ def scaled_bell_series_check(n, lam, x, terms=DEFAULT_TERMS, tol=DEFAULT_TOL):
     inner = numeric._scaled_inner_row(n, lam, numeric._power_columns(n, terms))
     rhs = numeric._weighted_sum(numeric._weights(x * big_l, terms), inner, "scaled series")
     return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
+
+
+def compiled_with(function, old, new):
+    """`function` compiled afresh from its source, with the one `old` in it
+    replaced by `new`, over a copy of its module's globals: a mutant that
+    leaves the module itself unchanged.  A decorated function comes back
+    decorated, so a classmethod's mutant is a classmethod to rebind."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{old!r} is not in the source of {function.__name__} exactly once"
+    module = sys.modules[function.__module__]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[function.__name__]

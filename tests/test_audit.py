@@ -1,4 +1,5 @@
-"""Kernel-free audit of the six Bell tables against Carlitz's triangle.
+"""Kernel-free audit of the six Bell tables, and of both sides of the
+addition and derivative reports, against Carlitz's triangle.
 
 Every exact report, the oracle's included, runs through the one
 multiply-accumulate kernel `MPoly.sum_of_products`, so a fault in that
@@ -15,12 +16,23 @@ table must be the sum of S2(n, m|lambda) (L x)^m over m = 0..n.  The
 coefficient of (L x)^m has lambda-degree at most n - m, which the shape
 check enforces, so agreement at the 31 points of LAMBDAS proves the two
 equal for every n <= 30.
+
+The addition and derivative reports are audited at seeded points modulo
+the prime P = 2^61 - 1: each side, as the report builds it, is read
+through `terms()` alone, and its value must equal that of the side's
+definition, computed in plain ints mod P from Carlitz's triangle at the
+point's lambda.  A wrong side of degree d agrees at one random point with
+probability at most d/P (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM
+1979).
 """
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from degenbell import degenerate
 from degenbell.degenerate import (
     dbell_classical_bell_table,
     dbell_composita_table,
@@ -30,6 +42,7 @@ from degenbell.degenerate import (
 )
 from degenbell.poly import MPoly
 from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
+from test_poly import kernel_scaling_one_orientation_only
 
 N_MAX = 30
 LAMBDAS = range(-15, 16)
@@ -107,10 +120,9 @@ def test_audit_rejects_each_shape_fault(term, n):
     assert row_matches(n, MPoly({exps: coeff})) is False
 
 
-def test_audit_catches_a_kernel_that_wraps_coefficients_at_64_bits(monkeypatch):
-    # A kernel whose coefficients wrap into [-2^63, 2^63), as a packed
-    # product would on a slot overflow, leaves small rows right and must
-    # fail the audit once a coefficient of a table outgrows 64 bits.
+def wrap_kernel_at_64_bits(monkeypatch):
+    """Make the kernel wrap its coefficients into [-2^63, 2^63), as a
+    packed product would on a slot overflow."""
     kernel = MPoly.sum_of_products.__func__
     half = 1 << 63
 
@@ -119,7 +131,115 @@ def test_audit_catches_a_kernel_that_wraps_coefficients_at_64_bits(monkeypatch):
         return cls._trusted({e: (c + half) % (2 * half) - half for e, c in exact._num.items()}, exact._den)
 
     monkeypatch.setattr(MPoly, "sum_of_products", classmethod(wrapped))
+
+
+def test_audit_catches_a_kernel_that_wraps_coefficients_at_64_bits(monkeypatch):
+    # The wrap leaves small rows right and must fail the audit once a
+    # coefficient of a table outgrows 64 bits.
+    wrap_kernel_at_64_bits(monkeypatch)
     failures = first_mismatches(six_tables(N_MAX))
     assert failures.pop("stirling_pair") is None  # built without the kernel
     # Below n = 10 every number the kernel returns fits in 64 bits.
     assert all(n is not None and n >= 10 for n in failures.values()), failures
+
+
+# -- the addition and derivative reports, mod P -----------------------------------
+
+P = (1 << 61) - 1
+# The sides' coefficients reach 33 bits at n = 12 and 68 bits at n = 20,
+# the first n where a kernel that wraps at 64 bits shows.
+REPORT_N_MAX = 20
+REPORT_POINTS = [tuple(random.Random(seed).randrange(P) for _ in range(4)) for seed in (1, 2)]  # (lambda, L, x, y)
+
+
+def value_mod_p(poly, point):
+    """poly at point = (lambda, L, x, y), mod P, read through `terms()` alone."""
+    total = 0
+    for exponents, num, den in poly.terms():
+        term = num * pow(den, -1, P)
+        for value, e in zip(point, exponents):
+            term = term * pow(value, e, P) % P
+        total += term
+    return total % P
+
+
+def report_definitions(n_max, point):
+    """Each side of both reports at point, mod P, from its definition:
+    name -> n -> (lhs, rhs).  Bel_n(z) is the sum of S2(n, m|lambda) (L z)^m
+    over Carlitz's triangle; addition compares Bel_n(x + y) with the sum of
+    C(n, k) Bel_k(x) Bel_(n-k)(y), and derivative d/dx Bel_n(x) with L times
+    the sum of C(n, k) Bel_k(x) (1|lambda)_(n-k) over k < n."""
+    lam, big_l, x, y = point
+    triangle = [[1]]
+    for n in range(n_max):
+        prev = [0] + triangle[-1] + [0]
+        triangle.append([(prev[k] + (k - n * lam) * prev[k + 1]) % P for k in range(n + 2)])
+
+    def bell(n, z):
+        return sum(s2 * pow(big_l * z, m, P) for m, s2 in enumerate(triangle[n])) % P
+
+    at_x = [bell(n, x) for n in range(n_max + 1)]
+    at_y = [bell(n, y) for n in range(n_max + 1)]
+    falling = [1]  # (1|lambda)_j
+    for j in range(n_max):
+        falling.append(falling[-1] * (1 - j * lam) % P)
+    addition = {
+        n: (bell(n, x + y), sum(comb(n, k) * at_x[k] * at_y[n - k] for k in range(n + 1)) % P)
+        for n in range(n_max + 1)
+    }
+    derivative = {
+        n: (
+            sum(s2 * m * pow(big_l, m, P) * pow(x, m - 1, P) for m, s2 in enumerate(triangle[n]) if m) % P,
+            big_l * sum(comb(n, k) * at_x[k] * falling[n - k] for k in range(n)) % P,
+        )
+        for n in range(1, n_max + 1)
+    }
+    return {"addition": addition, "derivative": derivative}
+
+
+def report_sides(n_max, monkeypatch):
+    """name -> the (n, lhs, rhs) triples each report reads, as it builds them."""
+    seen = {}
+    sweep = degenerate.sweep_identity
+
+    def recorded(name, lo, hi, sides):
+        seen[name] = list(sides)
+        return sweep(name, lo, hi, seen[name])
+
+    monkeypatch.setattr(degenerate, "sweep_identity", recorded)
+    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+    degenerate.verify_addition(bells)
+    degenerate.verify_derivative(bells)
+    return seen
+
+
+def report_mismatches(sides, n_max):
+    """(report, n, side) for every side whose value differs from its
+    definition at some point; every n of the report must be read."""
+    mismatches = []
+    for point in REPORT_POINTS:
+        for name, expected in report_definitions(n_max, point).items():
+            triples = sides[name]
+            assert [n for n, _, _ in triples] == list(expected), name
+            for n, lhs, rhs in triples:
+                got = (value_mod_p(lhs, point), value_mod_p(rhs, point))
+                mismatches += [(name, n, side) for side, a, b in zip(("lhs", "rhs"), got, expected[n]) if a != b]
+    return sorted(set(mismatches))
+
+
+def test_addition_and_derivative_sides_equal_their_definitions_mod_p(monkeypatch):
+    assert report_mismatches(report_sides(REPORT_N_MAX, monkeypatch), REPORT_N_MAX) == []
+
+
+def test_report_audit_catches_a_kernel_that_wraps_coefficients_at_64_bits(monkeypatch):
+    wrap_kernel_at_64_bits(monkeypatch)
+    sides = report_sides(REPORT_N_MAX, monkeypatch)
+    mismatches = report_mismatches(sides, REPORT_N_MAX)
+    assert {name for name, _, _ in mismatches} == {"addition", "derivative"}
+    assert all(n > 12 for _, n, _ in mismatches), mismatches
+
+
+def test_report_audit_catches_a_kernel_that_scales_one_orientation_only(monkeypatch):
+    monkeypatch.setattr(MPoly, "sum_of_products", kernel_scaling_one_orientation_only())
+    mismatches = report_mismatches(report_sides(REPORT_N_MAX, monkeypatch), REPORT_N_MAX)
+    assert {name for name, _, _ in mismatches} == {"addition", "derivative"}

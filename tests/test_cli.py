@@ -2,7 +2,6 @@
 
 import contextlib
 import hashlib
-import inspect
 import io
 import itertools
 import json
@@ -11,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import textwrap
 import threading
 from fractions import Fraction
 
@@ -22,6 +20,7 @@ from degenbell.degenerate import VerificationReport, degenerate_bell
 from degenbell.poly import LAM, MPoly
 from degenbell.series import oracle_degenerate_stirling2_table
 from degenbell.suite import SuiteResult
+from references import compiled_with
 from test_scripts import src_env
 
 
@@ -771,22 +770,15 @@ def unreduced_terms(poly):
     return ((exponents, num * (den // term_den), den) for exponents, num, term_den in terms)
 
 
-def json_text_mutant(old, new):
-    """`cli._json_text` compiled from its source with `old` replaced by `new`."""
-    source = textwrap.dedent(inspect.getsource(cli._json_text))
-    assert source.count(old) == 1
-    namespace = dict(vars(cli))
-    exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
-    return namespace["_json_text"]
-
-
 @pytest.mark.parametrize("mutant", ["pow_text_shared_by_depths", "unreduced_coefficients"])
 def test_generated_payload_check_fails_on_mutant_renderers(mutant):
     hypothesis = pytest.importorskip("hypothesis")
     if mutant == "pow_text_shared_by_depths":  # the first depth's pow texts serve every depth
-        render = json_text_mutant("tails, head = polys[depth]", "tails, head = polys[min(polys)][0], polys[depth][1]")
+        render = compiled_with(
+            cli._json_text, "tails, head = polys[depth]", "tails, head = polys[min(polys)][0], polys[depth][1]"
+        )
     else:
-        render = json_text_mutant("value.terms()", "unreduced_terms(value)")
+        render = compiled_with(cli._json_text, "value.terms()", "unreduced_terms(value)")
         render.__globals__["unreduced_terms"] = unreduced_terms
     settings = hypothesis.settings(max_examples=300, deadline=None, database=None, report_multiple_bugs=False)
     with pytest.raises(AssertionError):

@@ -229,6 +229,33 @@ def test_sweep_reads_no_triple_past_the_first_failure():
     assert report.first_failure == (1, X, X + 1)
 
 
+@pytest.mark.parametrize(
+    "ns, lo, hi, missing",
+    [
+        ([0, 2, 3], 0, 3, 1),  # one n skipped
+        ([0, 1, 2], 0, 5, 3),  # the triples stop short
+        ([1, 2, 3], 0, 3, 0),  # the first n never read
+        ([0, 1, 2, 3], 0, 2, 3),  # one n past hi
+        ([0, 1, 1, 0], 0, 2, 2),  # an n read again after a later one
+        ([1], 1, 0, 1),  # a triple in an empty range
+    ],
+)
+def test_sweep_fails_where_its_ns_leave_the_range(ns, lo, hi, missing):
+    # Every triple agrees, so only the n's can fail the report, at the
+    # first n where they leave lo..hi, with neither side read there.
+    report = sweep_identity("gappy", lo, hi, ((n, X, X) for n in ns))
+    assert report.first_failure == (missing, None, None)
+    failure = report.to_json_obj()["first_failure"]
+    assert failure == {"n": missing, "lhs": None, "rhs": None}
+
+
+def test_sweep_reads_consecutive_triples_of_one_n():
+    sides = [(0, X, X), (1, X, X), (1, LAM, LAM), (2, X, X), (2, L, L)]
+    assert sweep_identity("rows", 0, 2, iter(sides)).passed
+    assert sweep_identity("empty", 1, 0, iter([])).passed
+    assert sweep_identity("rows", 0, 2, iter(sides[:-1] + [(2, L, X)])).first_failure == (2, L, X)
+
+
 def test_report_passed_is_derived_from_its_failure():
     failing = VerificationReport("bad", (0, 1), (0, MPoly.one(), MPoly.zero()))
     assert not failing.passed

@@ -4,13 +4,15 @@ differentiation, exact evaluation, and the JSON interchange format."""
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from degenbell.degenerate import degenerate_bell
 from degenbell.poly import L, LAM, VARIABLES, MPoly, X, Y
-from references import eval_exact
+from references import compiled_with, eval_exact
 
 E_ZERO = (0, 0, 0, 0)
 E_X = (0, 0, 1, 0)
@@ -210,6 +212,46 @@ def test_substitute_reads_the_given_powers():
     assert p.substitute({"x": shift}, {"x": [MPoly.one(), X, X**2, X**3]}) == p
     # A folded binding has no powers to read.
     assert p.substitute({"x": Y}, {"x": []}) == p.substitute({"x": Y})
+
+
+# Bindings to 0, ints and integer c*monomials are all folded into the keys
+# and coefficients, in one group; x -> x + y is grouped.
+FOLDED_ONLY_BINDINGS = [
+    {"lambda": 0, "L": 1},
+    {"x": Y},
+    {"x": X * L},
+    {"x": 0, "y": -3},
+    {"L": -2 * LAM * X, "lambda": 5},
+]
+GROUPED_BINDINGS = [{"x": X + Y, "lambda": 0}]
+
+
+@pytest.mark.parametrize("bindings", FOLDED_ONLY_BINDINGS + GROUPED_BINDINGS)
+def test_substitution_matches_the_exact_evaluator_at_seeded_points(bindings, monkeypatch):
+    # Folded-only bindings make no kernel call, so the grouped path is not
+    # what they are checked through; the grouped binding makes at least one.
+    rng = random.Random(26)
+    polys = [degenerate_bell(6), L**2 * X**3 - Fraction(5, 7) * LAM * Y + 2]
+    for _ in range(6):
+        exponents = [tuple(rng.randrange(4) for _ in VARIABLES) for _ in range(8)]
+        polys.append(MPoly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in exponents}))
+    points = [{name: Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for name in VARIABLES} for _ in range(4)]
+    kernel = MPoly.sum_of_products.__func__
+    calls = []
+
+    def counted(cls, terms):
+        calls.append(1)
+        return kernel(cls, terms)
+
+    monkeypatch.setattr(MPoly, "sum_of_products", classmethod(counted))
+    results = [p.substitute(bindings) for p in polys]
+    assert bool(calls) == (bindings in GROUPED_BINDINGS)
+    monkeypatch.undo()
+    for p, result in zip(polys, results):
+        _assert_canonical(result)
+        for vals in points:
+            shifted = dict(vals, **{name: _bound_value(value, vals) for name, value in bindings.items()})
+            assert eval_exact(result, vals) == eval_exact(p, shifted)
 
 
 # -- differentiation -----------------------------------------------------------
@@ -540,13 +582,17 @@ def test_equal_polynomials_hash_equal(p, q, c):
         ([(0, MPoly({E_ZERO: Fraction(1, 3)}), X)],),
         ([(1, X, MPoly.one()), (1, MPoly({E_ZERO: Fraction(1, 2)}), X)],),
         ([(2, X, Y + Fraction(1, 4)), (-1, 2 * X, Y + Fraction(1, 4))],),
+        ([(3, 2 * LAM, X + Y + L), (-5, X + Y + L, 2 * LAM)],),
+        ([(7, X + Fraction(1, 2) * Y + LAM, L), (-2, L * X, MPoly({E_ZERO: Fraction(1, 3)}) + LAM)],),
     ],
 )
 def test_sum_of_products_matches_the_naive_loop(terms):
     # Mixed denominators (the common one must grow and the sum so far be
     # rescaled), cancellation to zero, the empty sum and c = 0, against a
     # reference over exponent tuples and Fractions that shares no code with
-    # the kernel.
+    # the kernel.  The kernel loops over the shorter factor first, so the
+    # examples also put a one-term factor first and second, with c not in
+    # {0, 1, -1}, and a denominator on the longer factor alone.
     naive = {}
     for c, a, b in terms:
         for exponents, coeff in _ref_mul(dict(a.items()), dict(b.items())).items():
@@ -557,3 +603,18 @@ def test_sum_of_products_matches_the_naive_loop(terms):
     cancelled = MPoly.sum_of_products(terms + [(-c, a, b) for c, a, b in terms])
     _assert_canonical(cancelled)
     assert not cancelled
+
+
+def kernel_scaling_one_orientation_only():
+    """The kernel compiled from its source to apply c only when it does not
+    swap its factors, which it does when the second is the shorter."""
+    return compiled_with(MPoly.sum_of_products, "coeff_o *= c", "coeff_o *= c if outer is a._num else 1")
+
+
+def test_kernel_check_fails_on_a_kernel_that_scales_one_orientation_only(monkeypatch):
+    pytest.importorskip("hypothesis")
+    monkeypatch.setattr(MPoly, "sum_of_products", kernel_scaling_one_orientation_only())
+    assert MPoly.sum_of_products([(3, X, X + Y)]) == 3 * X * X + 3 * X * Y  # not swapped: right
+    assert MPoly.sum_of_products([(3, X + Y, X)]) == X * X + X * Y  # swapped: c is lost
+    with pytest.raises(AssertionError):
+        test_sum_of_products_matches_the_naive_loop()

@@ -18,7 +18,7 @@ from degenbell import classical, cli, degenerate, numeric, suite
 from degenbell.numeric import classical_dobinski_check, dobinski_check
 from degenbell.poly import LAM, MPoly, X, Y
 from degenbell.series import oracle_degenerate_stirling2_table
-from references import scaled_bell_series_check
+from references import compiled_with, scaled_bell_series_check
 
 PERTURBATION = LAM * X**2
 ORACLE_ROWS = oracle_degenerate_stirling2_table(6)
@@ -124,6 +124,25 @@ def test_derivative_term_without_l_fails_at_its_n():
     report = degenerate.verify_derivative(bells)
     assert not report.passed
     assert report.first_failure == (3, derivative + 2 * X, derivative)
+
+
+def test_a_short_constructor_table_fails_verify(monkeypatch, capsys):
+    # The sweep pairs the table's rows with the oracle's, so a table of
+    # row 0 alone leaves n = 1..8 uncompared: a failure at n = 1, not a PASS.
+    monkeypatch.setattr(suite, "dbell_composita_table", lambda n_max: [MPoly.one()])
+    assert cli.main(["verify", "--n-max", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL composita_vs_oracle n=0..8 (first failure at n=1)" in lines
+    assert lines[-1] == "179 checks, 1 failed"
+
+
+def test_a_derivative_sweep_that_skips_its_first_n_fails(monkeypatch):
+    mutant = compiled_with(degenerate.verify_derivative, "range(1, len(bells))", "range(2, len(bells))")
+    bells = [suite.degenerate_bell(n) for n in range(9)]
+    assert mutant(bells).first_failure == (1, None, None)
+    monkeypatch.setattr(suite, "verify_derivative", mutant)
+    failures = {r.identity_name: r.first_failure for r in suite.exact_reports(8) if not r.passed}
+    assert failures == {"derivative": (1, None, None)}
 
 
 def test_exact_reports_build_each_table_once(monkeypatch):
