@@ -13,7 +13,6 @@ error.  Output is deterministic: same flags, same bytes.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -21,12 +20,17 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .classical import bell_polynomial, stirling_rows
 from .degenerate import dbell_via_stirling_pair, degenerate_stirling2
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
 from .poly import VARIABLES, Exponents, MPoly
 from .suite import run_full_suite
+
+if TYPE_CHECKING:
+    import argparse
 
 FAMILIES = ("bell", "stirling1", "stirling2", "dstirling", "dbell")
 FORMATS = ("text", "json", "csv")
@@ -63,21 +67,31 @@ FLAGS = (
     (("table", "verify", "eval"), "--format", "fmt", str, FORMATS, "text", False, None),
     (("table", "verify", "eval"), "--output", "output", str, None, None, False, None),
 )
+# Per command, from `FLAGS`: its flags by name, its namespace's defaults and
+# the names of its required flags, which `_fast_parse` copies, never changes.
+_COMMAND_TABLES = {
+    command: (
+        {flag[1]: flag for flag in FLAGS if command in flag[0]},
+        {"command": command, **{dest: default for names, _, dest, _, _, default, *_ in FLAGS if command in names}},
+        frozenset(name for names, name, *_, required, _ in FLAGS if command in names and required),
+    )
+    for command in COMMANDS
+}
 
 
 def _is_negative_number(token: str) -> bool:  # argparse's ^-\d+$|^-\d*\.\d+$, the "-" tokens it takes as values
     return token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
 
 
-def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's namespace for argv, or None unless every token after the
-    command is an exact flag of it or `--flag=value` whose value argparse
-    would take, convert and accept, and every required flag is given."""
-    if not argv or argv[0] not in COMMANDS:
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of argparse's namespace for argv, or None unless every
+    token after the command is an exact flag of it or `--flag=value` whose
+    value argparse would take, convert and accept, and every required flag
+    is given."""
+    if not argv or argv[0] not in _COMMAND_TABLES:
         return None
-    flags = {flag[1]: flag for flag in FLAGS if argv[0] in flag[0]}
-    values = {"command": argv[0], **{dest: default for _, _, dest, _, _, default, _, _ in flags.values()}}
-    missing = {name for _, name, *_, required, _ in flags.values() if required}
+    flags, defaults, required = _COMMAND_TABLES[argv[0]]
+    values, missing = dict(defaults), set(required)
     tokens = iter(argv[1:])
     for token in tokens:
         name, equals, value = token.partition("=")
@@ -98,21 +112,23 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
             return None
         values[dest] = value
         missing.discard(name)
-    return None if missing else argparse.Namespace(**values)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser with its help written by `_emit`, so that a failed
-    write to standard output is a usage error, not swallowed."""
-
-    def print_help(self, file=None) -> None:
-        _emit(self.format_help(), None)
+    return None if missing else SimpleNamespace(**values)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of `FLAGS`, built on first use for help, errors and
-    what `_fast_parse` declines; parsing leaves it unchanged."""
+    what `_fast_parse` declines; parsing leaves it unchanged.  argparse is
+    imported here, so a command line of the flag table never loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser with its help written by `_emit`, so that a failed
+        write to standard output is a usage error, not swallowed."""
+
+        def print_help(self, file=None) -> None:
+            _emit(self.format_help(), None)
+
     parser = _Parser(
         prog="degenbell",
         description="Exact tables, identity verification and numeric evaluation "
@@ -127,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
+def parse_config(argv: list[str] | None = None) -> SimpleNamespace | argparse.Namespace:
     """Parse and validate argv (default `sys.argv[1:]`).  Every command has
     `n_max`, `fmt` and `output`; `verify` and `eval` add `terms` and `tol`."""
     ns = _fast_parse(sys.argv[1:] if argv is None else argv)
@@ -281,7 +297,7 @@ POLY_TABLES = {
 }
 
 
-def run_table(ns: argparse.Namespace) -> int:
+def run_table(ns: SimpleNamespace | argparse.Namespace) -> int:
     """Polynomials indexed by (n,) or (n, m), or integer rows for the
     classical Stirling triangles, rendered in the one requested format."""
     n_range = range(ns.n_max + 1)
@@ -323,7 +339,7 @@ def _csv_row(obj: dict) -> list:
     return [cells.get(key) for key in CSV_HEADER]
 
 
-def run_verify(ns: argparse.Namespace) -> int:
+def run_verify(ns: SimpleNamespace | argparse.Namespace) -> int:
     result = run_full_suite(ns.n_max, ns.terms, ns.tol)
     objs = [item.to_json_obj() for item in (*result.reports, *result.checks)]
     if ns.fmt == "json":
@@ -359,7 +375,7 @@ EVAL_JSON_KEYS = {
 }
 
 
-def run_eval(ns: argparse.Namespace) -> int:
+def run_eval(ns: SimpleNamespace | argparse.Namespace) -> int:
     try:
         if ns.dobinski:
             obj = dobinski_check(ns.n_max, ns.lam, ns.x, ns.terms, ns.tol).to_json_obj()

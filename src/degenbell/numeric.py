@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from functools import reduce
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from operator import mul, sub, truediv
 from typing import NamedTuple
 
@@ -75,23 +75,39 @@ def _check_x(x: float) -> None:
 
 
 def _falling_rows(lam: float, terms: int) -> Iterator[list[float]]:
-    """Rows ((l | lambda)_n for l = 0..terms), n = 0, 1, ...: row n is row n - 1 times l - (n - 1) lambda."""
+    """Rows ((l | lambda)_n for l = 0..terms), n = 0, 1, ...: row n is row n - 1 times l - (n - 1) lambda.  The
+    grid reads every row, and one list per row is cheaper there than `_falling_row` at each n."""
     ls, row = list(map(float, range(terms + 1))), [1.0] * (terms + 1)
     for i in count():
         yield row
         row = list(map(mul, row, map(sub, ls, repeat(i * lam))))
 
 
+def _falling_row(n: int, lam: float, terms: int) -> list[float]:
+    """Row n of `_falling_rows` alone: each entry is `math.prod` of its factors l - i lambda for i = 0..n-1, which
+    multiplies them in the same order from 1.0 in one C double, so the same bits, with no row boxed between factors."""
+    if not n:
+        return [1.0] * (terms + 1)
+    ls = list(map(float, range(terms + 1)))
+    return list(map(math.prod, zip(*[map(sub, ls, repeat(i * lam)) for i in range(n)])))
+
+
 def _power_columns(n: int, terms: int) -> list[list[float]]:
-    """(float(k) ** l for k = 0..terms) for l = 0..n."""
-    return [list(map(pow, map(float, range(terms + 1)), repeat(l))) for l in range(n + 1)]
+    """(float(k) ** l for k = 0..terms) for l = 0..n, read only by the scaled series' inner rows."""
+    try:
+        return [list(map(pow, map(float, range(terms + 1)), repeat(l))) for l in range(n + 1)]
+    except OverflowError:  # ** raises where k^l leaves float range
+        raise OverflowError("scaled series inner row overflows") from None
 
 
 def _scaled_inner_row(n: int, lam: float, powers: list[list[float]]) -> list[float]:
     """(fsum over l of (k^l lambda^(n-l)) stirling1(n, l) for k = 0..terms), k^l from the power columns."""
     s1_row = stirling_rows(n)[0][n]
-    columns = [map(mul, map(mul, powers[l], repeat(lam ** (n - l))), repeat(s1)) for l, s1 in enumerate(s1_row)]
-    return list(map(math.fsum, zip(*columns)))
+    try:  # ** and a stirling1 entry raise OverflowError, fsum raises ValueError on inf - inf
+        columns = [map(mul, map(mul, powers[l], repeat(lam ** (n - l))), repeat(s1)) for l, s1 in enumerate(s1_row)]
+        return list(map(math.fsum, zip(*columns)))
+    except (OverflowError, ValueError):
+        raise OverflowError("scaled series inner row overflows") from None
 
 
 def _bell_coefficients(n: int, lam: float) -> list[int]:
@@ -198,7 +214,7 @@ def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS
         raise ValueError(f"need n >= 0, got {n}")
     big_l = _check_lambda(lam)
     _check_x(x)
-    return _dobinski_sum(_weights(x * big_l, terms), next(islice(_falling_rows(lam, terms), n, None)), x * big_l)
+    return _dobinski_sum(_weights(x * big_l, terms), _falling_row(n, lam, terms), x * big_l)
 
 
 def dobinski_classical(n: int, terms: int = DEFAULT_TERMS) -> float:
@@ -232,7 +248,7 @@ def grid_checks(n_max: int, lams: Sequence[float], xs: Sequence[float], terms: i
     against the truncated sum over k of (x L)^k/k! times the fsum over l of
     k^l lambda^(n-l) stirling1(n,l), at each n = 0..n_max, lambda in lams and x in xs,
     from one pass that builds each row once where it is read.  Raises OverflowError
-    naming the side or term out of float range."""
+    naming the side, row or term out of float range."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_ls = [_check_lambda(lam) for lam in lams]

@@ -3,6 +3,7 @@ the floating-point grid, in a deterministic order."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .poly import MPoly, X
@@ -108,7 +109,8 @@ def exact_reports(n_max: int) -> list[VerificationReport]:
     built once here, each just before the first report that reads it, and
     passed to every report that reads them.  The recurrence table's rows
     0..n_max are swept against the oracle, and its row n + 1 stands for
-    the degenerate step at n in the limit report."""
+    the degenerate step at n in the limit report.  A report whose first n
+    exceeds n_max compares nothing, so it is left out."""
     rows = oracle_degenerate_stirling2_table(n_max)
     bells = [degenerate_bell(n) for n in range(n_max + 1)]
     recurrence = dbell_recurrence_table(n_max + 1)
@@ -122,12 +124,28 @@ def exact_reports(n_max: int) -> list[VerificationReport]:
     steps = [X * binomial_convolution(classical, ones, n) for n in range(n_max + 1)]
     reports.append(classical_recurrence_report(classical, steps))
     reports.append(recurrence_limit_report(recurrence, steps))
-    return reports
+    return [report for report in reports if report.n_range[0] <= n_max]
 
 
 def numeric_checks(n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> list[NumericCheck]:
-    checks = grid_checks(min(n_max, NUMERIC_N_CAP), GRID_LAMBDAS, GRID_XS, terms, tol)
-    checks.extend(classical_dobinski_check(n, terms, tol) for n in range(min(n_max, CLASSICAL_BELL_MAX) + 1))
+    """The float grid at n = 0..min(n_max, NUMERIC_N_CAP) for every lambda of
+    GRID_LAMBDAS and x of GRID_XS, both series, then the classical Dobinski
+    sums at n = 0..min(n_max, CLASSICAL_BELL_MAX).  A point of that grid with
+    no check gets a failing one, with both sides NaN, since nothing was
+    compared there."""
+    grid_n, classical_n = min(n_max, NUMERIC_N_CAP), min(n_max, CLASSICAL_BELL_MAX)
+    checks = grid_checks(grid_n, GRID_LAMBDAS, GRID_XS, terms, tol)
+    checks.extend(classical_dobinski_check(n, terms, tol) for n in range(classical_n + 1))
+    points = [
+        (name, n, lam, x)
+        for n in range(grid_n + 1)
+        for lam in GRID_LAMBDAS
+        for x in GRID_XS
+        for name in ("dobinski_degenerate", "scaled_bell_series")
+    ]
+    points += [("dobinski_classical", n, None, None) for n in range(classical_n + 1)]
+    seen = {(check.identity_name, check.n, check.lam, check.x) for check in checks}
+    checks.extend(NumericCheck(*point, terms, math.nan, math.nan, tol) for point in points if point not in seen)
     return checks
 
 

@@ -90,8 +90,12 @@ def test_verify_small_passes(capsys):
 
 
 def test_verify_n_max_zero_passes(capsys):
+    # The reports that start at n = 1 compare nothing here: no n=1..0 line.
     code, out = run_cli(["verify", "--n-max", "0"], capsys)
     assert code == 0
+    lines = out.splitlines()
+    assert not [line for line in lines if "n=1..0" in line]
+    assert lines[-1] == "28 checks, all passed"
 
 
 def test_verify_json_schema(capsys):
@@ -490,6 +494,44 @@ def test_cli_import_loads_no_introspection_modules():
     proc = subprocess.run([sys.executable, "-c", code, *heavy], capture_output=True, env=src_env(), text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Runs one command line, then writes a last line: whether argparse was loaded
+# before degenbell, and whether it is loaded after the command.
+ARGPARSE_PROBE = """
+import sys
+early = "argparse" in sys.modules
+from degenbell.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.write(f"\\n{early} {'argparse' in sys.modules}")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads",
+    [
+        ("eval --n 5 --lambda 0.37 --x 2.1 --dobinski", False),
+        ("table --family dstirling --n-max 3", False),
+        ("verify --n-max 1", False),
+        ("eval --help", True),
+        ("eval --n 3 --lambda 0.5", True),
+    ],
+)
+def test_argparse_loads_only_off_the_flag_table(command, loads):
+    # A fresh process: the flag table parses every command line of the
+    # first three without argparse; help and a usage error are argparse's bytes.
+    env = {**src_env(), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE, *command.split()], capture_output=True, env=env)
+    out, _, probe = proc.stdout.rpartition(b"\n")
+    if probe.startswith(b"True"):
+        pytest.skip("this interpreter loads argparse before degenbell")
+    assert probe == f"False {loads}".encode()
+    got = (command, proc.returncode, hashlib.sha256(out).hexdigest(), proc.stderr.decode("utf-8"))
+    assert got == next(run for run in FRESH_PROCESS_RUNS if run[0] == command)
 
 
 def test_cached_parser_carries_no_state_between_calls(monkeypatch, capsys):
@@ -943,14 +985,18 @@ def prefix_fast_parse(argv):
     return cli._fast_parse(argv[:1] + [expand(token) for token in argv[1:]])
 
 
-@pytest.mark.parametrize("mutant", ["exponent_values", "prefix_flags"])
+@pytest.mark.parametrize("mutant", ["exponent_values", "prefix_flags", "shared_required_set"])
 def test_fast_parse_property_fails_on_mutants(mutant, monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     fast_parse = cli._fast_parse
     if mutant == "exponent_values":  # takes -1e-05 as a value, as argparse does not
         monkeypatch.setattr(cli, "_is_negative_number", lambda token: re.fullmatch(r"-[\d.]+([eE][-+]?\d+)?", token))
-    else:
+    elif mutant == "prefix_flags":
         fast_parse = prefix_fast_parse
+    else:  # discards each given required flag from the table's own set, so later lines need none
+        fast_parse = compiled_with(cli._fast_parse, "set(required)", "required")
+        tables = {command: (*table[:2], set(table[2])) for command, table in cli._COMMAND_TABLES.items()}
+        fast_parse.__globals__["_COMMAND_TABLES"] = tables
     settings = hypothesis.settings(max_examples=500, deadline=None, database=None, report_multiple_bugs=False)
     with pytest.raises(AssertionError):
         check_fast_parse_equals_argparse(fast_parse, settings, PARSE_EXAMPLES)

@@ -7,6 +7,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -22,13 +23,14 @@ from degenbell.numeric import (
     eval_bel_numeric,
     grid_checks,
     _check_x,
+    _falling_row,
     _falling_rows,
     _power_columns,
     _scaled_inner_row,
     _weighted_sum,
     _weights,
 )
-from references import eval_exact, scaled_bell_series_check
+from references import compiled_with, eval_exact, scaled_bell_series_check
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
 GRID_XS = (0.5, 1.0, 2.0)
@@ -273,6 +275,15 @@ def test_series_overflow_names_what_left_float_range(check, x, message):
         check(3, 0.5, x)
 
 
+@pytest.mark.parametrize("n_max, lam", [(145, 2.0), (155, 0.5), (170, 0.5)])
+def test_grid_names_the_inner_row_that_left_float_range(n_max, lam):
+    # The products k^l lambda^(n-l) stirling1(n, l) reach inf and -inf in one
+    # entry, where fsum would raise ValueError('-inf + inf in fsum'); from
+    # n = 162, 80.0 ** n itself raises a bare OverflowError.
+    with pytest.raises(OverflowError, match="^scaled series inner row overflows$"):
+        grid_checks(n_max, [lam], [1.0], 80, 1e-9)
+
+
 def falling_loop(n, lam, terms):
     """The falling row (l | lambda)_n for l = 0..terms as the per-point loop
     built it, one product per l."""
@@ -301,6 +312,43 @@ def test_rows_match_their_defining_loops():
             ]
             assert list(map(repr, next(grown))) == list(map(repr, falling))
             assert list(map(repr, _scaled_inner_row(n, lam, _power_columns(n, 80)))) == list(map(repr, inner))
+
+
+def check_falling_row_equals_the_grown_row(falling_row, settings):
+    """`falling_row(n, lam, terms)` is row n of `_falling_rows(lam, terms)`,
+    repr for repr: every bit, the sign of a zero and a NaN where it has one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lams = (
+        st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True)
+        | st.floats(0.0, 1e3, exclude_min=True)
+        | st.sampled_from([1e-300, 1e300, 1 / 3, -0.999999])
+    )
+
+    @settings
+    @hypothesis.given(st.integers(0, 250), lams, st.sampled_from([1, 2, 80, 200]))
+    @hypothesis.example(30, 0.37, 80)
+    @hypothesis.example(15, -0.8657113526943148, 80)
+    def check(n, lam, terms):
+        grown = next(islice(_falling_rows(lam, terms), n, None))
+        assert list(map(repr, falling_row(n, lam, terms))) == list(map(repr, grown))
+
+    check()
+
+
+def test_one_falling_row_equals_the_grown_row():
+    # `eval --dobinski` forms its one row by products in C, the grid grows
+    # every row: both multiply the same factors in the same order from 1.0.
+    hypothesis = pytest.importorskip("hypothesis")
+    check_falling_row_equals_the_grown_row(_falling_row, hypothesis.settings(max_examples=300, deadline=None))
+
+
+def test_falling_row_property_fails_on_reversed_factors():
+    hypothesis = pytest.importorskip("hypothesis")
+    mutant = compiled_with(_falling_row, "for i in range(n)]", "for i in reversed(range(n))]")
+    settings = hypothesis.settings(max_examples=300, deadline=None, database=None, report_multiple_bugs=False)
+    with pytest.raises(AssertionError):
+        check_falling_row_equals_the_grown_row(mutant, settings)
 
 
 def test_grid_pass_equals_the_per_point_checks():

@@ -285,6 +285,23 @@ def test_perturbed_inner_row_fails_its_three_checks(monkeypatch):
     assert failed == [("scaled_bell_series", 4, 0.5)] * len(suite.GRID_XS)
 
 
+def test_a_grid_that_drops_its_last_n_fails_verify(monkeypatch, capsys):
+    # Each (lambda, x) point of both series at n = 8 goes missing: 18 FAIL
+    # lines with NaN sides where PASS lines stood, not 18 fewer lines.
+    original = suite.grid_checks
+
+    def short(n_max, *args):
+        return [check for check in original(n_max, *args) if check.n < n_max]
+
+    monkeypatch.setattr(suite, "grid_checks", short)
+    assert cli.main(["verify", "--n-max", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 2 * len(suite.GRID_LAMBDAS) * len(suite.GRID_XS)
+    assert all(" n=8 " in line and line.endswith("terms=80 abs_error=nan") for line in failed)
+    assert lines[-1] == "179 checks, 18 failed"
+
+
 def test_numeric_checks_build_each_row_once(monkeypatch):
     # One growth pass per lambda, advanced one row per n; one inner row and
     # one coefficient row per (n, lambda), shared by every x; one row of
