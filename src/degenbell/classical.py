@@ -4,8 +4,9 @@ polynomials, and rows of lambda-step falling factorials."""
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
-from .poly import LAM, MPoly, Scalar
+from .poly import LAM, Exponents, MPoly, Scalar
 
 
 @functools.cache
@@ -43,11 +44,20 @@ def stirling_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int,
 _rows_cache_info = stirling_rows.cache_info
 
 
+def bell_terms(n: int) -> Iterator[tuple[Exponents, int, int]]:
+    """The term stream of `bell_polynomial(n)`, in the order of `MPoly.terms()`:
+    (x^k, stirling2(n, k), 1) for k descending, zeros left out."""
+    row = stirling_rows(n)[1][n]
+    for k in range(n, -1, -1):
+        if row[k]:
+            yield (0, 0, k, 0), row[k], 1
+
+
 def bell_polynomial(n: int) -> MPoly:
     """The exponential polynomial: sum of stirling2(n, k) * x^k over k."""
     if n < 0:
         raise ValueError(f"bell_polynomial needs n >= 0, got {n}")
-    return MPoly.from_ints({(0, 0, k, 0): s2 for k, s2 in enumerate(stirling_rows(n)[1][n])})
+    return MPoly.from_ints({exponents: coeff for exponents, coeff, _ in bell_terms(n)})
 
 
 def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
@@ -70,6 +80,7 @@ def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
 
 __all__ = [
     "bell_polynomial",
+    "bell_terms",
     "falling_factorials",
     "stirling_rows",
 ]

@@ -20,13 +20,13 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .classical import bell_polynomial, stirling_rows
-from .degenerate import dbell_via_stirling_pair, degenerate_stirling2
+from .classical import bell_terms, stirling_rows
+from .degenerate import dbell_terms, dstirling_terms
 from .numeric import DEFAULT_TERMS, DEFAULT_TOL, dobinski_check, eval_bel_numeric
-from .poly import VARIABLES, Exponents, MPoly
+from .poly import VARIABLES, Exponents, MPoly, render_text
 from .suite import run_full_suite
 
 if TYPE_CHECKING:
@@ -40,6 +40,10 @@ CSV_HEADER = ["identity", "n", "lambda", "x", "terms", "lhs", "rhs", "abs_error"
 # terms add exact zeros; 10 000 leaves room and bounds `verify --n-max 8` near
 # 0.5 s and 25 MB, where --terms 10^6 took about a minute and 1 GB.
 MAX_TERMS = 10_000
+# The largest `table --n-max`.  The polynomial tables grow as n^3 terms: at 100 the largest (dbell,
+# dstirling) takes at most 0.7 s and 146 MB peak RSS and writes 40 MB of JSON; at 120, 1.5 s and
+# 256 MB; stirling_rows(1000) alone holds 448 MB.  100 keeps every table near a second and 150 MB.
+MAX_TABLE_N = 100
 
 
 class UsageError(Exception):
@@ -154,6 +158,8 @@ def parse_config(argv: list[str] | None = None) -> SimpleNamespace | argparse.Na
                 _build_parser().error(f"argument {name}: expected one argument")
     if ns.n_max < 0:
         _build_parser().error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be >= 0")
+    if ns.command == "table" and ns.n_max > MAX_TABLE_N:
+        _build_parser().error(f"--n-max must be <= {MAX_TABLE_N}")
     if ns.command != "table":
         if ns.terms < 1:
             _build_parser().error("--terms must be >= 1")
@@ -195,13 +201,15 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def _json_text(payload: object) -> str:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"`, from one walk,
-    with an `MPoly` leaf written as its `to_json_obj()`.
+    with an `MPoly` leaf (a failing report's side) written as its
+    `to_json_obj()`, and so a generator leaf (a table's entry), which must
+    yield the terms of a polynomial as `MPoly.terms()` does.
 
     `indent` sends `json.dumps` to its pure-Python encoder.  Here leaves go
     through the C string encoder and `int`/`float.__repr__`, each key's text,
     with its comma and indent, is made once per depth, and so is the text
     after a term's coefficient (its "pow" object and closing brace) for each
-    exponent vector of `MPoly.terms()`, filled into one template per depth.
+    exponent vector, filled into one template per depth.
     Dicts need str keys; a type `json` has no form for raises `TypeError`."""
     chunks: list[str] = []
     append = chunks.append
@@ -220,7 +228,7 @@ def _json_text(payload: object) -> str:
             append(_JSON_FLOATS.get(text, text))
         elif value is None or kind is bool:
             append(_JSON_CONSTANTS[value])
-        elif kind is MPoly:
+        elif kind is MPoly or kind is GeneratorType:
             if depth not in polys:
                 pad = "  " * (depth + 2)
                 fields = ",".join(f"\n{pad}  {encode_basestring(name)}: %d" for name in VARIABLES)
@@ -228,7 +236,7 @@ def _json_text(payload: object) -> str:
                 polys[depth] = ({}, f',\n{pad[2:]}{{\n{pad}"coeff": "')
             tails, head = polys[depth]
             start = len(chunks)
-            for exponents, num, den in value.terms():
+            for exponents, num, den in value.terms() if kind is MPoly else value:
                 tail = tails.get(exponents)
                 if tail is None:
                     tail = tails[exponents] = pow_texts[depth] % exponents
@@ -289,11 +297,12 @@ def _csv_text(rows: list[list], header: list[str]) -> str:
 
 # -- table ----------------------------------------------------------------
 
-# family -> (index names, text label, builder) for the tables of polynomials
+# family -> (index names, text label, one entry's term stream) for the tables of polynomials: the
+# streams that `bell_polynomial`, `dbell_via_stirling_pair` and `degenerate_stirling2` are built from.
 POLY_TABLES = {
-    "bell": (("n",), "Bel_{}(x)", bell_polynomial),
-    "dbell": (("n",), "Bel_{{{},λ}}(x)", dbell_via_stirling_pair),
-    "dstirling": (("n", "m"), "S2({},{}|λ)", degenerate_stirling2),
+    "bell": (("n",), "Bel_{}(x)", bell_terms),
+    "dbell": (("n",), "Bel_{{{},λ}}(x)", dbell_terms),
+    "dstirling": (("n", "m"), "S2({},{}|λ)", dstirling_terms),
 }
 
 
@@ -302,18 +311,14 @@ def run_table(ns: SimpleNamespace | argparse.Namespace) -> int:
     classical Stirling triangles, rendered in the one requested format."""
     n_range = range(ns.n_max + 1)
     if ns.family in POLY_TABLES:
-        keys, label, build = POLY_TABLES[ns.family]
-        if len(keys) == 2:
-            indices = [(n, m) for n in n_range for m in range(n + 1)]
-        else:
-            indices = [(n,) for n in n_range]
-        entries = [(index, build(*index)) for index in indices]
+        keys, label, terms = POLY_TABLES[ns.family]
+        indices = [(n, m) for n in n_range for m in range(n + 1)] if len(keys) == 2 else [(n,) for n in n_range]
         if ns.fmt == "text":
-            text = "".join(f"{label.format(*index)} = {poly.pretty()}\n" for index, poly in entries)
+            text = "".join(f"{label.format(*index)} = {render_text(terms(*index))}\n" for index in indices)
         elif ns.fmt == "json":
-            text = _json_text([dict(zip(keys, index), poly=poly) for index, poly in entries])
+            text = _json_text([dict(zip(keys, index), poly=terms(*index)) for index in indices])
         else:
-            text = _csv_text([[*index, poly.pretty()] for index, poly in entries], [*keys, "poly"])
+            text = _csv_text([[*index, render_text(terms(*index))] for index in indices], [*keys, "poly"])
     else:
         s1_rows, s2_rows = stirling_rows(ns.n_max)
         rows = s1_rows if ns.family == "stirling1" else s2_rows

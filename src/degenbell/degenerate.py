@@ -15,9 +15,9 @@ import functools
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .poly import L, LAM, MPoly, X, Y
+from .poly import L, LAM, Exponents, MPoly, X, Y
 from .classical import bell_polynomial, falling_factorials, stirling_rows
 
 
@@ -26,7 +26,8 @@ class VerificationReport(NamedTuple):
 
     `first_failure`, when present, carries (n, lhs, rhs) for the smallest
     failing n, with both sides None when no triple of that n was read;
-    `passed` is true exactly when it is absent.
+    `passed` is true exactly when it is absent.  `to_json_obj()` keeps the
+    sides as polynomials, which `cli._json_text` writes as their terms.
     """
 
     identity_name: str
@@ -41,8 +42,7 @@ class VerificationReport(NamedTuple):
         failure = None
         if self.first_failure is not None:
             n, lhs, rhs = self.first_failure
-            sides = [None if side is None else side.to_json_obj() for side in (lhs, rhs)]
-            failure = {"n": n, "lhs": sides[0], "rhs": sides[1]}
+            failure = {"n": n, "lhs": lhs, "rhs": rhs}
         return {
             "identity": self.identity_name,
             "range": [self.n_range[0], self.n_range[1]],
@@ -76,15 +76,24 @@ def sweep_identity(
 # -- constructors ---------------------------------------------------------
 
 
-# `degenerate_bell`, the suite's report and the dstirling table read each entry: 4096 hold n <= 89.
+def dstirling_terms(n: int, m: int) -> Iterator[tuple[Exponents, int, int]]:
+    """The term stream of `degenerate_stirling2(n, m)`, in the order of
+    `MPoly.terms()`: (lambda^(n-k), stirling1(n,k) * stirling2(k,m), 1) for
+    k ascending from m, zeros left out."""
+    s1, s2 = stirling_rows(n)
+    for k in range(m, n + 1):
+        if coeff := s1[n][k] * s2[k][m]:
+            yield (n - k, 0, 0, 0), coeff, 1
+
+
+# `degenerate_bell` and the suite's report read each entry: 4096 hold n <= 89.
 @functools.lru_cache(maxsize=1 << 12)
 def degenerate_stirling2(n: int, m: int) -> MPoly:
     """Closed form over the classical pair: sum of
     stirling1(n,k) * stirling2(k,m) * lambda^(n-k) for k = m..n."""
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    s1, s2 = stirling_rows(n)
-    return MPoly.from_ints({(n - k, 0, 0, 0): s1[n][k] * s2[k][m] for k in range(m, n + 1)})
+    return MPoly.from_ints({exponents: coeff for exponents, coeff, _ in dstirling_terms(n, m)})
 
 
 def degenerate_bell(n: int) -> MPoly:
@@ -96,20 +105,26 @@ def degenerate_bell(n: int) -> MPoly:
     return MPoly.sum_of_products(terms)
 
 
+def dbell_terms(n: int) -> Iterator[tuple[Exponents, int, int]]:
+    """The term stream of `dbell_via_stirling_pair(n)`, in the order of
+    `MPoly.terms()`: the coefficient of lambda^j (L x)^m is the integer
+    stirling1(n, n-j) * stirling2(n-j, m), for the degree d = j + 2m from
+    2n down and j descending at d's parity (m <= n - j, so j <= 2n - d),
+    zeros left out: for n >= 1 those are the terms m = 0."""
+    s1, s2 = stirling_rows(n)
+    for d in range(2 * n, -1, -1):
+        for j in range(min(d, 2 * n - d), -1, -2):
+            if coeff := s1[n][n - j] * s2[n - j][(d - j) // 2]:
+                yield (j, (d - j) // 2, (d - j) // 2, 0), coeff, 1
+
+
 def dbell_via_stirling_pair(n: int) -> MPoly:
     """Double sum over both classical Stirling kinds with lambda^(n-k)
-    weights and L^m x^m attached: the coefficient of lambda^j (L x)^m is
-    the integer stirling1(n, n-j) * stirling2(n-j, m), so no kernel pass is
-    made.  `table --family dbell` reads it.  For n >= 1 the terms m = 0 are
-    zero (stirling2(k, 0) = 0 for k >= 1 and stirling1(n, 0) = 0), so they
-    are left out."""
+    weights and L^m x^m attached, from the integer coefficients of
+    `dbell_terms`, so no kernel pass is made."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    s1, s2 = stirling_rows(n)
-    s1_n = s1[n]
-    return MPoly.from_ints(
-        {(n - k, m, m, 0): s1_n[k] * s2[k][m] for k in range(n + 1) for m in range(1 if n else 0, k + 1)}
-    )
+    return MPoly.from_ints({exponents: coeff for exponents, coeff, _ in dbell_terms(n)})
 
 
 def binomial_convolution(a: Sequence[MPoly], b: Sequence[MPoly], n: int) -> MPoly:
@@ -244,10 +259,12 @@ __all__ = [
     "dbell_classical_bell_table",
     "dbell_composita_table",
     "dbell_recurrence_table",
+    "dbell_terms",
     "dbell_via_stirling_pair",
     "degenerate_bell",
     "degenerate_exp_composita",
     "degenerate_stirling2",
+    "dstirling_terms",
     "limit_lambda_zero",
     "sweep_identity",
     "verify_addition",

@@ -28,13 +28,12 @@ constructors produce never leaves the integers.  Every sum, product and
 sum of products in the package goes through one multiply-accumulate
 kernel, `MPoly.sum_of_products`, which adds each c*a*b into one map and
 grows the denominator only by lcm.  `terms()` gives each term as its
-exponent 4-tuple and reduced numerator and denominator, the stream that
-`items()`, `to_json_obj()` and the CLI's JSON renderer read; `pretty()`
-reads the same terms by packed key, for its cache of monomial texts.
-Both read the columns of `_reduced_terms`, which over the denominator 1
-are the numerators themselves, with no gcd taken.  Terms come in the
-graded lexicographic order with the largest term first, the order of
-the keys.
+exponent 4-tuple and reduced numerator and denominator, the term stream
+that `items()`, `to_json_obj()`, `pretty()` and the CLI's JSON writer
+read; over the denominator 1 its numerators are the stored ones, with no
+gcd taken.  Terms come in the graded lexicographic order with the
+largest term first, the order of the keys.  `render_text` writes any
+such stream, a polynomial's or one read straight off the Stirling rows.
 """
 
 from __future__ import annotations
@@ -75,9 +74,30 @@ def _in_range(num: dict[int, int]) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _monomial_text(key: int) -> str:
-    """The pretty form of one key, e.g. "λ^3L^2x^2"; "" at the origin."""
-    return "".join(f"{name}^{e}" if e > 1 else name for name, e in zip(_PRETTY_NAMES, _unpack(key)) if e)
+def _monomial_text(exponents: Exponents) -> str:
+    """The text of one monomial, e.g. "λ^3L^2x^2"; "" at the origin."""
+    return "".join(f"{name}^{e}" if e > 1 else name for name, e in zip(_PRETTY_NAMES, exponents) if e)
+
+
+def render_text(terms: Iterable[tuple[Exponents, int, int]]) -> str:
+    """The text of a term stream in canonical order, (exponents, numerator,
+    denominator) per term as `MPoly.terms()` gives them, e.g. "x^3 + 3x^2 + x"
+    or "L^2x^2 - (1/2)λLx + Lx"; "0" for no terms."""
+    pieces: list[str] = []
+    for exponents, num, den in terms:
+        monomial = _monomial_text(exponents)
+        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if monomial and magnitude == "1":
+            body = monomial
+        elif monomial and den != 1:
+            body = f"({magnitude}){monomial}"
+        else:
+            body = magnitude + monomial
+        pieces.append(f"+ {body}" if num > 0 else f"- {body}")
+    if not pieces:
+        return "0"
+    text = " ".join(pieces)  # the leading term drops the space after its sign, and a "+"
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 @functools.lru_cache(maxsize=1 << 14, typed=True)
@@ -155,24 +175,18 @@ class MPoly:
 
     # -- inspection ----------------------------------------------------
 
-    def _reduced_terms(self) -> tuple[list[int], Iterable[int], Iterable[int]]:
-        """The terms' keys in canonical order (graded lex, largest first, the
-        order of the keys) and, in the same order, the numerators and
-        denominators of their reduced values: three columns for `zip`.
-        Over the denominator 1 every numerator is already reduced."""
+    def terms(self) -> Iterator[tuple[Exponents, int, int]]:
+        """(exponents, numerator, denominator) of each term's reduced value, in
+        canonical order (graded lex, largest first, the order of the keys):
+        the terms as read outside this module.  Over the denominator 1 every
+        numerator is already reduced."""
         num, den = self._num, self._den
         keys = sorted(num, reverse=True)
         if den == 1:
-            return keys, map(num.__getitem__, keys), repeat(1)
+            return zip(map(_unpack, keys), map(num.__getitem__, keys), repeat(1))
         coeffs = [num[key] for key in keys]
         commons = [math.gcd(coeff, den) for coeff in coeffs]
-        return keys, map(floordiv, coeffs, commons), [den // common for common in commons]
-
-    def terms(self) -> Iterator[tuple[Exponents, int, int]]:
-        """(exponents, numerator, denominator) of each term's reduced value, in
-        canonical order: the terms as read outside this module."""
-        keys, nums, dens = self._reduced_terms()
-        return zip(map(_unpack, keys), nums, dens)
+        return zip(map(_unpack, keys), map(floordiv, coeffs, commons), [den // common for common in commons])
 
     def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (graded lex, largest first)."""
@@ -357,21 +371,7 @@ class MPoly:
 
     def pretty(self) -> str:
         """Human-oriented rendering, e.g. "x^3 + 3x^2 + x" or "L^2x^2 - λLx + Lx"."""
-        if not self._num:
-            return "0"
-        pieces: list[str] = []
-        for key, num, den in zip(*self._reduced_terms()):
-            monomial = _monomial_text(key)
-            magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if monomial and magnitude == "1":
-                body = monomial
-            elif monomial and den != 1:
-                body = f"({magnitude}){monomial}"
-            else:
-                body = magnitude + monomial
-            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
-        text = " ".join(pieces)  # the leading term drops the space after its sign, and a "+"
-        return text[2:] if text[0] == "+" else f"-{text[2:]}"
+        return render_text(self.terms())
 
 
 LAM, L, X, Y = (MPoly._trusted({unit: 1}) for unit in _UNITS)
@@ -384,4 +384,5 @@ __all__ = [
     "VARIABLES",
     "X",
     "Y",
+    "render_text",
 ]

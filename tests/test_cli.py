@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from degenbell import cli, degenerate, numeric, suite
-from degenbell.degenerate import VerificationReport, degenerate_bell
+from degenbell import classical, cli, degenerate, numeric, suite
+from degenbell.classical import bell_polynomial
+from degenbell.degenerate import VerificationReport, dbell_via_stirling_pair, degenerate_bell, degenerate_stirling2
 from degenbell.poly import LAM, MPoly
 from degenbell.series import oracle_degenerate_stirling2_table
 from degenbell.suite import SuiteResult
@@ -255,6 +256,8 @@ EVAL = ["eval", "--n", "2", "--lambda", "0.5", "--x", "1"]
         # Past MAX_TERMS every weight of the series is 0.0 or out of float range.
         (["verify", "--n-max", "1", "--terms", "10001"], "--terms must be <= 10000"),
         ([*EVAL, "--dobinski", "--terms", "10001"], "--terms must be <= 10000"),
+        # Past MAX_TABLE_N a table's n^3 terms take seconds and hundreds of MB.
+        (["table", "--family", "dbell", "--n-max", "101"], "--n-max must be <= 100"),
     ],
 )
 def test_usage_errors(argv, message, capsys):
@@ -262,6 +265,12 @@ def test_usage_errors(argv, message, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"degenbell: error: {message}"
+
+
+def test_table_n_max_at_the_limit_is_accepted():
+    # Parsed only: the largest table takes about a second.
+    assert cli.MAX_TABLE_N == 100
+    assert cli.parse_config(["table", "--family", "dbell", "--n-max", "100"]).n_max == 100
 
 
 def test_terms_at_the_limit_are_accepted(capsys):
@@ -369,15 +378,20 @@ def test_unwritable_stdout_for_help_is_usage_error(sink, unbuffered):
         assert got == expected, args
 
 
-def test_dbell_table_builds_from_the_stirling_rows_alone(monkeypatch, capsys):
-    # Each coefficient of Bel_n is one product of classical Stirling numbers:
-    # the table makes no kernel pass and builds no S2(n,m|λ).
-    kernel = MPoly.sum_of_products.__func__
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_tables_build_from_the_stirling_rows_alone(family, fmt, monkeypatch, capsys):
+    # Each coefficient of Bel_n, S2(n,m|λ) and Bel_{n,λ} is one product of
+    # classical Stirling numbers, rendered from its term stream: no table
+    # makes a kernel pass, builds a polynomial or reads S2(n,m|λ).
     calls = []
-    monkeypatch.setattr(MPoly, "sum_of_products", classmethod(lambda cls, terms: calls.append(1) or kernel(cls, terms)))
+    for name in ("sum_of_products", "from_ints"):
+        method = getattr(MPoly, name).__func__
+        counted = classmethod(lambda cls, *args, name=name, method=method: calls.append(name) or method(cls, *args))
+        monkeypatch.setattr(MPoly, name, counted)
     degenerate.degenerate_stirling2.cache_clear()
-    code, out = run_cli(["table", "--family", "dbell", "--n-max", "30"], capsys)
-    assert code == 0 and out.count("\n") == 31
+    code, out = run_cli(["table", "--family", family, "--n-max", "30", "--format", fmt], capsys)
+    assert code == 0 and "30" in out
     assert calls == []
     assert degenerate.degenerate_stirling2.cache_info().misses == 0
 
@@ -649,6 +663,25 @@ PINNED_STDOUT = {
     "table --family dbell --n-max 30 --format csv": "fd426bd17094d32dd6d51ba5519903e19f2465995f3198adcfd241545ce12ebe",
     "table --family dstirling --n-max 30 --format text": "7931eb3004dddd336e3b6cd7762b58d48a79accc3883d6d2555b8a12255d8f87",
     "table --family dbell --n-max 60 --format json": "21fd9c202d3c1d497fdc5e7facde6357e3e771bfcf6a3849c5a74b5a1fc8e684",
+    # Row 0 and m = 0, where each polynomial family's terms start differently.
+    "table --family bell --n-max 0 --format text": "260d7733798df13e03f6b90f4c7ce20c88a576fb9c856dbbcb3b791931dedef9",
+    "table --family bell --n-max 0 --format json": "e6ba062750831e92b70aa36b3a9c6f7d910979a2aebda02de1f7189c124b6b30",
+    "table --family bell --n-max 0 --format csv": "8fc1ee277f16ae94104485862595b7961b6dfd503ed8a8129d22d38849a2d2cf",
+    "table --family bell --n-max 1 --format text": "a71ec4c42e97fe553823ff9e45f500f02f9ff2081f0a052d005a0f435778f01e",
+    "table --family bell --n-max 1 --format json": "d42096456a3983cddb8518896b66bbd23fb48874bbba1965da36513080489b4b",
+    "table --family bell --n-max 1 --format csv": "d2414477a2d0afbd742dfa454565072e4b65258908382ef51f048a3db58b3d6e",
+    "table --family dbell --n-max 0 --format text": "71d796ca1cf82d68635bdb0592e3932145417e973a511a55a0d8c08fe6760141",
+    "table --family dbell --n-max 0 --format json": "e6ba062750831e92b70aa36b3a9c6f7d910979a2aebda02de1f7189c124b6b30",
+    "table --family dbell --n-max 0 --format csv": "8fc1ee277f16ae94104485862595b7961b6dfd503ed8a8129d22d38849a2d2cf",
+    "table --family dbell --n-max 1 --format text": "f71ec134cf0164b613f5427ea70f6df8174370a118dae72bf219c87dd73c1dee",
+    "table --family dbell --n-max 1 --format json": "bd7022fcdf4aa9ccb546e1990f7b9b72075628962501b1758c0f0a13cb85b387",
+    "table --family dbell --n-max 1 --format csv": "c1601c186f8983ab3639f43ab622312e5350b1d8c8b6a9dd8421176c8af600e7",
+    "table --family dstirling --n-max 0 --format text": "b0d1d3a197cbc291ec95a6d7dd5b6cc6f336ed2fe9edfef885961770e27e75d2",
+    "table --family dstirling --n-max 0 --format json": "fae8290cccc8afef1abeed3b8efa4a985ee3d8a93f9670683ce11d9ea3f0865a",
+    "table --family dstirling --n-max 0 --format csv": "35bf6c5ead501bc32d7de955c7f26561ccb8b2eebbb9228fa8513bf9655c2a98",
+    "table --family dstirling --n-max 1 --format text": "dc7300c82ae89c7e49e6988ff5b5f828823d8a35250a5e351dcb55f0388eb631",
+    "table --family dstirling --n-max 1 --format json": "a7228f318a14dfd773b5f7afd73dc408f4923ed25102f8b8c170f4ee52512335",
+    "table --family dstirling --n-max 1 --format csv": "27f8590138caca4f4dd35d75fd31de6a008f02fd62226c07518d4abdcb89d21b",
 }
 
 
@@ -724,11 +757,67 @@ def run_cli_json(args, monkeypatch, capsys):
     return code
 
 
+# The library's constructor of each polynomial family's entries.
+LIBRARY_POLYS = {"bell": bell_polynomial, "dbell": dbell_via_stirling_pair, "dstirling": degenerate_stirling2}
+
+
+def table_indices(family, n_max):
+    if len(cli.POLY_TABLES[family][0]) == 2:
+        return [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
+    return [(n,) for n in range(n_max + 1)]
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 30])
 @pytest.mark.parametrize("family", cli.FAMILIES)
 def test_table_json_equals_json_dumps(family, n_max, monkeypatch, capsys):
+    # A polynomial table hands `_json_text` term streams, which json.dumps
+    # cannot read: its bytes are what json.dumps makes of the library's
+    # polynomials at the same indices.
     args = ["table", "--family", family, "--n-max", str(n_max), "--format", "json"]
-    assert run_cli_json(args, monkeypatch, capsys) == 0
+    if family not in cli.POLY_TABLES:
+        assert run_cli_json(args, monkeypatch, capsys) == 0
+        return
+    keys = cli.POLY_TABLES[family][0]
+    expected = [dict(zip(keys, index), poly=LIBRARY_POLYS[family](*index)) for index in table_indices(family, n_max)]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert_same_text(out, json_reference(expected))
+
+
+def check_streams_are_canonical(streams, n_max=60):
+    """Each family's term stream, at every entry with n <= n_max, is the term
+    list of the polynomial built from it: canonical order, no zero term, all
+    over the denominator 1."""
+    for family, terms in streams.items():
+        for index in table_indices(family, n_max):
+            stream = list(terms(*index))
+            assert stream == list(MPoly.from_ints({e: c for e, c, _ in stream}).terms()), (family, index)
+
+
+TABLE_STREAMS = {family: table[2] for family, table in cli.POLY_TABLES.items()}
+
+
+def test_table_streams_are_canonical_term_lists():
+    check_streams_are_canonical(TABLE_STREAMS)
+
+
+def two_terms_swapped(terms):
+    def mutant(*index):
+        stream = list(terms(*index))
+        return iter(stream[1::-1] + stream[2:])
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", ["two_terms_swapped", "zero_term_kept"])
+def test_stream_property_fails_on_mutants(mutant):
+    streams = dict(TABLE_STREAMS)
+    if mutant == "two_terms_swapped":
+        streams["dstirling"] = two_terms_swapped(streams["dstirling"])
+    else:  # the term x^0 of Bel_n, whose coefficient stirling2(n, 0) is 0 for n >= 1
+        streams["bell"] = compiled_with(classical.bell_terms, "if row[k]:", "if row[k] is not None:")
+    with pytest.raises(AssertionError):
+        check_streams_are_canonical(streams)
 
 
 @pytest.mark.parametrize("n_max", range(13))

@@ -271,4 +271,4 @@ def test_report_json_schema():
     fail_obj = failing.to_json_obj()
     assert fail_obj["passed"] is False
     assert fail_obj["first_failure"]["n"] == 1
-    assert isinstance(fail_obj["first_failure"]["lhs"], list)
+    assert fail_obj["first_failure"]["lhs"] == X and fail_obj["first_failure"]["rhs"] == X + 1  # for cli._json_text

@@ -142,6 +142,8 @@ NOT_RUN_BY_COMMANDS = {
     "MPoly.__len__": "read by the tests' audit and the benchmark tracer",
     "MPoly.__hash__": "the ring's operator API",
     "MPoly.__repr__": "the ring's operator API",
+    "MPoly.pretty": "the text form for __repr__ and library callers; tables render their term streams",
+    "MPoly.to_json_obj": "the JSON object form for library callers, the tests' json.dumps reference and the benchmark tracer",
     "MPoly.__neg__": "the ring's operator API",
     "MPoly.__pow__": "the ring's operator API",
 }
