@@ -26,8 +26,6 @@ from .degenerate import (
     degenerate_exp_composita,
     degenerate_stirling2,
     limit_lambda_zero,
-    verify_addition,
-    verify_derivative,
 )
 from .numeric import (
     NumericCheck,
@@ -70,6 +68,4 @@ __all__ = [
     "run_full_suite",
     "series_mul",
     "stirling_rows",
-    "verify_addition",
-    "verify_derivative",
 ]

@@ -40,10 +40,14 @@ CSV_HEADER = ["identity", "n", "lambda", "x", "terms", "lhs", "rhs", "abs_error"
 # terms add exact zeros; 10 000 leaves room and bounds `verify --n-max 8` near
 # 0.5 s and 25 MB, where --terms 10^6 took about a minute and 1 GB.
 MAX_TERMS = 10_000
-# The largest `table --n-max`.  The polynomial tables grow as n^3 terms: at 100 the largest (dbell,
-# dstirling) takes at most 0.7 s and 146 MB peak RSS and writes 40 MB of JSON; at 120, 1.5 s and
-# 256 MB; stirling_rows(1000) alone holds 448 MB.  100 keeps every table near a second and 150 MB.
-MAX_TABLE_N = 100
+# The largest n of each command (`--n-max`, eval's `--n`): a round n whose slowest input stays within its
+# budget on a shared 2-core x86 machine where the next size measured does not (peak RSS, fresh processes).
+# - table, a second and 150 MB: the tables grow as n^3 terms; at 100 the largest (dbell, dstirling)
+#   takes 0.7 s and 146 MB and writes 40 MB of JSON, at 120 1.5 s and 256 MB.
+# - verify, a minute and 1 GB: about n^5; with --terms 10000, 27 s and 70 MB at 60, 70 s and 104 MB at 70.
+# - eval, 2 s and 100 MB: the exact coefficients of L^m carry the n-th powers of the denominators of
+#   lambda and x, so lambda = x = 5e-324 (2^-1074) is slowest: 1.5 s and 25 MB at 200, 7.5 s at 300.
+MAX_N = {"table": 100, "verify": 60, "eval": 200}
 
 
 class UsageError(Exception):
@@ -156,10 +160,9 @@ def parse_config(argv: list[str] | None = None) -> SimpleNamespace | argparse.Na
         for names, name, dest, *_ in FLAGS:  # argparse drops the "--" of --flag=-- and stores []
             if ns.command in names and getattr(ns, dest) == []:
                 _build_parser().error(f"argument {name}: expected one argument")
-    if ns.n_max < 0:
-        _build_parser().error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be >= 0")
-    if ns.command == "table" and ns.n_max > MAX_TABLE_N:
-        _build_parser().error(f"--n-max must be <= {MAX_TABLE_N}")
+    if not 0 <= ns.n_max <= MAX_N[ns.command]:
+        bound = ">= 0" if ns.n_max < 0 else f"<= {MAX_N[ns.command]}"
+        _build_parser().error(f"{'--n' if ns.command == 'eval' else '--n-max'} must be {bound}")
     if ns.command != "table":
         if ns.terms < 1:
             _build_parser().error("--terms must be >= 1")

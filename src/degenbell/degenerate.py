@@ -1,23 +1,22 @@
 """Closed-form constructors for degenerate Bell polynomials and degenerate
-Stirling numbers of the second kind, plus exact identity verifiers.
+Stirling numbers of the second kind, and the sweep that compares two sides
+of an identity n by n.
 
 Every constructor gives the same canonical polynomials in Q[lambda, L, x]
 (L standing in for log(1 + lambda)/lambda).  The closed sums take one n;
 the forms that build row n from earlier rows (`*_table`) return rows
-0..n_max from one pass.  The verifiers take those rows and play the forms
-against each other and against the series oracle, reporting the first
-mismatching n if any.
+0..n_max from one pass.  `suite.EXACT_REPORTS` plays the forms against
+each other and against the series oracle through `sweep_identity`, which
+reports the first mismatching n if any.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, repeat
 from math import comb, factorial
-from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .poly import L, LAM, Exponents, MPoly, X, Y
+from .poly import LAM, Exponents, MPoly
 from .classical import bell_polynomial, falling_factorials, stirling_rows
 
 
@@ -222,36 +221,6 @@ def limit_lambda_zero(p: MPoly) -> MPoly:
     return p.substitute({"lambda": 0, "L": 1})
 
 
-# -- verifiers ------------------------------------------------------------
-
-
-def verify_addition(bells: list[MPoly]) -> VerificationReport:
-    """Binomial addition law in Q[lambda, L, x, y], given bells[n] =
-    Bel_n for n = 0..n_max: the polynomial at x+y against the binomial
-    convolution of the polynomials at x and at y.  The powers of x + y come
-    from one running product, built once for every substitution."""
-    at_y = [bell.substitute({"x": Y}) for bell in bells]
-    shift = X + Y
-    powers = list(accumulate(repeat(shift, len(bells) - 1), mul, initial=MPoly.one()))
-    sides = (
-        (n, bell.substitute({"x": shift}, {"x": powers}), binomial_convolution(bells, at_y, n))
-        for n, bell in enumerate(bells)
-    )
-    return sweep_identity("addition", 0, len(bells) - 1, sides)
-
-
-def verify_derivative(bells: list[MPoly]) -> VerificationReport:
-    """Derivative reduction, given bells[n] = Bel_n for n = 0..n_max:
-    d/dx of the degree-n polynomial equals L times the binomial convolution
-    with the falling factorials of 1 over m = 0..n-1.  The convolution
-    reads (1 | lambda)_k for k >= 1 and 0 at k = 0, which drops m = n.
-    L is a formal variable, so this holds exactly when (1/L) d/dx equals
-    the convolution."""
-    falling = [MPoly.zero()] + falling_factorials(1, len(bells) - 1)[1:]
-    sides = ((n, bells[n].derivative_x(), L * binomial_convolution(bells, falling, n)) for n in range(1, len(bells)))
-    return sweep_identity("derivative", 1, len(bells) - 1, sides)
-
-
 __all__ = [
     "VerificationReport",
     "binomial_convolution",
@@ -267,6 +236,4 @@ __all__ = [
     "dstirling_terms",
     "limit_lambda_zero",
     "sweep_identity",
-    "verify_addition",
-    "verify_derivative",
 ]

@@ -4,10 +4,12 @@ the floating-point grid, in a deterministic order."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import accumulate, count, repeat
+from operator import mul
+from typing import Callable, Iterator, NamedTuple
 
-from .poly import MPoly, X
-from .classical import bell_polynomial
+from .poly import L, MPoly, X, Y
+from .classical import bell_polynomial, falling_factorials
 from .degenerate import (
     VerificationReport,
     binomial_convolution,
@@ -19,8 +21,6 @@ from .degenerate import (
     degenerate_stirling2,
     limit_lambda_zero,
     sweep_identity,
-    verify_addition,
-    verify_derivative,
 )
 from .numeric import (
     DEFAULT_TERMS,
@@ -48,83 +48,86 @@ class SuiteResult(NamedTuple):
         return all(r.passed for r in self.reports) and all(c.passed for c in self.checks)
 
 
-def constructor_reports(
-    rows: list[list[MPoly]], bells: list[MPoly], recurrence: list[MPoly]
-) -> list[VerificationReport]:
-    """Each closed form's rows against the series oracle for n up to n_max,
-    given the rows `oracle_degenerate_stirling2_table(n_max)`, the
-    canonical rows bells[n] = degenerate_bell(n) and the rows of
-    `dbell_recurrence_table` through n_max at least; rows past n_max are
-    not read."""
-    n_max = len(rows) - 1
-    oracle = oracle_degenerate_bell_table(rows)
-    tables = [
-        ("stirling_pair_vs_oracle", 0, [dbell_via_stirling_pair(n) for n in range(n_max + 1)]),
-        ("degenerate_stirling_sum_vs_oracle", 0, bells),
-        ("classical_bell_expansion_vs_oracle", 1, dbell_classical_bell_table(n_max)),
-        ("composita_vs_oracle", 0, dbell_composita_table(n_max)),
-        ("recurrence_vs_oracle", 0, recurrence),
-    ]
-    return [
-        sweep_identity(name, lo, n_max, zip(range(lo, n_max + 1), table[lo:], oracle[lo:]))
-        for name, lo, table in tables
-    ]
+class ExactRows(NamedTuple):
+    """The rows that several exact reports read, built once per sweep to n_max."""
+
+    n_max: int
+    stirling: list[list[MPoly]]  # oracle_degenerate_stirling2_table(n_max)
+    oracle: list[MPoly]  # the oracle's Bell rows, from `stirling`
+    bells: list[MPoly]  # degenerate_bell(n), n = 0..n_max
+    recurrence: list[MPoly]  # dbell_recurrence_table(n_max + 1)
+    classical: list[MPoly]  # bell_polynomial(n), n = 0..n_max + 1
+    steps: list[MPoly]  # x times the binomial convolution of `classical` with the ones, n = 0..n_max
 
 
-def degenerate_stirling_report(rows: list[list[MPoly]]) -> VerificationReport:
-    """Closed form against the series value for every 0 <= m <= n <= n_max,
-    given the rows `oracle_degenerate_stirling2_table(n_max)`."""
-    sides = ((n, degenerate_stirling2(n, m), entry) for n, row in enumerate(rows) for m, entry in enumerate(row))
-    return sweep_identity("degenerate_stirling_closed_vs_oracle", 0, len(rows) - 1, sides)
+Triples = Iterator[tuple[int, MPoly, MPoly]]
 
 
-def classical_limit_report(bells: list[MPoly], classical: list[MPoly]) -> VerificationReport:
-    """bells[n] = degenerate_bell(n) tends to classical[n] =
-    bell_polynomial(n) under lambda -> 0, L -> 1."""
-    sides = ((n, limit_lambda_zero(bell), classical[n]) for n, bell in enumerate(bells))
-    return sweep_identity("classical_limit", 0, len(bells) - 1, sides)
+def exact_rows(n_max: int) -> ExactRows:
+    """The shared rows of every exact report for n up to n_max."""
+    stirling = oracle_degenerate_stirling2_table(n_max)
+    bells = [degenerate_bell(n) for n in range(n_max + 1)]
+    classical = [bell_polynomial(n) for n in range(n_max + 2)]
+    steps = [X * binomial_convolution(classical, [MPoly.one()] * (n + 1), n) for n in range(n_max + 1)]
+    recurrence = dbell_recurrence_table(n_max + 1)
+    return ExactRows(n_max, stirling, oracle_degenerate_bell_table(stirling), bells, recurrence, classical, steps)
 
 
-def classical_recurrence_report(classical: list[MPoly], steps: list[MPoly]) -> VerificationReport:
-    """One-step classical recurrence classical[n + 1] = steps[n], given
-    classical[n] = bell_polynomial(n) for n = 0..n_max + 1 and the step row
-    steps[n] = x times the binomial convolution of classical with the ones,
-    for n = 0..n_max."""
-    sides = ((n, classical[n + 1], step) for n, step in enumerate(steps))
-    return sweep_identity("classical_recurrence", 0, len(steps) - 1, sides)
+def _addition(rows: ExactRows) -> Triples:
+    """Binomial addition law in Q[lambda, L, x, y]: Bel_n at x + y against
+    the binomial convolution of the rows at x and at y.  The powers of x + y
+    come from one running product, built once for every substitution."""
+    at_y = [bell.substitute({"x": Y}) for bell in rows.bells]
+    shift = X + Y
+    powers = list(accumulate(repeat(shift, rows.n_max), mul, initial=MPoly.one()))
+    for n, bell in enumerate(rows.bells):
+        yield n, bell.substitute({"x": shift}, {"x": powers}), binomial_convolution(rows.bells, at_y, n)
 
 
-def recurrence_limit_report(recurrence: list[MPoly], steps: list[MPoly]) -> VerificationReport:
-    """The degenerate one-step recurrence collapses under lambda -> 0,
-    L -> 1 to the classical one: row n + 1 of `dbell_recurrence_table`,
-    given through n_max + 1, tends to the classical step row steps[n]."""
-    sides = ((n, limit_lambda_zero(recurrence[n + 1]), step) for n, step in enumerate(steps))
-    return sweep_identity("recurrence_classical_limit", 0, len(steps) - 1, sides)
+def _derivative(rows: ExactRows) -> Triples:
+    """d/dx Bel_n against L times the binomial convolution with (1 | lambda)_k
+    for k >= 1 and 0 at k = 0, which drops m = n; L is formal, so this holds
+    exactly when (1/L) d/dx equals the convolution."""
+    falling = [MPoly.zero()] + falling_factorials(1, rows.n_max)[1:]
+    for n in range(1, rows.n_max + 1):
+        yield n, rows.bells[n].derivative_x(), L * binomial_convolution(rows.bells, falling, n)
+
+
+def _stirling_closed(rows: ExactRows) -> Triples:
+    """The closed form S2(n,m|lambda) against the oracle's, 0 <= m <= n."""
+    for n, row in enumerate(rows.stirling):
+        for m, entry in enumerate(row):
+            yield n, degenerate_stirling2(n, m), entry
+
+
+# Every exact report, in print order: (name, first n, its (n, lhs, rhs)
+# triples over the shared rows).  A closed form's table is built when its
+# report is, and its rows from the first n are swept against the oracle's.
+EXACT_REPORTS: tuple[tuple[str, int, Callable[[ExactRows], Triples]], ...] = (
+    ("addition", 0, _addition),
+    (
+        "classical_bell_expansion_vs_oracle",
+        1,
+        lambda r: zip(count(1), dbell_classical_bell_table(r.n_max)[1:], r.oracle[1:]),
+    ),
+    ("classical_limit", 0, lambda r: zip(count(), map(limit_lambda_zero, r.bells), r.classical)),
+    ("classical_recurrence", 0, lambda r: zip(count(), r.classical[1:], r.steps)),
+    ("composita_vs_oracle", 0, lambda r: zip(count(), dbell_composita_table(r.n_max), r.oracle)),
+    ("degenerate_stirling_closed_vs_oracle", 0, _stirling_closed),
+    ("degenerate_stirling_sum_vs_oracle", 0, lambda r: zip(count(), r.bells, r.oracle)),
+    ("derivative", 1, _derivative),
+    ("recurrence_classical_limit", 0, lambda r: zip(count(), map(limit_lambda_zero, r.recurrence[1:]), r.steps)),
+    ("recurrence_vs_oracle", 0, lambda r: zip(count(), r.recurrence, r.oracle)),
+    ("stirling_pair_vs_oracle", 0, lambda r: ((n, dbell_via_stirling_pair(n), row) for n, row in enumerate(r.oracle))),
+)
 
 
 def exact_reports(n_max: int) -> list[VerificationReport]:
-    """Every exact sweep for n up to n_max.  The oracle rows, the canonical
-    rows degenerate_bell(n), the recurrence table and the classical Bell
-    polynomials (both through n_max + 1) and the classical step row are
-    built once here, each just before the first report that reads it, and
-    passed to every report that reads them.  The recurrence table's rows
-    0..n_max are swept against the oracle, and its row n + 1 stands for
-    the degenerate step at n in the limit report.  A report whose first n
-    exceeds n_max compares nothing, so it is left out."""
-    rows = oracle_degenerate_stirling2_table(n_max)
-    bells = [degenerate_bell(n) for n in range(n_max + 1)]
-    recurrence = dbell_recurrence_table(n_max + 1)
-    reports = constructor_reports(rows, bells, recurrence)
-    reports.append(degenerate_stirling_report(rows))
-    reports.append(verify_addition(bells))
-    reports.append(verify_derivative(bells))
-    classical = [bell_polynomial(n) for n in range(n_max + 2)]
-    reports.append(classical_limit_report(bells, classical))
-    ones = [MPoly.one()] * (n_max + 1)
-    steps = [X * binomial_convolution(classical, ones, n) for n in range(n_max + 1)]
-    reports.append(classical_recurrence_report(classical, steps))
-    reports.append(recurrence_limit_report(recurrence, steps))
-    return [report for report in reports if report.n_range[0] <= n_max]
+    """Every report of `EXACT_REPORTS` whose first n is at most n_max, in
+    its order, each swept over first n..n_max.  The shared rows are built
+    once, before any report; a report left out is never built."""
+    rows = exact_rows(n_max)
+    return [sweep_identity(name, lo, n_max, sides(rows)) for name, lo, sides in EXACT_REPORTS if lo <= n_max]
 
 
 def numeric_checks(n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> list[NumericCheck]:
@@ -152,8 +155,9 @@ def numeric_checks(n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_
 def run_full_suite(
     n_max: int = 12, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
 ) -> SuiteResult:
-    """Everything the verify command runs, sorted by (identity, n)."""
-    reports = sorted(exact_reports(n_max), key=lambda r: (r.identity_name, r.n_range))
+    """Everything the verify command runs: the exact reports in their
+    table's order, then the float checks sorted by (identity, n, lambda, x)."""
+    reports = exact_reports(n_max)
     checks = sorted(
         numeric_checks(n_max, terms, tol),
         key=lambda c: (c.identity_name, c.n, c.lam or 0.0, c.x or 0.0),
@@ -166,13 +170,11 @@ __all__ = [
     "GRID_LAMBDAS",
     "GRID_XS",
     "NUMERIC_N_CAP",
+    "EXACT_REPORTS",
+    "ExactRows",
     "SuiteResult",
-    "classical_limit_report",
-    "classical_recurrence_report",
-    "constructor_reports",
-    "degenerate_stirling_report",
     "exact_reports",
+    "exact_rows",
     "numeric_checks",
-    "recurrence_limit_report",
     "run_full_suite",
 ]

@@ -19,8 +19,6 @@ from degenbell.degenerate import (
     degenerate_bell,
     degenerate_stirling2,
     limit_lambda_zero,
-    verify_addition,
-    verify_derivative,
 )
 from degenbell.numeric import (
     dobinski_classical,
@@ -29,6 +27,7 @@ from degenbell.numeric import (
 )
 from degenbell.poly import L, LAM, MPoly, X
 from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
+from degenbell.suite import exact_reports
 from references import scaled_bell_series_check
 
 GRID_N = range(9)
@@ -90,11 +89,11 @@ def test_criterion_3_classical_limit_table():
 
 def test_criterion_4_addition_and_derivative():
     with criterion("criterion 4: addition and derivative identities hold exactly, n <= 10"):
-        bells = [degenerate_bell(n) for n in range(11)]
-        assert verify_addition(bells).passed
-        assert verify_derivative(bells).passed
+        reports = {report.identity_name: report for report in exact_reports(10)}
+        assert reports["addition"].passed and reports["addition"].n_range == (0, 10)
+        assert reports["derivative"].passed and reports["derivative"].n_range == (1, 10)
         for n in range(1, 11):
-            derivative = bells[n].derivative_x()
+            derivative = degenerate_bell(n).derivative_x()
             assert all(exps[1] >= 1 for exps, _ in derivative.items())
 
 

@@ -1,5 +1,6 @@
 """Kernel-free audit of the six Bell tables, and of both sides of the
-addition and derivative reports, against Carlitz's triangle.
+addition, derivative and three classical reports, against Carlitz's
+triangle.
 
 Every exact report, the oracle's included, runs through the one
 multiply-accumulate kernel `MPoly.sum_of_products`, so a fault in that
@@ -17,11 +18,13 @@ coefficient of (L x)^m has lambda-degree at most n - m, which the shape
 check enforces, so agreement at the 31 points of LAMBDAS proves the two
 equal for every n <= 30.
 
-The addition and derivative reports are audited at seeded points modulo
-the prime P = 2^61 - 1: each side, as the report builds it, is read
-through `terms()` alone, and its value must equal that of the side's
-definition, computed in plain ints mod P from Carlitz's triangle at the
-point's lambda.  A wrong side of degree d agrees at one random point with
+The addition, derivative, classical limit, classical recurrence and
+recurrence limit reports are audited at seeded points modulo the prime
+P = 2^61 - 1: each side, as its entry of `suite.EXACT_REPORTS` builds it
+over the suite's shared rows, is read through `terms()` alone, and its
+value must equal that of the side's definition, computed in plain ints
+mod P from Carlitz's triangle at the point's lambda, or at 0 for the
+classical sides.  A wrong side of degree d agrees at one random point with
 probability at most d/P (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM
 1979).
 """
@@ -32,7 +35,7 @@ from math import comb
 
 import pytest
 
-from degenbell import degenerate
+from degenbell import suite
 from degenbell.degenerate import (
     dbell_classical_bell_table,
     dbell_composita_table,
@@ -149,6 +152,7 @@ P = (1 << 61) - 1
 # The sides' coefficients reach 33 bits at n = 12 and 68 bits at n = 20,
 # the first n where a kernel that wraps at 64 bits shows.
 REPORT_N_MAX = 20
+AUDITED_REPORTS = ("addition", "classical_limit", "classical_recurrence", "derivative", "recurrence_classical_limit")
 REPORT_POINTS = [tuple(random.Random(seed).randrange(P) for _ in range(4)) for seed in (1, 2)]  # (lambda, L, x, y)
 
 
@@ -164,11 +168,16 @@ def value_mod_p(poly, point):
 
 
 def report_definitions(n_max, point):
-    """Each side of both reports at point, mod P, from its definition:
-    name -> n -> (lhs, rhs).  Bel_n(z) is the sum of S2(n, m|lambda) (L z)^m
-    over Carlitz's triangle; addition compares Bel_n(x + y) with the sum of
-    C(n, k) Bel_k(x) Bel_(n-k)(y), and derivative d/dx Bel_n(x) with L times
-    the sum of C(n, k) Bel_k(x) (1|lambda)_(n-k) over k < n."""
+    """Each side of the audited reports at point, mod P, from its
+    definition: name -> n -> (lhs, rhs).  Bel_n(z) is the sum of
+    S2(n, m|lambda) (L z)^m over Carlitz's triangle; addition compares
+    Bel_n(x + y) with the sum of C(n, k) Bel_k(x) Bel_(n-k)(y), and
+    derivative d/dx Bel_n(x) with L times the sum of C(n, k) Bel_k(x)
+    (1|lambda)_(n-k) over k < n.  The classical Bell polynomial B_n(x) is
+    the sum of S2(n, m|0) x^m, the limit of Bel_n(x) as lambda -> 0 and
+    L -> 1, and the classical step at n is x times the sum of C(n, k) B_k(x):
+    the two classical recurrence reports compare B_(n+1)(x), the classical
+    row or the limit of the degenerate recurrence's row, with that step."""
     lam, big_l, x, y = point
     triangle = [[1]]
     for n in range(n_max):
@@ -183,34 +192,29 @@ def report_definitions(n_max, point):
     falling = [1]  # (1|lambda)_j
     for j in range(n_max):
         falling.append(falling[-1] * (1 - j * lam) % P)
-    addition = {
-        n: (bell(n, x + y), sum(comb(n, k) * at_x[k] * at_y[n - k] for k in range(n + 1)) % P)
-        for n in range(n_max + 1)
+    classical = [sum(s2 * pow(x, m, P) for m, s2 in enumerate(row)) % P for row in carlitz_triangle(n_max + 1, 0)]
+    steps = [x * sum(comb(n, k) * classical[k] for k in range(n + 1)) % P for n in range(n_max + 1)]
+    ns = range(n_max + 1)
+    return {
+        "addition": {n: (bell(n, x + y), sum(comb(n, k) * at_x[k] * at_y[n - k] for k in range(n + 1)) % P) for n in ns},
+        "derivative": {
+            n: (
+                sum(s2 * m * pow(big_l, m, P) * pow(x, m - 1, P) for m, s2 in enumerate(triangle[n]) if m) % P,
+                big_l * sum(comb(n, k) * at_x[k] * falling[n - k] for k in range(n)) % P,
+            )
+            for n in ns[1:]
+        },
+        "classical_limit": {n: (classical[n], classical[n]) for n in ns},
+        "classical_recurrence": {n: (classical[n + 1], steps[n]) for n in ns},
+        "recurrence_classical_limit": {n: (classical[n + 1], steps[n]) for n in ns},
     }
-    derivative = {
-        n: (
-            sum(s2 * m * pow(big_l, m, P) * pow(x, m - 1, P) for m, s2 in enumerate(triangle[n]) if m) % P,
-            big_l * sum(comb(n, k) * at_x[k] * falling[n - k] for k in range(n)) % P,
-        )
-        for n in range(1, n_max + 1)
-    }
-    return {"addition": addition, "derivative": derivative}
 
 
-def report_sides(n_max, monkeypatch):
-    """name -> the (n, lhs, rhs) triples each report reads, as it builds them."""
-    seen = {}
-    sweep = degenerate.sweep_identity
-
-    def recorded(name, lo, hi, sides):
-        seen[name] = list(sides)
-        return sweep(name, lo, hi, seen[name])
-
-    monkeypatch.setattr(degenerate, "sweep_identity", recorded)
-    bells = [degenerate_bell(n) for n in range(n_max + 1)]
-    degenerate.verify_addition(bells)
-    degenerate.verify_derivative(bells)
-    return seen
+def report_sides(n_max):
+    """name -> the (n, lhs, rhs) triples of each audited report, read from
+    its entry of `suite.EXACT_REPORTS` over the rows the suite builds."""
+    rows = suite.exact_rows(n_max)
+    return {name: list(sides(rows)) for name, _, sides in suite.EXACT_REPORTS if name in AUDITED_REPORTS}
 
 
 def report_mismatches(sides, n_max):
@@ -227,19 +231,39 @@ def report_mismatches(sides, n_max):
     return sorted(set(mismatches))
 
 
-def test_addition_and_derivative_sides_equal_their_definitions_mod_p(monkeypatch):
-    assert report_mismatches(report_sides(REPORT_N_MAX, monkeypatch), REPORT_N_MAX) == []
+@pytest.fixture(scope="module")
+def audited_mismatches():
+    return report_mismatches(report_sides(REPORT_N_MAX), REPORT_N_MAX)
+
+
+def test_addition_and_derivative_sides_equal_their_definitions_mod_p(audited_mismatches):
+    assert [m for m in audited_mismatches if m[0] in ("addition", "derivative")] == []
+
+
+def test_classical_report_sides_equal_their_definitions_mod_p(audited_mismatches):
+    assert [m for m in audited_mismatches if m[0] not in ("addition", "derivative")] == []
 
 
 def test_report_audit_catches_a_kernel_that_wraps_coefficients_at_64_bits(monkeypatch):
+    # No wrap reaches the classical sides.  They read only lambda^0
+    # coefficients, which a product forms from its factors' lambda^0
+    # coefficients alone, and those are S2(n, m) < 2^51 for n <= 22.
     wrap_kernel_at_64_bits(monkeypatch)
-    sides = report_sides(REPORT_N_MAX, monkeypatch)
-    mismatches = report_mismatches(sides, REPORT_N_MAX)
+    mismatches = report_mismatches(report_sides(REPORT_N_MAX), REPORT_N_MAX)
     assert {name for name, _, _ in mismatches} == {"addition", "derivative"}
     assert all(n > 12 for _, n, _ in mismatches), mismatches
 
 
 def test_report_audit_catches_a_kernel_that_scales_one_orientation_only(monkeypatch):
+    # Every report whose sides form a product with c != 1 fails, named.
+    # classical_limit cannot fail: its one kernel pass per side, in
+    # degenerate_bell, has c = 1 in every product, and bell_polynomial and
+    # the substitution lambda -> 0, L -> 1 make no kernel pass.
     monkeypatch.setattr(MPoly, "sum_of_products", kernel_scaling_one_orientation_only())
-    mismatches = report_mismatches(report_sides(REPORT_N_MAX, monkeypatch), REPORT_N_MAX)
-    assert {name for name, _, _ in mismatches} == {"addition", "derivative"}
+    mismatches = report_mismatches(report_sides(REPORT_N_MAX), REPORT_N_MAX)
+    assert {name for name, _, _ in mismatches} == {
+        "addition",
+        "classical_recurrence",
+        "derivative",
+        "recurrence_classical_limit",
+    }

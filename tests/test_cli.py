@@ -19,7 +19,6 @@ from degenbell import classical, cli, degenerate, numeric, suite
 from degenbell.classical import bell_polynomial
 from degenbell.degenerate import VerificationReport, dbell_via_stirling_pair, degenerate_bell, degenerate_stirling2
 from degenbell.poly import LAM, MPoly
-from degenbell.series import oracle_degenerate_stirling2_table
 from degenbell.suite import SuiteResult
 from references import compiled_with
 from test_scripts import src_env
@@ -256,8 +255,11 @@ EVAL = ["eval", "--n", "2", "--lambda", "0.5", "--x", "1"]
         # Past MAX_TERMS every weight of the series is 0.0 or out of float range.
         (["verify", "--n-max", "1", "--terms", "10001"], "--terms must be <= 10000"),
         ([*EVAL, "--dobinski", "--terms", "10001"], "--terms must be <= 10000"),
-        # Past MAX_TABLE_N a table's n^3 terms take seconds and hundreds of MB.
+        # Past its MAX_N a command outgrows its budget of time and memory.
         (["table", "--family", "dbell", "--n-max", "101"], "--n-max must be <= 100"),
+        (["verify", "--n-max", "61"], "--n-max must be <= 60"),
+        (["eval", "--n", "201", "--lambda", "0.5", "--x", "1"], "--n must be <= 200"),
+        (["verify", "--n-m", "61"], "--n-max must be <= 60"),  # argparse's prefix, past `_fast_parse`
     ],
 )
 def test_usage_errors(argv, message, capsys):
@@ -269,8 +271,21 @@ def test_usage_errors(argv, message, capsys):
 
 def test_table_n_max_at_the_limit_is_accepted():
     # Parsed only: the largest table takes about a second.
-    assert cli.MAX_TABLE_N == 100
+    assert cli.MAX_N["table"] == 100
     assert cli.parse_config(["table", "--family", "dbell", "--n-max", "100"]).n_max == 100
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["verify", "--n-max", "60"], 60),
+        (["eval", "--n", "200", "--lambda", "0.5", "--x", "1"], 200),
+    ],
+)
+def test_verify_and_eval_accept_their_caps(argv, cap):
+    # Parsed only, never run: each cap allows its command's slowest size.
+    assert cli.MAX_N[argv[0]] == cap
+    assert cli.parse_config(argv).n_max == cap
 
 
 def test_terms_at_the_limit_are_accepted(capsys):
@@ -843,7 +858,7 @@ def test_failing_report_json_equals_json_dumps(monkeypatch, capsys):
     monkeypatch.setattr(
         suite, "degenerate_stirling2", lambda n, m: original(n, m) + LAM if (n, m) == (5, 2) else original(n, m)
     )
-    report = suite.degenerate_stirling_report(oracle_degenerate_stirling2_table(6))
+    (report,) = [report for report in suite.exact_reports(6) if not report.passed]
     failure = report.to_json_obj()["first_failure"]
     assert failure["n"] == 5 and failure["lhs"] and failure["rhs"]
     monkeypatch.setattr(cli, "run_full_suite", lambda *args: SuiteResult((report,), ()))

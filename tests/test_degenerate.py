@@ -1,4 +1,4 @@
-"""Closed-form constructor and identity-verifier tests.
+"""Closed-form constructor and identity-sweep tests.
 
 Hand values below were derived from the small Stirling tables
 (S1(2,1) = -1, S1(3,2) = -3, S2(3,2) = 3, ...) and cross-checked against
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenbell import degenerate
+from degenbell import degenerate, suite
 from degenbell.classical import falling_factorials
 from degenbell.degenerate import (
     VerificationReport,
@@ -26,8 +26,6 @@ from degenbell.degenerate import (
     degenerate_stirling2,
     limit_lambda_zero,
     sweep_identity,
-    verify_addition,
-    verify_derivative,
 )
 from degenbell.poly import L, LAM, MPoly, X
 from degenbell.series import (
@@ -188,21 +186,23 @@ def test_limit_small():
     assert limit_lambda_zero(degenerate_stirling2(3, 2)) == MPoly.one() * 3
 
 
-# -- verifiers ---------------------------------------------------------------------
+# -- sweeps and reports ------------------------------------------------------------
 
 
-BELLS = [degenerate_bell(n) for n in range(11)]
+def exact_report(name, n_max):
+    """The report of that name in `suite.exact_reports(n_max)`."""
+    return {report.identity_name: report for report in suite.exact_reports(n_max)}[name]
 
 
 def test_addition_report_passes():
-    report = verify_addition(BELLS)
+    report = exact_report("addition", 10)
     assert report.passed
     assert report.first_failure is None
     assert report.n_range == (0, 10)
 
 
 def test_derivative_report_passes():
-    report = verify_derivative(BELLS)
+    report = exact_report("derivative", 10)
     assert report.passed
     assert report.n_range == (1, 10)
 
@@ -264,7 +264,7 @@ def test_report_passed_is_derived_from_its_failure():
 
 
 def test_report_json_schema():
-    obj = verify_addition(BELLS[:4]).to_json_obj()
+    obj = exact_report("addition", 3).to_json_obj()
     assert obj == {"identity": "addition", "range": [0, 3], "passed": True, "first_failure": None}
 
     failing = sweep_identity("broken", 1, 2, ((n, X, X + 1) for n in range(1, 3)))

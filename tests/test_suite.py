@@ -2,7 +2,8 @@
 row of its table makes its report FAIL with that n as the first failure,
 and so does the shared binomial convolution; the recurrence table fails
 both reports that read it.  `exact_reports` builds each table, and the
-powers of x + y, once, within a budget of kernel calls.  The float
+powers of x + y, once, within a budget of kernel calls; its table's names
+are unique and in print order, and a report past n_max is never built.  The float
 grid's shared rows give the per-point checks bit for bit, are built
 once, and can fail.  Threads that run both from cold caches at once get
 the serial results."""
@@ -17,11 +18,9 @@ import pytest
 from degenbell import classical, cli, degenerate, numeric, suite
 from degenbell.numeric import classical_dobinski_check, dobinski_check
 from degenbell.poly import LAM, MPoly, X, Y
-from degenbell.series import oracle_degenerate_stirling2_table
 from references import compiled_with, scaled_bell_series_check
 
 PERTURBATION = LAM * X**2
-ORACLE_ROWS = oracle_degenerate_stirling2_table(6)
 CONSTRUCTOR_IDENTITIES = {
     "stirling_pair_vs_oracle",
     "degenerate_stirling_sum_vs_oracle",
@@ -55,9 +54,7 @@ def test_perturbed_constructor_fails_at_its_n(monkeypatch, identity, constructor
         return original(n) + PERTURBATION if n == k else original(n)
 
     monkeypatch.setattr(suite, constructor, perturbed)
-    bells = [suite.degenerate_bell(n) for n in range(len(ORACLE_ROWS))]
-    recurrence = suite.dbell_recurrence_table(len(ORACLE_ROWS))
-    reports = {report.identity_name: report for report in suite.constructor_reports(ORACLE_ROWS, bells, recurrence)}
+    reports = {r.identity_name: r for r in suite.exact_reports(6) if r.identity_name in CONSTRUCTOR_IDENTITIES}
     assert set(reports) == CONSTRUCTOR_IDENTITIES
     for name, report in reports.items():
         if name == identity:
@@ -114,14 +111,14 @@ def test_perturbed_convolution_fails_every_report_that_reads_it(monkeypatch):
     }
 
 
-def test_derivative_term_without_l_fails_at_its_n():
+def test_derivative_term_without_l_fails_at_its_n(monkeypatch):
     # d/dx of Bel_3 + x^2 has the term 2x, which carries no L.  The
     # convolution at n reads bells[n] only against (1 | lambda)_0 = 0, so
     # the right side, L times the convolution, is the unperturbed derivative.
-    bells = [suite.degenerate_bell(n) for n in range(7)]
-    derivative = bells[3].derivative_x()
-    bells[3] = bells[3] + X**2
-    report = degenerate.verify_derivative(bells)
+    original = suite.degenerate_bell
+    derivative = original(3).derivative_x()
+    monkeypatch.setattr(suite, "degenerate_bell", lambda n: original(n) + X**2 if n == 3 else original(n))
+    report = {r.identity_name: r for r in suite.exact_reports(6)}["derivative"]
     assert not report.passed
     assert report.first_failure == (3, derivative + 2 * X, derivative)
 
@@ -137,10 +134,9 @@ def test_a_short_constructor_table_fails_verify(monkeypatch, capsys):
 
 
 def test_a_derivative_sweep_that_skips_its_first_n_fails(monkeypatch):
-    mutant = compiled_with(degenerate.verify_derivative, "range(1, len(bells))", "range(2, len(bells))")
-    bells = [suite.degenerate_bell(n) for n in range(9)]
-    assert mutant(bells).first_failure == (1, None, None)
-    monkeypatch.setattr(suite, "verify_derivative", mutant)
+    mutant = compiled_with(suite._derivative, "range(1, rows.n_max + 1)", "range(2, rows.n_max + 1)")
+    table = [(name, lo, mutant if name == "derivative" else sides) for name, lo, sides in suite.EXACT_REPORTS]
+    monkeypatch.setattr(suite, "EXACT_REPORTS", tuple(table))
     failures = {r.identity_name: r.first_failure for r in suite.exact_reports(8) if not r.passed}
     assert failures == {"derivative": (1, None, None)}
 
@@ -240,8 +236,8 @@ def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
         "degenerate_stirling2",
         lambda n, m: original(n, m) + LAM if (n, m) in {(5, 2), (5, 4), (6, 1)} else original(n, m),
     )
-    report = suite.degenerate_stirling_report(ORACLE_ROWS)
-    assert not report.passed
+    (report,) = [r for r in suite.exact_reports(6) if not r.passed]
+    assert report.identity_name == "degenerate_stirling_closed_vs_oracle"
     n, lhs, rhs = report.first_failure
     assert n == 5
     assert lhs - rhs == LAM
@@ -249,10 +245,34 @@ def test_perturbed_degenerate_stirling_fails_at_its_n(monkeypatch):
 
 
 def test_unperturbed_oracle_sweeps_pass():
-    bells = [suite.degenerate_bell(n) for n in range(len(ORACLE_ROWS))]
-    recurrence = suite.dbell_recurrence_table(len(ORACLE_ROWS))
-    assert all(report.passed for report in suite.constructor_reports(ORACLE_ROWS, bells, recurrence))
-    assert suite.degenerate_stirling_report(ORACLE_ROWS).passed
+    reports = {r.identity_name: r for r in suite.exact_reports(6)}
+    assert CONSTRUCTOR_IDENTITIES | {"degenerate_stirling_closed_vs_oracle"} <= set(reports)
+    assert all(report.passed for report in reports.values())
+
+
+def test_report_names_are_unique_and_in_print_order():
+    # The table's order is the order verify prints.
+    names = [name for name, _, _ in suite.EXACT_REPORTS]
+    assert names == sorted(set(names))
+    assert [r.identity_name for r in suite.run_full_suite(2, terms=1).reports] == names
+
+
+@pytest.mark.parametrize("n_max, left_out", [(0, {"classical_bell_expansion_vs_oracle", "derivative"}), (1, set())])
+def test_a_report_past_n_max_is_never_built(monkeypatch, n_max, left_out):
+    built = []
+
+    def recorded(name, sides):
+        def wrapper(rows):
+            built.append(name)
+            return sides(rows)
+
+        return wrapper
+
+    table = [(name, lo, recorded(name, sides)) for name, lo, sides in suite.EXACT_REPORTS]
+    monkeypatch.setattr(suite, "EXACT_REPORTS", tuple(table))
+    names = [name for name, _, _ in table]
+    assert [r.identity_name for r in suite.exact_reports(n_max)] == built
+    assert built == [name for name in names if name not in left_out]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 8])
