@@ -33,8 +33,11 @@ from .series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_ta
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
 GRID_XS = (0.5, 1.0, 2.0)
-# The float grid caps n here: beyond it the compared values grow past the
-# point where a 1e-9 absolute tolerance is meaningful in double precision.
+# The float grid caps n here: beyond it the scaled series' left side, the fsum
+# of the rounded terms c lambda^j L^m x^m, loses digits to their cancellation.
+# Its worst relative error over the grid is 2.8e-9 at n = 8 and 1.8e-6 at
+# n = 10, where checks start to fail; exp(x L) times the closed form stays
+# below 1e-15.
 NUMERIC_N_CAP = 8
 CLASSICAL_BELL_MAX = 5
 

@@ -1,9 +1,10 @@
 """The lambda -> 0 convergence sweep, a smoke test for the
 `python -m degenbell` entry point, checks of the package's imports:
 standard library only, no private names across modules, the package
-modules each layer may import, and no module but `poly` touching a
-polynomial's packed layout, and a trace showing that the commands enter
-every function of the package but a listed few."""
+modules each layer may import, both in its source and in a fresh
+process, and no module but `poly` touching a polynomial's packed layout,
+and a trace showing that the commands enter every function of the
+package but a listed few."""
 
 import ast
 import inspect
@@ -76,11 +77,14 @@ def test_package_imports_only_the_standard_library_and_public_names():
     assert private == []
 
 
-# The package modules each layer may import.  The oracle (series) stands on
+# The package modules each layer may import.  The ring (poly) imports none,
+# and the classical rows need only the ring.  The oracle (series) stands on
 # the polynomial ring alone, so it shares no code with the closed forms it
 # judges; the float checks read only the integer rows of classical; the
 # closed forms need the ring and the classical rows, not the oracle.
 LAYER_IMPORTS = {
+    "poly.py": set(),
+    "classical.py": {"poly"},
     "series.py": {"poly"},
     "numeric.py": {"classical"},
     "degenerate.py": {"poly", "classical"},
@@ -121,18 +125,25 @@ def test_only_poly_touches_the_packed_layout():
     assert found == []
 
 
-def test_every_export_is_read_inside_the_package():
-    # No dead exports: each name in degenbell.__all__ is read by some module
-    # of the package other than the one that re-exports it.
-    read = set()
-    for path in sorted((ROOT / "src" / "degenbell").glob("*.py")):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-    assert sorted(set(degenbell.__all__) - read) == []
+# The degenbell modules a fresh `import degenbell.<module>` loads: the
+# package itself holds no names, so a library import loads only the layers
+# under the module it names.
+LOADED_BY_IMPORT = {
+    "degenbell": {"degenbell"},
+    "degenbell.poly": {"degenbell", "degenbell.poly"},
+    "degenbell.classical": {"degenbell", "degenbell.classical", "degenbell.poly"},
+    "degenbell.series": {"degenbell", "degenbell.series", "degenbell.poly"},
+    "degenbell.degenerate": {"degenbell", "degenbell.degenerate", "degenbell.classical", "degenbell.poly"},
+    "degenbell.numeric": {"degenbell", "degenbell.numeric", "degenbell.classical", "degenbell.poly"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADED_BY_IMPORT))
+def test_an_import_loads_only_its_layers(module):
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'degenbell'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == LOADED_BY_IMPORT[module]
 
 
 # The functions of the package that no command enters, each with the reason it stays.
