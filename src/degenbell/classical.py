@@ -76,11 +76,3 @@ def falling_factorials(z: MPoly | Scalar, n: int) -> list[MPoly]:
     for k in range(n):
         row.append(MPoly.sum_of_products(((1, row[k], z), (-k, row[k], LAM))))
     return row
-
-
-__all__ = [
-    "bell_polynomial",
-    "bell_terms",
-    "falling_factorials",
-    "stirling_rows",
-]

@@ -13,9 +13,7 @@ error.  Output is deterministic: same flags, same bytes.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import os
 import sys
@@ -291,11 +289,11 @@ def _json_text(payload: object) -> str:
 
 
 def _csv_text(rows: list[list], header: list[str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    """The header and rows as CSV lines: fields joined by commas, None as an
+    empty field, a float as its repr.  No field the commands write holds a
+    comma, a quote or a line break, and every row has two fields or more, so
+    no field needs quoting (test_cli's CSV field guard checks both)."""
+    return "".join(",".join(["" if cell is None else str(cell) for cell in row]) + "\n" for row in (header, *rows))
 
 
 # -- table ----------------------------------------------------------------
@@ -341,8 +339,8 @@ def run_table(ns: SimpleNamespace | argparse.Namespace) -> int:
 
 def _csv_row(obj: dict) -> list:
     """A result's `to_json_obj()` object projected onto `CSV_HEADER`: a
-    report's n is its range, "lo..hi", a missing key reads None, which csv
-    writes as an empty cell, and csv writes a float as its repr."""
+    report's n is its range, "lo..hi", and a missing key reads None, which
+    `_csv_text` writes as an empty field."""
     cells = {**obj, "n": "{}..{}".format(*obj["range"])} if "range" in obj else obj
     return [cells.get(key) for key in CSV_HEADER]
 

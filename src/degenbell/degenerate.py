@@ -219,21 +219,3 @@ def limit_lambda_zero(p: MPoly) -> MPoly:
     """The lambda -> 0 limit, realized as the substitution lambda -> 0,
     L -> 1 (L tends to 1 there)."""
     return p.substitute({"lambda": 0, "L": 1})
-
-
-__all__ = [
-    "VerificationReport",
-    "binomial_convolution",
-    "composition_coefficient",
-    "dbell_classical_bell_table",
-    "dbell_composita_table",
-    "dbell_recurrence_table",
-    "dbell_terms",
-    "dbell_via_stirling_pair",
-    "degenerate_bell",
-    "degenerate_exp_composita",
-    "degenerate_stirling2",
-    "dstirling_terms",
-    "limit_lambda_zero",
-    "sweep_identity",
-]

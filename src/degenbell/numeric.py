@@ -272,16 +272,3 @@ def grid_checks(n_max: int, lams: Sequence[float], xs: Sequence[float], terms: i
                 lhs, rhs = _scaled_left(left, n, lam, big_l, x), _weighted_sum(w, inner, "scaled series")
                 checks.append(NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol))
     return checks
-
-
-__all__ = [
-    "DEFAULT_TERMS",
-    "DEFAULT_TOL",
-    "NumericCheck",
-    "classical_dobinski_check",
-    "dobinski_check",
-    "dobinski_classical",
-    "dobinski_degenerate",
-    "eval_bel_numeric",
-    "grid_checks",
-]

@@ -375,14 +375,3 @@ class MPoly:
 
 
 LAM, L, X, Y = (MPoly._trusted({unit: 1}) for unit in _UNITS)
-
-__all__ = [
-    "L",
-    "LAM",
-    "MPoly",
-    "Scalar",
-    "VARIABLES",
-    "X",
-    "Y",
-    "render_text",
-]

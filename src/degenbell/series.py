@@ -88,11 +88,3 @@ def oracle_degenerate_stirling2_table(n_max: int) -> list[list[MPoly]]:
         [powers[m][n] * (factorial(n) // factorial(m)) for m in range(n + 1)]
         for n in range(n_max + 1)
     ]
-
-
-__all__ = [
-    "degenerate_exp_minus_one",
-    "oracle_degenerate_bell_table",
-    "oracle_degenerate_stirling2_table",
-    "series_mul",
-]

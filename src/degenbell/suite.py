@@ -166,18 +166,3 @@ def run_full_suite(
         key=lambda c: (c.identity_name, c.n, c.lam or 0.0, c.x or 0.0),
     )
     return SuiteResult(tuple(reports), tuple(checks))
-
-
-__all__ = [
-    "CLASSICAL_BELL_MAX",
-    "GRID_LAMBDAS",
-    "GRID_XS",
-    "NUMERIC_N_CAP",
-    "EXACT_REPORTS",
-    "ExactRows",
-    "SuiteResult",
-    "exact_reports",
-    "exact_rows",
-    "numeric_checks",
-    "run_full_suite",
-]

@@ -1,6 +1,7 @@
 """Command-line behavior: rendering, exit codes, round-trips, determinism."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -162,6 +163,71 @@ def test_eval_csv_value_row_matches_the_row_built_by_hand(value, monkeypatch, ca
         assert code == 0
         row = ["bell_degenerate_value", 3, repr(-0.5), repr(float(x)), "", repr(value), "", "", ""]
         assert out == cli._csv_text([row], cli.CSV_HEADER)
+
+
+# One command of each CSV shape: every table family at n_max 0 and 4, a
+# passing and a failing verify (--terms 3) and eval with and without
+# --dobinski.
+CSV_COMMANDS = [
+    *(["table", "--family", family, "--n-max", n_max] for family in cli.FAMILIES for n_max in ("0", "4")),
+    ["verify", "--n-max", "4"],
+    ["verify", "--n-max", "8", "--terms", "3"],
+    ["eval", "--n", "5", "--lambda", "0.5", "--x", "1.5"],
+    ["eval", "--n", "5", "--lambda", "0.5", "--x", "1.5", "--dobinski"],
+]
+
+
+def csv_rows_written(monkeypatch, capsys):
+    """Every row, each header included, that `cli._csv_text` receives from
+    `CSV_COMMANDS`, taken by wrapping it in process."""
+    rows, write = [], cli._csv_text
+
+    def recording(body, header):
+        rows.extend([header, *body])
+        return write(body, header)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_csv_text", recording)
+        codes = [cli.main([*argv, "--format", "csv"]) for argv in CSV_COMMANDS]
+    capsys.readouterr()
+    assert codes == [0] * (len(CSV_COMMANDS) - 3) + [1, 0, 0]
+    return rows
+
+
+def rows_needing_quotes(rows):
+    """The rows a plain join would not write as `csv.writer` does: one with a
+    field holding a comma, a quote or a line break, or with fewer than two
+    fields (a lone empty field is written `""`)."""
+    return [row for row in rows if len(row) < 2 or any(char in str(cell) for cell in row for char in ',"\r\n')]
+
+
+def test_no_csv_field_needs_quoting(monkeypatch, capsys):
+    # `_csv_text` joins fields with commas, which is right only while no
+    # field needs quoting; then it writes csv.writer's bytes.  No command
+    # above prints a NaN or an infinity, so the rows of checks holding the
+    # edge floats join them.
+    rows = csv_rows_written(monkeypatch, capsys)
+    rows += [
+        cli._csv_row(numeric.NumericCheck("demo", 3, lam, x, 10, lhs, rhs, 1e-9).to_json_obj())
+        for lam, x, lhs, rhs in itertools.product(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS[1:], EDGE_FLOATS[1:])
+    ]
+    cells = {str(cell) for row in rows for cell in row}
+    assert {"nan", "-inf", "None", "True", "False", "0..8", "x^4 + 6x^3 + 7x^2 + x", "-λ + 1"} <= cells
+    assert rows_needing_quotes(rows) == []
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    assert cli._csv_text(rows[1:], rows[0]) == buffer.getvalue()
+
+
+def test_csv_field_guard_fails_on_a_comma(monkeypatch, capsys):
+    # A mutant polynomial text that separates its terms by commas, and a row
+    # of one field.
+    render = cli.render_text
+    monkeypatch.setattr(cli, "render_text", lambda terms: render(terms).replace(" + ", ", "))
+    faults = rows_needing_quotes(csv_rows_written(monkeypatch, capsys))
+    assert ["4", "x^4, 6x^3, 7x^2, x"] in [[str(cell) for cell in row] for row in faults]
+    assert all("," in str(row[-1]) for row in faults)
+    assert rows_needing_quotes([["n", "poly"], [None]]) == [[None]]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -523,6 +589,14 @@ def test_cli_import_loads_no_introspection_modules():
     proc = subprocess.run([sys.executable, "-c", code, *heavy], capture_output=True, env=src_env(), text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_leaves_csv_unloaded():
+    # CSV is written with a join, so a cold command never imports csv.
+    code = "import sys, degenbell.cli; print('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # Runs one command line, then writes a last line: whether argparse was loaded

@@ -1,10 +1,10 @@
 """The lambda -> 0 convergence sweep, a smoke test for the
 `python -m degenbell` entry point, checks of the package's imports:
-standard library only, no private names across modules, the package
-modules each layer may import, both in its source and in a fresh
-process, and no module but `poly` touching a polynomial's packed layout,
-and a trace showing that the commands enter every function of the
-package but a listed few."""
+standard library only, no private names across modules, no star import
+anywhere, the package modules each layer may import, both in its source
+and in a fresh process, and no module but `poly` touching a polynomial's
+packed layout, and a trace showing that the commands enter every
+function of the package but a listed few."""
 
 import ast
 import inspect
@@ -77,6 +77,28 @@ def test_package_imports_only_the_standard_library_and_public_names():
     assert private == []
 
 
+def star_imports(source: str) -> list[int]:
+    """The lines of `source` that hold a `from ... import *`."""
+    tree = ast.parse(source)
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.names[0].name == "*"]
+
+
+def test_no_file_star_imports():
+    # The modules keep no __all__, which only a star import would read.
+    found = [
+        (str(path.relative_to(ROOT)), line)
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for line in star_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_star_import_scan_finds_one():
+    source = "import os\nif os.sep:\n    from degenbell.poly import *\nfrom degenbell.poly import X\n"
+    assert star_imports(source) == [3]
+
+
 # The package modules each layer may import.  The ring (poly) imports none,
 # and the classical rows need only the ring.  The oracle (series) stands on
 # the polynomial ring alone, so it shares no code with the closed forms it
@@ -146,17 +168,17 @@ def test_an_import_loads_only_its_layers(module):
     assert set(proc.stdout.split()) == LOADED_BY_IMPORT[module]
 
 
-# The functions of the package that no command enters, each with the reason it stays.
+# The functions of the package that no command enters, each with the reader that keeps it.
 NOT_RUN_BY_COMMANDS = {
-    "MPoly.__init__": "the Fraction front of from_ints, for library callers and the tests",
-    "MPoly.items": "read by the tests' audit and the benchmark tracer",
-    "MPoly.__len__": "read by the tests' audit and the benchmark tracer",
-    "MPoly.__hash__": "the ring's operator API",
-    "MPoly.__repr__": "the ring's operator API",
-    "MPoly.pretty": "the text form for __repr__ and library callers; tables render their term streams",
-    "MPoly.to_json_obj": "the JSON object form for library callers, the tests' json.dumps reference and the benchmark tracer",
-    "MPoly.__neg__": "the ring's operator API",
-    "MPoly.__pow__": "the ring's operator API",
+    "MPoly.__init__": "MPoly(...), the Fraction front of from_ints: the tests build expected values with it",
+    "MPoly.items": "perfbench/tracing.Tracer._observe reads each result's coefficients",
+    "MPoly.__len__": "perfbench/tracing.Tracer._observe reads each result's term count",
+    "MPoly.__hash__": "equal polynomials hash equal (test_poly), as an immutable value's must",
+    "MPoly.__repr__": "pytest's and hypothesis's failure messages print a polynomial through it",
+    "MPoly.pretty": "__repr__'s text, and a poly.render target of perfbench/tracing",
+    "MPoly.to_json_obj": "the tests' json.dumps reference, and a poly.render target of perfbench/tracing",
+    "MPoly.__neg__": "the tests write -p, and test_poly checks it",
+    "MPoly.__pow__": "the tests build expected values with **",
 }
 
 
