@@ -41,9 +41,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import floordiv, getitem, index as as_int, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import repeat
+from operator import floordiv, index as as_int, mul
+from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, int, int, int]
 Scalar = Union[int, Fraction]
@@ -300,56 +300,40 @@ class MPoly:
 
     # -- calculus ---------------------------------------------------------
 
-    def substitute(
-        self, bindings: Mapping[str, "MPoly | Scalar"], powers: Mapping[str, Sequence["MPoly"]] | None = None
-    ) -> "MPoly":
+    def substitute(self, bindings: Mapping[str, "MPoly | Scalar"]) -> "MPoly":
         """Simultaneously substitute the bound variables; others stay formal.
 
-        A binding to 0, an integer or one integer term c*monomial is folded
-        into each term's key and coefficient.  The terms are grouped by their
-        exponents of the variables bound to anything else (a longer polynomial
-        or one with a denominator), so each product of their powers is formed
-        once for `sum_of_products`.  The powers [1, v, v^2, ...] of such a
-        binding v come from `powers[name]` when given, up to at least the
-        variable's highest exponent, so a caller substituting v into many
-        polynomials builds them once; otherwise from one running product."""
-        folds: list[tuple[int, int, int]] = []
-        replacements: dict[int, MPoly] = {}
+        Each binding is a scalar or a polynomial of at most one term,
+        (c/d)*monomial, folded into every term: e of the variable leave its
+        key and e of the monomial join it, and its numerator gains
+        c^e d^(E-e) over the denominator's d^E, where E is the variable's
+        highest exponent.  A binding of two or more terms raises ValueError."""
+        folds: list[tuple[int, int, int, int, int]] = []
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
             bound = self._coerce(value)
             if bound is None:
                 raise TypeError(f"cannot substitute value of type {type(value).__name__}")
-            index = _VAR_INDEX[name]
-            if len(bound._num) > 1 or bound._den != 1:  # grouped below, folded here as a binding to 1
-                replacements[index], bound = bound, MPoly.one()
-            monomial, num = next(iter(bound._num.items()), (0, 0))  # e of the variable leave a key, e of this join
-            folds.append((_SHIFTS[index], monomial - _UNITS[index], num))
-        groups: dict[tuple[int, ...], dict[int, int]] = {}
+            if len(bound._num) > 1:
+                raise ValueError(f"the binding of {name!r} has {len(bound._num)} terms; substitute folds at most one")
+            index, d = _VAR_INDEX[name], bound._den
+            monomial, c = next(iter(bound._num.items()), (0, 0))
+            top = max((key >> _SHIFTS[index] & _MASK for key in self._num), default=0) if d != 1 else 0
+            folds.append((_SHIFTS[index], monomial - _UNITS[index], c, d, top))
+        num: dict[int, int] = {}
         for key, coeff in self._num.items():
             folded = key
-            for shift, step, num in folds:
+            for shift, step, c, d, top in folds:
                 e = key >> shift & _MASK
                 if e:
                     folded += e * step
-                    coeff *= num**e
+                    coeff *= c**e
+                if top > e:
+                    coeff *= d ** (top - e)
             if coeff:
-                residual = groups.setdefault(tuple(key >> _SHIFTS[index] & _MASK for index in replacements), {})
-                residual[folded] = residual.get(folded, 0) + coeff
-        if not replacements:
-            return MPoly._trusted(_in_range(groups.get((), {})), self._den)
-        tops = map(max, zip(*groups))  # the highest power of each replaced variable
-        given = powers or {}
-        rows = [
-            given.get(VARIABLES[index]) or [*accumulate(repeat(r, e), mul, initial=MPoly.one())]
-            for (index, r), e in zip(replacements.items(), tops)
-        ]
-        total = MPoly.sum_of_products(
-            (1, MPoly._trusted(_in_range(residual)), functools.reduce(mul, map(getitem, rows, part)))
-            for part, residual in groups.items()
-        )
-        return MPoly._trusted(total._num, total._den * self._den)
+                num[folded] = num.get(folded, 0) + coeff
+        return MPoly._trusted(_in_range(num), self._den * math.prod(d**top for *_, d, top in folds))
 
     def derivative_x(self) -> "MPoly":
         """Formal partial derivative with respect to x; keys only shrink, so they stay in range."""

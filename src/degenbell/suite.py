@@ -77,14 +77,14 @@ def exact_rows(n_max: int) -> ExactRows:
 
 
 def _addition(rows: ExactRows) -> Triples:
-    """Binomial addition law in Q[lambda, L, x, y]: Bel_n at x + y against
-    the binomial convolution of the rows at x and at y.  The powers of x + y
-    come from one running product, built once for every substitution."""
+    """Binomial addition law in Q[lambda, L, x, y]: the oracle's Bel_n at
+    x + y, the sum of S2(n, m|lambda) (L (x + y))^m over its Stirling row,
+    against the binomial convolution of the closed-form rows at x and at y.
+    The powers of L (x + y) come from one running product."""
     at_y = [bell.substitute({"x": Y}) for bell in rows.bells]
-    shift = X + Y
-    powers = list(accumulate(repeat(shift, rows.n_max), mul, initial=MPoly.one()))
-    for n, bell in enumerate(rows.bells):
-        yield n, bell.substitute({"x": shift}, {"x": powers}), binomial_convolution(rows.bells, at_y, n)
+    powers = list(accumulate(repeat(L * (X + Y), rows.n_max), mul, initial=MPoly.one()))
+    for n, row in enumerate(rows.stirling):
+        yield n, MPoly.sum_of_products(zip(repeat(1), row, powers)), binomial_convolution(rows.bells, at_y, n)
 
 
 def _derivative(rows: ExactRows) -> Triples:

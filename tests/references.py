@@ -45,14 +45,17 @@ def scaled_bell_series_check(n, lam, x, terms=DEFAULT_TERMS, tol=DEFAULT_TOL):
     return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)
 
 
-def compiled_with(function, old, new):
+def compiled_with(function, old, new, *edits):
     """`function` compiled afresh from its source, with the one `old` in it
-    replaced by `new`, over a copy of its module's globals: a mutant that
-    leaves the module itself unchanged.  A decorated function comes back
-    decorated, so a classmethod's mutant is a classmethod to rebind."""
+    replaced by `new`, and so for each further (old, new) pair of `edits`,
+    over a copy of its module's globals: a mutant that leaves the module
+    itself unchanged.  A decorated function comes back decorated, so a
+    classmethod's mutant is a classmethod to rebind."""
     source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, f"{old!r} is not in the source of {function.__name__} exactly once"
+    for old, new in ((old, new), *edits):
+        assert source.count(old) == 1, f"{old!r} is not in the source of {function.__name__} exactly once"
+        source = source.replace(old, new)
     module = sys.modules[function.__module__]
     namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    exec(compile(source, module.__file__, "exec"), namespace)
     return namespace[function.__name__]

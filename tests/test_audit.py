@@ -45,6 +45,7 @@ from degenbell.degenerate import (
 )
 from degenbell.poly import MPoly
 from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
+from references import compiled_with
 from test_poly import kernel_scaling_one_orientation_only
 
 N_MAX = 30
@@ -121,6 +122,18 @@ def test_every_bell_table_matches_carlitz_without_polynomial_arithmetic():
 def test_audit_rejects_each_shape_fault(term, n):
     exps, coeff = term
     assert row_matches(n, MPoly({exps: coeff})) is False
+
+
+def kernel_dropping_products_on_written_keys():
+    """The kernel compiled from its source to drop each product whose key an
+    earlier triple already wrote, as one that merged products only within
+    a pair of factors would."""
+    return compiled_with(
+        MPoly.sum_of_products,
+        "outer, inner = a._num, b._num",
+        "outer, inner, written = a._num, b._num, set(acc)",
+        ("+ coeff_o * coeff_i", "+ (key not in written) * coeff_o * coeff_i"),
+    )
 
 
 def wrap_kernel_at_64_bits(monkeypatch):
@@ -266,4 +279,22 @@ def test_report_audit_catches_a_kernel_that_scales_one_orientation_only(monkeypa
         "classical_recurrence",
         "derivative",
         "recurrence_classical_limit",
+    }
+
+
+def test_report_audit_catches_a_kernel_that_drops_products_on_written_keys(monkeypatch):
+    # A binomial convolution's products collide across k, and so do the
+    # oracle's Cauchy products, so every side built from either, the
+    # recurrence table's included, fails, named.  classical_limit cannot
+    # fail: degenerate_bell's products have distinct powers of L x, and
+    # bell_polynomial and the limit make no kernel pass.
+    monkeypatch.setattr(MPoly, "sum_of_products", kernel_dropping_products_on_written_keys())
+    mismatches = report_mismatches(report_sides(REPORT_N_MAX), REPORT_N_MAX)
+    assert {(name, side) for name, _, side in mismatches} == {
+        ("addition", "lhs"),
+        ("addition", "rhs"),
+        ("classical_recurrence", "rhs"),
+        ("derivative", "rhs"),
+        ("recurrence_classical_limit", "lhs"),
+        ("recurrence_classical_limit", "rhs"),
     }

@@ -1,13 +1,15 @@
 """Series-oracle tests: truncated arithmetic, the oracle's own inner
 series, the generating-function oracles, and the composita closed form
 (which lives with the closed forms in `degenerate`) against direct power
-extraction from the series."""
+extraction from the series.  The oracle and the closed form are anchored
+at the values of lambda where f is classical."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from degenbell import degenerate, series
 from degenbell.classical import bell_polynomial, falling_factorials, stirling_rows
 from degenbell.degenerate import degenerate_exp_composita
 from degenbell.poly import L, LAM, MPoly, X
@@ -17,6 +19,7 @@ from degenbell.series import (
     oracle_degenerate_stirling2_table,
     series_mul,
 )
+from references import compiled_with
 
 
 def test_inner_series_coefficients():
@@ -196,3 +199,94 @@ def test_oracle_table_rows_do_not_depend_on_the_order():
 def test_oracle_tables_reject_negative_order():
     with pytest.raises(ValueError):
         oracle_degenerate_stirling2_table(-1)
+
+
+# -- special values of lambda, where f is classical -----------------------------
+#
+# f(t) = (1 + lambda t)^(1/lambda) - 1 is t at lambda = 1, t + t^2/4 at
+# lambda = 1/2 and t/(1 - t) at lambda = -1, so S2(n, m|lambda), n!/m! times
+# [t^n] f^m, is there delta_nm, (n!/m!) C(m, n - m) / 4^(n - m) and the Lah
+# number C(n - 1, m - 1) n!/m! (Comtet, "Advanced Combinatorics", Reidel
+# 1974), with S2(0, 0|lambda) = 1.  The references are plain binomials and
+# factorials and share no code with `series` or the closed forms; each
+# check folds one value of lambda into a polynomial.
+
+ANCHOR_N = 20
+SPECIAL_VALUES = {
+    1: lambda n, m: int(n == m),
+    Fraction(1, 2): lambda n, m: Fraction(factorial(n), factorial(m)) * comb(m, n - m) / 4 ** (n - m),
+    -1: lambda n, m: comb(n - 1, m - 1) * factorial(n) // factorial(m) if m else int(n == 0),
+}
+
+
+def special_value_mismatches(table, lam):
+    """(n, m) of each entry of a Stirling table whose value at lambda = lam
+    is not its classical one."""
+    return [
+        (n, m)
+        for n, row in enumerate(table)
+        for m, entry in enumerate(row)
+        if entry.substitute({"lambda": lam}) != SPECIAL_VALUES[lam](n, m)
+    ]
+
+
+def closed_form_table(n_max):
+    return [[degenerate.degenerate_stirling2(n, m) for m in range(n + 1)] for n in range(n_max + 1)]
+
+
+def bell_at_one_mismatches(table):
+    """n of each row of the Bell oracle over a Stirling table whose value at
+    lambda = 1 is not (L x)^n."""
+    rows = oracle_degenerate_bell_table(table)
+    return [n for n, row in enumerate(rows) if row.substitute({"lambda": 1}) != (L * X) ** n]
+
+
+def anchor_mismatches(n_max):
+    """Each anchor's name and its mismatches up to n_max: the oracle's and
+    the closed form's S2 at every special value, and the oracle's Bel at 1."""
+    tables = {"oracle": series.oracle_degenerate_stirling2_table(n_max), "closed_form": closed_form_table(n_max)}
+    found = {
+        f"{name}_s2_at_{lam}": special_value_mismatches(table, lam)
+        for name, table in tables.items()
+        for lam in SPECIAL_VALUES
+    }
+    found["oracle_bell_at_1"] = bell_at_one_mismatches(tables["oracle"])
+    return found
+
+
+ANCHORS = list(anchor_mismatches(0))
+
+
+def test_special_value_references_small_rows():
+    assert [SPECIAL_VALUES[Fraction(1, 2)](3, m) for m in range(4)] == [0, 0, Fraction(3, 2), 1]
+    assert [SPECIAL_VALUES[-1](3, m) for m in range(4)] == [0, 6, 6, 1]
+
+
+def test_the_oracle_and_the_closed_form_meet_every_special_value():
+    assert anchor_mismatches(ANCHOR_N) == dict.fromkeys(ANCHORS, [])
+
+
+def test_the_oracle_anchors_fail_on_a_wrong_running_factor_of_f(monkeypatch):
+    # (1 - n lambda)/n in place of (1 - (n - 1) lambda)/n: every anchor that
+    # reads the oracle fails, and the closed form's cannot see it.
+    mutant = compiled_with(series.degenerate_exp_minus_one, "1 - n}", "-n}")
+    monkeypatch.setattr(series, "degenerate_exp_minus_one", mutant)
+    failing = {name for name, mismatches in anchor_mismatches(ANCHOR_N).items() if mismatches}
+    assert failing == {name for name in ANCHORS if name.startswith("oracle_")}
+
+
+def test_every_anchor_fails_on_a_perturbed_stirling_entry(monkeypatch):
+    # S2(5, 2|lambda) + lambda, in the oracle's table and in the closed form.
+    original_table, original_entry = series.oracle_degenerate_stirling2_table, degenerate.degenerate_stirling2
+
+    def perturbed_table(n_max):
+        table = original_table(n_max)
+        table[5][2] = table[5][2] + LAM
+        return table
+
+    monkeypatch.setattr(series, "oracle_degenerate_stirling2_table", perturbed_table)
+    monkeypatch.setattr(
+        degenerate, "degenerate_stirling2", lambda n, m: original_entry(n, m) + LAM * ((n, m) == (5, 2))
+    )
+    found = anchor_mismatches(ANCHOR_N)
+    assert found == {name: [5] if name == "oracle_bell_at_1" else [(5, 2)] for name in ANCHORS}

@@ -2,7 +2,7 @@
 row of its table makes its report FAIL with that n as the first failure,
 and so does the shared binomial convolution; the recurrence table fails
 both reports that read it.  `exact_reports` builds each table, and the
-powers of x + y, once, within a budget of kernel calls; its table's names
+powers of L (x + y), once, within a budget of kernel calls; its table's names
 are unique and in print order, and a report past n_max is never built.  The float
 grid's shared rows give the per-point checks bit for bit, are built
 once, and can fail.  Threads that run both from cold caches at once get
@@ -17,7 +17,7 @@ import pytest
 
 from degenbell import classical, cli, degenerate, numeric, suite
 from degenbell.numeric import classical_dobinski_check, dobinski_check
-from degenbell.poly import LAM, MPoly, X, Y
+from degenbell.poly import L, LAM, MPoly, X, Y
 from references import compiled_with, scaled_bell_series_check
 
 PERTURBATION = LAM * X**2
@@ -154,7 +154,7 @@ def test_exact_reports_build_each_table_once(monkeypatch):
         return wrapper
 
     # The recurrence table is built once, through row n_max + 1 for the
-    # limit report, and the powers of x + y once for every substitution.
+    # limit report, and the powers of L (x + y) once for every Bell row at x + y.
     recurrence_sizes = []
     recurrence = suite.dbell_recurrence_table
 
@@ -162,12 +162,12 @@ def test_exact_reports_build_each_table_once(monkeypatch):
         recurrence_sizes.append(n_max)
         return recurrence(n_max)
 
-    shift = X + Y
+    shift = L * (X + Y)
     multiply = MPoly.__mul__
 
     def counted_mul(a, b):
         if a == shift or b == shift:
-            calls["x + y products"] += 1
+            calls["L (x + y) products"] += 1
         return multiply(a, b)
 
     monkeypatch.setattr(MPoly, "__mul__", counted_mul)
@@ -184,7 +184,7 @@ def test_exact_reports_build_each_table_once(monkeypatch):
         monkeypatch.setattr(suite, name, counted(suite, name))
     degenerate.degenerate_stirling2.cache_clear()
     assert all(report.passed for report in suite.exact_reports(8))
-    assert calls == {"degenerate_bell": 9, "x + y products": 8, **dict.fromkeys(tables, 1)}
+    assert calls == {"degenerate_bell": 9, "L (x + y) products": 8, **dict.fromkeys(tables, 1)}
     assert recurrence_sizes == [9]
     # Each closed-form S2(n,m|lambda), n <= 8, is built once for the
     # canonical rows and read again by the Stirling report.
@@ -193,7 +193,7 @@ def test_exact_reports_build_each_table_once(monkeypatch):
 
 @pytest.mark.parametrize("n_max, budget", [(10, 466), (30, 2903)])
 def test_exact_reports_stay_within_their_kernel_calls(monkeypatch, n_max, budget):
-    # Each shared row built once, and one pass per table entry: 457 and 2847
+    # Each shared row built once, and one pass per table entry: 458 and 2848
     # calls, against 962 and 7269 when every report built its own rows and
     # 478 and 2908 with two passes per falling factorial.
     kernel = MPoly.sum_of_products.__func__
