@@ -26,12 +26,11 @@ def eval_exact(p, values):
 def scaled_bell_series_check(n, lam, x, terms=DEFAULT_TERMS, tol=DEFAULT_TOL):
     """Two-sided series identity for the exponentially scaled Bell value.
 
-    Left side: exp(x L) times the double-Stirling closed form, the fsum
-    of stirling1(n,k) stirling2(k,m) lambda^(n-k) (L x)^m over its non-zero
-    integer coefficients, each rounded once to a float.  Right side: the
-    truncated series sum over k of (x^k / k!) L^k * sum over l of
-    k^l lambda^(n-l) stirling1(n, l), each inner sum an fsum of its float
-    products.  Raises OverflowError naming the side or term out of range.
+    Left side: exp(x L) times `eval_bel_numeric`, the closed form's one
+    Horner pass, which the grid reads too.  Right side: the truncated series
+    sum over k of (x^k / k!) L^k * sum over l of k^l lambda^(n-l)
+    stirling1(n, l), each inner sum an fsum of its float products.  Raises
+    OverflowError naming the side or term out of range.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -39,7 +38,11 @@ def scaled_bell_series_check(n, lam, x, terms=DEFAULT_TERMS, tol=DEFAULT_TOL):
         raise ValueError(f"terms must be >= 1, got {terms}")
     big_l = numeric._check_lambda(lam)
     numeric._check_x(x)
-    lhs = numeric._scaled_left(numeric._left_terms(n), n, lam, big_l, x)
+    try:
+        value = numeric.eval_bel_numeric(n, lam, x)
+    except OverflowError:  # a coefficient of L^m is out of float range
+        value = math.inf
+    lhs = numeric._exp_times(x * big_l, value, "scaled series left side")
     inner = numeric._scaled_inner_row(n, lam, numeric._power_columns(n, terms))
     rhs = numeric._weighted_sum(numeric._weights(x * big_l, terms), inner, "scaled series")
     return NumericCheck("scaled_bell_series", n, lam, x, terms, lhs, rhs, tol)

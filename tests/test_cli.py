@@ -701,13 +701,13 @@ def test_parse_config_threads_get_their_own_namespace():
 # SHA-256 of stdout for fixed commands, all of which exit 0.  Any change to
 # these bytes is a change to the output format, not a refactoring.
 PINNED_STDOUT = {
-    "verify --n-max 8 --format text": "a8b848e40eb8fc5c972518282e454cfd1f03fa221c3c68486ae6ea3131a466d1",
-    "verify --n-max 8 --format json": "bd2f2fc8238026ce5595baafeb9face98228d571ac54b1492297aff30f767cff",
-    "verify --n-max 8 --format csv": "0454e70527e862b657726011669682fa9ef31ee3c05ab435c84a5f3eaf1c500c",
-    "verify --n-max 14 --format json": "c60cc23ef682c94898b4acc239f749f7097c043b63740051050a174587aede7c",
-    "verify --n-max 10 --format json": "a2eebbb27bb53d8316d4e0acb986a0fca3b95fc528eb160c5a1cbec9c68d8b7f",
-    "verify --n-max 20 --format text": "ee3065a15460ddb92e2448e89c74e68a8226b5ee611e043618c91d7caaec59ec",
-    "verify --n-max 8 --terms 30 --tol 1e-6 --format csv": "9198de65ff952ad173cd43a2e17dd2154c5ee71dd6e6763b65e0931dd886771f",
+    "verify --n-max 8 --format text": "dc9276a606835bc2f7c632fbcadd443ae1bdd3b700c07d0617c1c66ac963aca6",
+    "verify --n-max 8 --format json": "c65797a4cd02174e7b48bd27db549f818e080aa258ee968a63649c168dd4755c",
+    "verify --n-max 8 --format csv": "1738aa29197db0b00ff3b7611bab66c36ce61167307a95a2443704a5b4bebb32",
+    "verify --n-max 14 --format json": "18cb9308b12e36c665f90df888bab4d9dc351d6d742addca71adb4835f9ccc37",
+    "verify --n-max 10 --format json": "7c1f6c01ed5955d28e2c69b4f173179beb705ba83570e587028df6dfaf4cab7e",
+    "verify --n-max 20 --format text": "50603ebac6820c98e52e5bc00257372c421f0493b909621ec2193bfcfe86d4ad",
+    "verify --n-max 8 --terms 30 --tol 1e-6 --format csv": "5036768783763315e7aa2e57d4d53556439309f38556f8002d80ddc4c69ee0b7",
     "table --family dbell --n-max 30 --format json": "aecfa5994a918b878f89d4ddad666f43c817508c3985f38aee527f00dbd5e262",
     "table --family bell --n-max 12 --format text": "c9a7ca9f90ba67e180d90601ac2bbe027c44b0db5fae90a54c2e1c373b583dac",
     "table --family bell --n-max 12 --format json": "8dc13b3284f0c5846ce2546b13c98ed4cb1b6532a7bbb64f2042bdd99cd2e68e",
@@ -730,8 +730,8 @@ PINNED_STDOUT = {
     "table --family dbell --n-max 30 --format text": "2346e775dbe52bcb6014212f68937e849c87cc41f9a6f6ed7ebb122f56368bbd",
     "table --family dstirling --n-max 30 --format csv": "fef686fd23481010825b64c6eaa658c60af4295043b5f065e4d1dbccb441f853",
     "table --family stirling2 --n-max 30 --format json": "5b5524352a16e65510c54b4f4d2d7726b1de1231bbfe62aa9f06ceebc8fca0ca",
-    "verify --n-max 12 --format json": "c4a50c818c27d0cdd3e38aadfa1d1984782ef2d3a5875d77a2b17fa52b832b66",
-    "verify --n-max 30 --format json": "f05d88a62aae7835e6f99789255a997dd07ccb00abbac38196aeed545b0e895b",
+    "verify --n-max 12 --format json": "f33ebd32bc78475a8a0776ce515a5b7b20f73c20f804ab34789f4e2e6aa413bd",
+    "verify --n-max 30 --format json": "1148ff803472075ded3bd6cd267ae7d9834995d640b15748472f60a10365712d",
     "eval --n 7 --lambda 0.5 --x 2 --format csv": "136b750aa5d26aee9fb63a7da6c7d71b0033f54b003db3a3e78df17747ef19b9",
     "eval --n 7 --lambda 0.5 --x 2 --format json": "e80b0c134f9bdc209fa71e5beb3a54f8d3d39d5ceccf5a49a81d13a40d5d13e0",
     "table --family stirling1 --n-max 30 --format text": "83e0fc3f5726a4bbf8b3106412bbb5d59024a732b429028a63e4c25b9e10a440",
@@ -793,7 +793,7 @@ PINNED_FAILING_STDOUT = {
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format json": "a52dad65641290c59d1e8cd07b9b1dd54e2453de7310b245244cef103dfd4bd9",
     "eval --n 3 --lambda 0.5 --x 1000 --dobinski --format csv": "8e5a09507d35c9ace9af1ad85d5a81ad72b5a34a4f673a8ba5144eec7106ad3c",
     "verify --n-max 2 --terms 1 --format text": "916b1f41e33fde257e5506a577abacd535489340b39a139e9d6a91b6fcf74f1d",
-    "verify --n-max 2 --terms 1 --format csv": "8bbabe546c00aef36045abada401e2f321d28523d7b423f4f346f1d5800e1504",
+    "verify --n-max 2 --terms 1 --format csv": "b3c3e030ea6cb7737dc6563e7453c37d2c351211c44f76fa3e15f2751d0ad726",
     "eval --n 30 --lambda -0.7 --x 3.5 --dobinski --format text": "e74a2beb40c82a825da967c0851fcaabc6bcf3e0dbd1271872978dedaf0b1684",
     "eval --n 30 --lambda -0.7 --x 3.5 --dobinski --format json": "d939d97a095334fcd68a8ce184291bf7ca4583f0f7331d226c6804de240423bd",
     "verify --n-max 8 --terms 3 --format text": "da5f64e47c797e13777e49642081b5cdce48ea43222d8ca39cf5181bc5919bb6",

@@ -13,7 +13,7 @@ import pytest
 
 from degenbell import cli
 from degenbell.classical import bell_polynomial, stirling_rows
-from degenbell.degenerate import dbell_via_stirling_pair, degenerate_bell
+from degenbell.degenerate import degenerate_bell
 from degenbell.numeric import (
     NumericCheck,
     classical_dobinski_check,
@@ -30,6 +30,7 @@ from degenbell.numeric import (
     _weighted_sum,
     _weights,
 )
+from degenbell.series import oracle_degenerate_bell_table, oracle_degenerate_stirling2_table
 from references import compiled_with, eval_exact, scaled_bell_series_check
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
@@ -427,28 +428,26 @@ def test_weighted_sum_matches_its_defining_loop():
 
 
 
-def closed_form_left_side(n, lam, x):
-    """exp(x L) times the float terms of dbell_via_stirling_pair(n), as the
-    scaled series' left side was evaluated from the polynomial."""
-    big_l = math.log1p(lam) / lam
-    point = (lam, big_l, x)
-    terms = [(exps, float(coeff)) for exps, coeff in dbell_via_stirling_pair(n).items()]
-    return math.exp(x * big_l) * math.fsum(
-        coeff * math.prod(v**e for v, e in zip(point, exps) if e) for exps, coeff in terms
-    )
-
-
-def test_scaled_series_left_side_matches_the_closed_form_polynomial():
-    # The left side reads the integer Stirling rows, not the polynomial: the
-    # same float products, summed by fsum in another order, so the same bits.
-    for n in range(13):
-        for lam in (-0.5, 0.1, 1.0, 3.0):
-            for x in (-50.0, 0.5, 2.0):
-                lhs = scaled_bell_series_check(n, lam, x).lhs
-                assert repr(lhs) == repr(closed_form_left_side(n, lam, x)), (n, lam, x)
+def test_scaled_series_left_side_holds_its_digits_to_n_20():
+    # exp(x L) times the closed form's one Horner pass, against the oracle's
+    # Bel_n at 80 digits: within 1e-14 relative at every grid point out to
+    # n = 20.  A left side summed from the rounded monomials c lambda^j L^m
+    # x^m, whose terms cancel, fails it from n = 4 (2.7e-14).
+    mpmath = pytest.importorskip("mpmath")
+    oracle = oracle_degenerate_bell_table(oracle_degenerate_stirling2_table(20))
+    checks = [c for c in grid_checks(20, GRID_LAMBDAS, GRID_XS, 80, 1e-9) if c.identity_name == "scaled_bell_series"]
+    assert len(checks) == 21 * 9
+    with mpmath.workdps(80):
+        for check in checks:
+            lam, x = mpmath.mpf(check.lam), mpmath.mpf(check.x)
+            big_l = mpmath.log1p(lam) / lam
+            bell = mpmath.fsum(
+                mpmath.mpf(c.numerator) / c.denominator * lam**i * big_l**j * x**m
+                for (i, j, m, _), c in oracle[check.n].items()
+            )
+            exact = mpmath.exp(x * big_l) * bell
+            assert abs(check.lhs - exact) <= 1e-14 * abs(exact), (check.n, check.lam, check.x)
     # x^2 is out of float range in a term of the closed form itself.
-    with pytest.raises(OverflowError):
-        closed_form_left_side(2, 0.5, -1e300)
     with pytest.raises(OverflowError, match="scaled series left side overflows"):
         scaled_bell_series_check(2, 0.5, -1e300)
 

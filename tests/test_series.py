@@ -5,6 +5,7 @@ extraction from the series.  The oracle and the closed form are anchored
 at the values of lambda where f is classical."""
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -290,3 +291,50 @@ def test_every_anchor_fails_on_a_perturbed_stirling_entry(monkeypatch):
     )
     found = anchor_mismatches(ANCHOR_N)
     assert found == {name: [5] if name == "oracle_bell_at_1" else [(5, 2)] for name in ANCHORS}
+
+
+# -- the literal generating function, through sympy -----------------------------
+#
+# n! [t^n] (1 + lambda)^((x/lambda)((1 + lambda t)^(1/lambda) - 1)), with
+# log(1 + lambda) kept symbolic, against the oracle's Bel_n with L bound to
+# log(1 + lambda)/lambda.  Since x is free and L is transcendental over
+# Q(lambda), equal polynomials in x also mean equal S2(n, m|lambda) rows.
+# sympy's expansion shares no code with `series` or the closed forms.
+
+SYMPY_N = 5
+
+
+@cache
+def generating_function_rows():
+    """n! [t^n] of the generating function for n = 0..SYMPY_N, and its lambda, L and x."""
+    sympy = pytest.importorskip("sympy")
+    lam, x, t = sympy.symbols("lambda x t")
+    g = (1 + lam) ** ((x / lam) * ((1 + lam * t) ** (1 / lam) - 1))
+    expansion = sympy.series(g, t, 0, SYMPY_N + 1).removeO()
+    rows = [sympy.factorial(n) * expansion.coeff(t, n) for n in range(SYMPY_N + 1)]
+    return rows, (lam, sympy.log(1 + lam) / lam, x)
+
+
+def generating_function_mismatches():
+    """n of each oracle row up to SYMPY_N that is not the generating function's."""
+    sympy = pytest.importorskip("sympy")
+    rows, (lam, big_l, x) = generating_function_rows()
+    oracle = oracle_degenerate_bell_table(series.oracle_degenerate_stirling2_table(SYMPY_N))
+    mismatches = []
+    for n, (row, entry) in enumerate(zip(rows, oracle)):
+        bound = sum(
+            sympy.Rational(c.numerator, c.denominator) * lam**i * big_l**j * x**m for (i, j, m, _), c in entry.items()
+        )
+        if sympy.expand(row - bound) != 0:
+            mismatches.append(n)
+    return mismatches
+
+
+def test_the_oracle_is_the_literal_generating_function():
+    assert generating_function_mismatches() == []
+
+
+def test_the_generating_function_anchor_fails_on_a_wrong_running_factor_of_f(monkeypatch):
+    mutant = compiled_with(series.degenerate_exp_minus_one, "1 - n}", "-n}")
+    monkeypatch.setattr(series, "degenerate_exp_minus_one", mutant)
+    assert generating_function_mismatches()[:1] == [1]

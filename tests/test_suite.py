@@ -211,9 +211,9 @@ def test_exact_reports_stay_within_their_kernel_calls(monkeypatch, n_max, budget
 # SHA-256 of `verify --n-max 6` stdout, which exits 1, with S2(5,2|λ) + λ in
 # place of S2(5,2|λ): one failing report among passing reports and checks.
 MUTATED_VERIFY_STDOUT = {
-    "text": "acaf77ca38b9d87273894cff3708b5fc834048a34a60a5786a53af751439bd82",
-    "json": "b7753f973494e2d18f7f956ee4ec266cc972db26e17041424acef4e31f8fbb4b",
-    "csv": "a01817c98302e081d5812effc972dbcc7b8fea8eeefd851378ef7e17309ab610",
+    "text": "ec159bc77fc271a44cf849582d370cdf1dfd38cb7caa59375609b4db049a959c",
+    "json": "641365944b7029e4517299df52ceb706c2f49b59680ea301ff4fe3a3060381bb",
+    "csv": "6470bb1da426b2574c7dc3d9b70641ea5af4f8300653eb28ceec1709ed94b87f",
 }
 
 
@@ -326,7 +326,7 @@ def test_numeric_checks_build_each_row_once(monkeypatch):
     # One growth pass per lambda, advanced one row per n; one inner row and
     # one coefficient row per (n, lambda), shared by every x; one row of
     # weights per (lambda, x), shared by every n and both series; one set of
-    # power columns and one list of left-side terms per n.
+    # power columns.
     calls = Counter()
 
     def counted(name):
@@ -346,7 +346,7 @@ def test_numeric_checks_build_each_row_once(monkeypatch):
 
     original_rows = numeric._falling_rows
     monkeypatch.setattr(numeric, "_falling_rows", counted_rows)
-    built = ["_scaled_inner_row", "_bell_coefficients", "_weights", "_power_columns", "_left_terms"]
+    built = ["_scaled_inner_row", "_bell_coefficients", "_weights", "_power_columns"]
     for name in built:
         monkeypatch.setattr(numeric, name, counted(name))
     suite.numeric_checks(8)
@@ -357,7 +357,6 @@ def test_numeric_checks_build_each_row_once(monkeypatch):
         "_bell_coefficients": 27,
         "_weights": 9,
         "_power_columns": 1,
-        "_left_terms": 9,
     }
 
 
