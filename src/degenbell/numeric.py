@@ -193,47 +193,30 @@ def eval_bel_numeric(n: int, lam: float, x: float) -> float:
     return _horner(_bell_coefficients(n, lam), lam, big_l, x)
 
 
-def dobinski_degenerate(n: int, lam: float, x: float, terms: int = DEFAULT_TERMS) -> float:
-    """Truncated Dobinski-type series for the degenerate Bell value:
-    exp(-x L) * sum over l of (x^l / l!) L^l (l | lambda)_n.
-
-    Converges to eval_bel_numeric(n, lam, x) as terms grows.  Raises
-    OverflowError when a term, or the sum, is out of float range, never inf
-    or nan.
-    """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    big_l = _check_lambda(lam)
-    _check_x(x)
-    return _dobinski_sum(_weights(x * big_l, terms), _falling_row(n, lam, terms), x * big_l)
-
-
-def dobinski_classical(n: int, terms: int = DEFAULT_TERMS) -> float:
-    """Truncated classical Dobinski sum (1/e) * sum of k^n / k!."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    inv_fact = accumulate(range(1, terms + 1), truediv, initial=1.0)  # 1/k!, the one before over k
-    return math.exp(-1.0) * math.fsum(map(mul, map(pow, map(float, range(terms + 1)), repeat(n)), inv_fact))
-
-
 def dobinski_check(
     n: int, lam: float, x: float, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
 ) -> NumericCheck:
-    """Closed form against the truncated degenerate Dobinski series."""
+    """Closed form against its truncated Dobinski-type series, exp(-x L) * sum over l
+    of (x^l / l!) L^l (l | lambda)_n, which converges to it as terms grows.  eval_bel_numeric
+    validates n, lambda and x; the series raises OverflowError, never inf or nan, naming
+    the term or the sum out of float range."""
     lhs = eval_bel_numeric(n, lam, x)
-    rhs = dobinski_degenerate(n, lam, x, terms)
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    xl = x * _check_lambda(lam)
+    rhs = _dobinski_sum(_weights(xl, terms), _falling_row(n, lam, terms), xl)
     return NumericCheck("dobinski_degenerate", n, lam, x, terms, lhs, rhs, tol)
 
 
 def classical_dobinski_check(n: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> NumericCheck:
-    """Truncated classical Dobinski sum against the exact Bell number, the
-    sum of the stirling2 row n."""
+    """Truncated classical Dobinski sum (1/e) * sum of k^n / k! against the exact
+    Bell number, the sum of the stirling2 row n; stirling_rows validates n."""
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
     exact = float(sum(stirling_rows(n)[1][n]))
-    return NumericCheck("dobinski_classical", n, None, None, terms, dobinski_classical(n, terms), exact, tol)
+    inv_fact = accumulate(range(1, terms + 1), truediv, initial=1.0)  # 1/k!, the one before over k
+    lhs = math.exp(-1.0) * math.fsum(map(mul, map(pow, map(float, range(terms + 1)), repeat(n)), inv_fact))
+    return NumericCheck("dobinski_classical", n, None, None, terms, lhs, exact, tol)
 
 
 def grid_checks(n_max: int, lams: Sequence[float], xs: Sequence[float], terms: int, tol: float) -> list[NumericCheck]:

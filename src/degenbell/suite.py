@@ -155,9 +155,7 @@ def numeric_checks(n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_
     return checks
 
 
-def run_full_suite(
-    n_max: int = 12, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL
-) -> SuiteResult:
+def run_full_suite(n_max: int, terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> SuiteResult:
     """Everything the verify command runs: the exact reports in their
     table's order, then the float checks sorted by (identity, n, lambda, x)."""
     reports = exact_reports(n_max)

@@ -1,6 +1,6 @@
-"""Kernel-free audit of the six Bell tables, and of both sides of the
-addition, derivative and three classical reports, against Carlitz's
-triangle.
+"""Kernel-free audit of the six Bell tables, of both sides of the six
+oracle sweeps, and of both sides of the addition, derivative and three
+classical reports, against Carlitz's triangle.
 
 Every exact report, the oracle's included, runs through the one
 multiply-accumulate kernel `MPoly.sum_of_products`, so a fault in that
@@ -16,7 +16,9 @@ built in plain ints at each integer lambda in LAMBDAS.  Row n of a Bell
 table must be the sum of S2(n, m|lambda) (L x)^m over m = 0..n.  The
 coefficient of (L x)^m has lambda-degree at most n - m, which the shape
 check enforces, so agreement at the 31 points of LAMBDAS proves the two
-equal for every n <= 30.
+equal for every n <= 30.  The oracle sweeps are read the same way, each
+side as its entry of `suite.EXACT_REPORTS` builds it: a Bell row whole,
+a Stirling entry S2(n, m|lambda) as a polynomial in lambda alone.
 
 The addition, derivative, classical limit, classical recurrence and
 recurrence limit reports are audited at seeded points modulo the prime
@@ -157,6 +159,80 @@ def test_audit_catches_a_kernel_that_wraps_coefficients_at_64_bits(monkeypatch):
     assert failures.pop("stirling_pair") is None  # built without the kernel
     # Below n = 10 every number the kernel returns fits in 64 bits.
     assert all(n is not None and n >= 10 for n in failures.values()), failures
+
+
+# -- the oracle sweeps, as their report entries build them --------------------------
+
+ORACLE_SWEEPS = (
+    "classical_bell_expansion_vs_oracle",
+    "composita_vs_oracle",
+    "degenerate_stirling_closed_vs_oracle",
+    "degenerate_stirling_sum_vs_oracle",
+    "recurrence_vs_oracle",
+    "stirling_pair_vs_oracle",
+)
+
+
+def entry_matches(n, m, entry):
+    """Whether entry is S2(n, m|lambda): integer coefficients of lambda^e
+    alone, e <= n - m, equal to Carlitz's at every lambda of LAMBDAS."""
+    coeffs = {}
+    for (e_lam, e_l, e_x, e_y), coeff in entry.items():
+        if e_l or e_x or e_y or coeff.denominator != 1 or e_lam > n - m:
+            return False
+        coeffs[e_lam] = coeff.numerator
+    return all(sum(c * lam**e for e, c in coeffs.items()) == TRIANGLES[lam][n][m] for lam in LAMBDAS)
+
+
+def oracle_sweep_mismatches(n_max):
+    """(report, n, side) for every side of the six oracle sweeps, read from
+    its entry of `suite.EXACT_REPORTS` over the rows the suite builds, that
+    fails the audit; every n of each sweep must be read, and at each n the
+    Stirling sweep's entries m = 0..n in order."""
+    rows, mismatches = suite.exact_rows(n_max), set()
+    sweeps = [(name, lo, sides) for name, lo, sides in suite.EXACT_REPORTS if name in ORACLE_SWEEPS]
+    assert [name for name, _, _ in sweeps] == list(ORACLE_SWEEPS)
+    for name, lo, sides in sweeps:
+        stirling = name == "degenerate_stirling_closed_vs_oracle"
+        expected = [(n, m) for n in range(lo, n_max + 1) for m in (range(n + 1) if stirling else [None])]
+        triples = list(sides(rows))
+        assert [n for n, _, _ in triples] == [n for n, _ in expected], name
+        for (n, m), (_, lhs, rhs) in zip(expected, triples):
+            for label, side in (("lhs", lhs), ("rhs", rhs)):
+                if not (entry_matches(n, m, side) if stirling else row_matches(n, side)):
+                    mismatches.add((name, n, label))
+    return sorted(mismatches)
+
+
+def test_oracle_sweep_sides_match_carlitz_without_polynomial_arithmetic():
+    assert oracle_sweep_mismatches(N_MAX) == []
+
+
+# Each kernel mutant, and the closed forms whose sides it spoils.
+# degenerate_stirling2 and the Stirling pair make no kernel pass, and
+# degenerate_bell's products all have c = 1 and distinct powers of L x, so
+# only the wrap reaches it.
+BELL_SWEEPS_THROUGH_PRODUCTS = {"classical_bell_expansion_vs_oracle", "composita_vs_oracle", "recurrence_vs_oracle"}
+KERNEL_MUTANTS = {
+    "wraps_at_64_bits": (wrap_kernel_at_64_bits, BELL_SWEEPS_THROUGH_PRODUCTS | {"degenerate_stirling_sum_vs_oracle"}),
+    "scales_one_orientation_only": (
+        lambda mp: mp.setattr(MPoly, "sum_of_products", kernel_scaling_one_orientation_only()),
+        BELL_SWEEPS_THROUGH_PRODUCTS,
+    ),
+    "drops_products_on_written_keys": (
+        lambda mp: mp.setattr(MPoly, "sum_of_products", kernel_dropping_products_on_written_keys()),
+        BELL_SWEEPS_THROUGH_PRODUCTS,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
+def test_oracle_sweep_audit_catches_each_kernel_mutant(mutant, monkeypatch):
+    # The oracle's side of every sweep comes out of the kernel and fails, named.
+    apply, failing_lhs = KERNEL_MUTANTS[mutant]
+    apply(monkeypatch)
+    failed = {(name, side) for name, _, side in oracle_sweep_mismatches(N_MAX)}
+    assert failed == {(name, "rhs") for name in ORACLE_SWEEPS} | {(name, "lhs") for name in failing_lhs}
 
 
 # -- the addition and derivative reports, mod P -----------------------------------

@@ -18,8 +18,6 @@ from degenbell.numeric import (
     NumericCheck,
     classical_dobinski_check,
     dobinski_check,
-    dobinski_classical,
-    dobinski_degenerate,
     eval_bel_numeric,
     grid_checks,
     _check_x,
@@ -159,31 +157,32 @@ def test_eval_rejects_negative_degree():
 
 
 def test_dobinski_degree_zero_telescopes():
-    assert dobinski_degenerate(0, 0.5, 1.0, 80) == pytest.approx(1.0, abs=1e-9)
+    assert dobinski_check(0, 0.5, 1.0, 80).rhs == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dobinski_agrees_with_closed_form():
-    assert dobinski_degenerate(2, 0.5, 1.0, 80) == pytest.approx(
+    assert dobinski_check(2, 0.5, 1.0, 80).rhs == pytest.approx(
         eval_bel_numeric(2, 0.5, 1.0), abs=1e-9
     )
-    assert dobinski_degenerate(8, 0.1, 2.0, 80) == pytest.approx(
+    assert dobinski_check(8, 0.1, 2.0, 80).rhs == pytest.approx(
         eval_bel_numeric(8, 0.1, 2.0), abs=1e-9
     )
 
 
 def test_dobinski_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        dobinski_degenerate(2, 0.0, 1.0, 80)
-    with pytest.raises(ValueError):
-        dobinski_degenerate(2, 0.5, 1.0, 0)
-    with pytest.raises(ValueError):
-        dobinski_degenerate(-1, 0.5, 1.0, 80)
+    with pytest.raises(ValueError, match="^lambda must lie in"):
+        dobinski_check(2, 0.0, 1.0, 80)
+    with pytest.raises(ValueError, match="^terms must be >= 1, got 0$"):
+        dobinski_check(2, 0.5, 1.0, 0)
+    with pytest.raises(ValueError, match="^need n >= 0, got -1$"):
+        dobinski_check(-1, 0.5, 1.0, 80)
 
 
 @pytest.mark.parametrize("lam, x", NON_FINITE_POINTS)
 def test_dobinski_rejects_non_finite_input(lam, x):
+    # The closed form validates lambda and x before the series reads terms.
     with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
-        dobinski_degenerate(3, lam, x)
+        dobinski_check(3, lam, x, 0)
 
 
 @pytest.mark.parametrize("lam, x, terms", [(0.5, 1e10, 80), (100.0, 1e10, 300)])
@@ -191,7 +190,7 @@ def test_dobinski_overflow_raises(lam, x, terms):
     # The weights (x L)^l / l! leave the float range: unchecked, the sum
     # is nan or fsum meets inf - inf.
     with pytest.raises(OverflowError, match="Dobinski series term"):
-        dobinski_degenerate(3, lam, x, terms)
+        dobinski_check(3, lam, x, terms)
 
 
 def test_dobinski_truncation_error_shrinks():
@@ -203,7 +202,7 @@ def test_dobinski_truncation_error_shrinks():
             for x in GRID_XS:
                 closed = eval_bel_numeric(n, lam, x)
                 slack = 4 * math.ulp(max(1.0, abs(closed)))
-                errors = [abs(dobinski_degenerate(n, lam, x, t) - closed) for t in (20, 40, 80)]
+                errors = [abs(dobinski_check(n, lam, x, t).rhs - closed) for t in (20, 40, 80)]
                 assert errors[2] <= errors[1] + slack
                 assert errors[1] <= errors[0] + slack
 
@@ -226,7 +225,7 @@ def test_dobinski_check_rejects_non_finite_input(lam, x):
 
 def test_classical_dobinski_bell_numbers():
     for n, bell in enumerate([1, 1, 2, 5, 15, 52]):
-        assert dobinski_classical(n, 60) == pytest.approx(bell, abs=1e-9)
+        assert classical_dobinski_check(n, 60).lhs == pytest.approx(bell, abs=1e-9)
 
 
 def test_classical_dobinski_check_record():
@@ -234,6 +233,13 @@ def test_classical_dobinski_check_record():
     assert check.passed
     assert check.lam is None and check.x is None
     assert check.rhs == 15.0
+
+
+def test_classical_dobinski_check_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="^terms must be >= 1, got 0$"):
+        classical_dobinski_check(4, 0)
+    with pytest.raises(ValueError, match="^Stirling rows need n >= 0, got -1$"):
+        classical_dobinski_check(-1, 60)
 
 
 # -- scaled two-sided series -----------------------------------------------------------
@@ -264,7 +270,7 @@ def test_scaled_series_rejects_non_finite_input(lam, x):
 @pytest.mark.parametrize(
     "check, x, message",
     [
-        (dobinski_degenerate, -800.0, "Dobinski series sum overflows"),
+        (dobinski_check, -800.0, "Dobinski series sum overflows"),
         (scaled_bell_series_check, -1e10, r"scaled series term \d+ overflows"),
         (scaled_bell_series_check, 1e10, "scaled series left side overflows"),
     ],
